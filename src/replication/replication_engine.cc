@@ -1,6 +1,7 @@
 #include "replication/replication_engine.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -1228,23 +1229,42 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
     }
   };
 
+  // One crossing of the data plane. A direction that can flip bits or cut
+  // tails damages a private copy in `scratch`; a clean one delivers the
+  // sender's frame itself, so the staging area's buffer is the only copy.
+  // Either way `frames` stays pristine for the NACK rounds below.
+  const bool mutating = fabric_.link_quality(src, dst).mutates_frames();
+  wire::RegionFrame scratch;
+  auto cross = [&](const wire::RegionFrame& f,
+                   net::FrameFate& fate) -> const wire::RegionFrame* {
+    if (!mutating) {
+      fate = fabric_.transmit_readonly_frame(src, dst, f.bytes);
+      return &f;
+    }
+    scratch = f;
+    fate = fabric_.transmit_frame(src, dst, scratch.bytes);
+    if (fate.truncated) scratch.bytes.resize(fate.delivered_bytes);
+    return &scratch;
+  };
+
   // First pass: every frame crosses the data plane once. Reordered frames
   // arrive after their peers, duplicates are offered twice — the staging
   // area absorbs both by seq.
-  std::vector<wire::RegionFrame> late;
+  std::deque<wire::RegionFrame> held;  // damaged copies that arrive late
+  std::vector<const wire::RegionFrame*> late;
   for (const wire::RegionFrame& f : frames) {
-    wire::RegionFrame rx = f;
-    const net::FrameFate fate = fabric_.transmit_frame(src, dst, rx.bytes);
+    net::FrameFate fate;
+    const wire::RegionFrame* rx = cross(f, fate);
     if (fate.lost) continue;  // commit() will refuse the incomplete epoch
-    if (fate.truncated) rx.bytes.resize(fate.delivered_bytes);
     if (fate.reordered) {
-      late.push_back(std::move(rx));
+      if (rx == &scratch) rx = &held.emplace_back(std::move(scratch));
+      late.push_back(rx);
       continue;
     }
-    offer(rx, /*count=*/true);
-    if (fate.duplicated) offer(rx, /*count=*/false);
+    offer(*rx, /*count=*/true);
+    if (fate.duplicated) offer(*rx, /*count=*/false);
   }
-  for (const wire::RegionFrame& rx : late) offer(rx, /*count=*/true);
+  for (const wire::RegionFrame* rx : late) offer(*rx, /*count=*/true);
 
   // NACK loop: re-ship only the corrupt regions' pristine frames, up to the
   // budget. A retransmit crosses the same impaired wire, so it can corrupt
@@ -1267,11 +1287,10 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
       ++stats_.retransmits;
       if (m_retransmits_ != nullptr) m_retransmits_->add(1);
       retransmit_bytes += f->payload_bytes();
-      wire::RegionFrame rx = *f;
-      const net::FrameFate fate = fabric_.transmit_frame(src, dst, rx.bytes);
+      net::FrameFate fate;
+      const wire::RegionFrame* rx = cross(*f, fate);
       if (fate.lost) continue;
-      if (fate.truncated) rx.bytes.resize(fate.delivered_bytes);
-      offer(rx, /*count=*/false);  // kOk repairs; kCorrupt re-marks
+      offer(*rx, /*count=*/false);  // kOk repairs; kCorrupt re-marks
     }
   }
   exhausted = !staging_->corrupt_regions().empty();

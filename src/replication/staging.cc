@@ -10,14 +10,33 @@ namespace here::rep {
 
 using common::kPageSize;
 
+namespace {
+
+// FNV-1a fold of one page digest into a region accumulator (same family as
+// GuestMemory::full_digest, restricted to one 2 MiB region).
+constexpr std::uint64_t kRegionDigestInit = 1469598103934665603ULL;
+
+std::uint64_t fold_page_digest(std::uint64_t acc, std::uint64_t d) {
+  for (int i = 0; i < 8; ++i) {
+    acc ^= (d >> (i * 8)) & 0xFFu;
+    acc *= 1099511628211ULL;
+  }
+  return acc;
+}
+
+}  // namespace
+
 ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers)
     : spec_(spec),
       memory_(spec.pages, spec.vcpus),
-      buffers_(std::max<std::uint32_t>(1, workers)) {}
+      buffers_(std::max<std::uint32_t>(1, workers)),
+      page_digests_(spec.pages, 0),
+      page_digest_valid_(spec.pages, 0) {}
 
 void ReplicaStaging::install_seed_page(common::Gfn gfn,
                                        std::span<const std::uint8_t> bytes) {
   memory_.install_page(gfn, bytes);
+  page_digest_valid_[gfn] = 0;
   ++seeded_pages_;
 }
 
@@ -104,18 +123,13 @@ std::uint64_t ReplicaStaging::committed_region_digest(
 }
 
 std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
-  // FNV-1a fold of the region's page digests (same family as
-  // GuestMemory::full_digest, restricted to one 2 MiB region).
-  std::uint64_t acc = 1469598103934665603ULL;
+  // The scrubber's audit: always a full rehash of the bytes as they are now.
+  std::uint64_t acc = kRegionDigestInit;
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
       std::min(first + common::kPagesPerRegion, spec_.pages);
   for (std::uint64_t gfn = first; gfn < last; ++gfn) {
-    std::uint64_t d = memory_.page_digest(common::Gfn{gfn});
-    for (int i = 0; i < 8; ++i) {
-      acc ^= (d >> (i * 8)) & 0xFFu;
-      acc *= 1099511628211ULL;
-    }
+    acc = fold_page_digest(acc, memory_.page_digest(common::Gfn{gfn}));
   }
   return acc;
 }
@@ -124,11 +138,30 @@ std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
 // Only commit() (after the expectation/digest/decode refusals all pass) and
 // adopt_recovered() (itself blessed by RecoveryManager::recover) reach this;
 // the digest being folded is of pages that already survived verification.
+// Only pages installed since the region's last refresh are rehashed; every
+// other page contributes the digest it had when it was installed, so bytes
+// that changed after commit (rot, stray writes) never enter the reference.
 void ReplicaStaging::refresh_region_digest(std::uint32_t region) {
   if (committed_region_digests_.size() < region_count()) {
     committed_region_digests_.resize(region_count(), 0);
   }
-  committed_region_digests_[region] = live_region_digest(region);
+  std::uint64_t acc = kRegionDigestInit;
+  const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
+  const std::uint64_t last =
+      std::min(first + common::kPagesPerRegion, spec_.pages);
+  for (std::uint64_t gfn = first; gfn < last; ++gfn) {
+    if (page_digest_valid_[gfn] == 0) {
+      page_digests_[gfn] = memory_.page_digest(common::Gfn{gfn});
+      page_digest_valid_[gfn] = 1;
+    }
+    acc = fold_page_digest(acc, page_digests_[gfn]);
+  }
+  committed_region_digests_[region] = acc;
+}
+
+void ReplicaStaging::baseline_region_digests() {
+  std::fill(page_digest_valid_.begin(), page_digest_valid_.end(), 0);
+  for (std::uint32_t r = 0; r < region_count(); ++r) refresh_region_digest(r);
 }
 
 Expected<std::uint64_t> ReplicaStaging::commit() {
@@ -173,10 +206,10 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     }
     decoded.emplace(seq, std::move(*d));
   }
-  // Durable capture: the verified frames, epoch header and disk writes are
-  // consumed by the apply below, so copy them out first. Only the verified
-  // frame path can be re-described as a WAL record; commits that carry
-  // worker-buffered pages (seeding, legacy path) persist as full snapshots.
+  // Durable capture: only the verified frame path can be re-described as a
+  // WAL record; commits that carry worker-buffered pages (seeding, legacy
+  // path) persist as full snapshots. The record takes the epoch header now
+  // and the frames and disk writes once the apply below is done with them.
   bool worker_pages = false;
   for (const auto& b : buffers_) worker_pages |= !b.gfns.empty();
   const bool log_epoch =
@@ -186,11 +219,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     durable_record.epoch = open_epoch_;
     durable_record.version = expected_.version;
     durable_record.header_digest = expected_.digest;
-    durable_record.frames.reserve(frames_.size());
-    for (const auto& [seq, frame] : frames_) {
-      durable_record.frames.push_back(frame);
-    }
-    durable_record.disk_writes = pending_disk_writes_;
   }
   std::uint64_t applied = 0;
   std::set<std::uint32_t> touched;
@@ -198,6 +226,7 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     for (std::size_t i = 0; i < b.gfns.size(); ++i) {
       memory_.install_page(
           b.gfns[i], {b.bytes.data() + i * kPageSize, kPageSize});
+      page_digest_valid_[b.gfns[i]] = 0;
       touched.insert(
           static_cast<std::uint32_t>(b.gfns[i] / common::kPagesPerRegion));
       ++applied;
@@ -214,23 +243,29 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     for (std::size_t i = 0; i < frame.gfns.size(); ++i) {
       memory_.install_page(frame.gfns[i],
                            {payload + i * kPageSize, kPageSize});
+      page_digest_valid_[frame.gfns[i]] = 0;
       ++applied;
     }
     touched.insert(frame.region);
+  }
+  if (log_epoch) {
+    durable_record.frames.reserve(frames_.size());
+    for (auto& [seq, frame] : frames_) {
+      durable_record.frames.push_back(std::move(frame));
+    }
   }
   frames_.clear();
   expectation_armed_ = false;
   expected_ = {};
   for (const auto& write : pending_disk_writes_) disk_.apply(write);
+  if (log_epoch) durable_record.disk_writes = std::move(pending_disk_writes_);
   pending_disk_writes_.clear();
   if (pending_state_) committed_state_ = std::move(pending_state_);
   if (pending_program_) committed_program_ = std::move(pending_program_);
   committed_epoch_ = open_epoch_;
   if (committed_region_digests_.empty()) {
     // First commit: baseline every region (covers the seeded image too).
-    for (std::uint32_t r = 0; r < region_count(); ++r) {
-      refresh_region_digest(r);
-    }
+    baseline_region_digests();
   } else {
     for (const std::uint32_t r : touched) refresh_region_digest(r);
   }
@@ -284,7 +319,7 @@ void ReplicaStaging::adopt_recovered(std::uint64_t epoch) {
   committed_epoch_ = epoch;
   // Baseline every region off the just-installed image so scrub comparisons
   // and WAL-replay digest checks have references to verify against.
-  for (std::uint32_t r = 0; r < region_count(); ++r) refresh_region_digest(r);
+  baseline_region_digests();
 }
 
 }  // namespace here::rep

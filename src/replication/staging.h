@@ -160,7 +160,9 @@ class ReplicaStaging {
   // Per-region digests of the image as of the last commit. The background
   // scrubber compares these references against live_region_digest(); a
   // mismatch means the replica image diverged *after* commit (bit rot, stray
-  // write) and the region needs a full re-send.
+  // write) and the region needs a full re-send. A reference folds the digest
+  // each page had when a commit installed it, so a later commit that touches
+  // other pages of a rotted region does not absorb the rot.
 
   [[nodiscard]] std::uint32_t region_count() const;
   // Reference recorded at commit (0 before the first commit).
@@ -179,7 +181,10 @@ class ReplicaStaging {
   };
 
   [[nodiscard]] std::uint64_t buffered_bytes() const;
+  // Recomputes one region's committed reference from the per-page cache.
   void refresh_region_digest(std::uint32_t region);
+  // Drops the whole cache and re-references every region from the bytes.
+  void baseline_region_digests();
 
   // Serializes the epoch frame/commit path (receive_frame, commit,
   // begin/abort_epoch) against itself; per-worker page buffers stay
@@ -212,6 +217,13 @@ class ReplicaStaging {
   std::map<std::uint64_t, wire::RegionFrame> frames_;
   std::set<std::uint32_t> corrupt_regions_;
   std::vector<std::uint64_t> committed_region_digests_;
+  // Per-page digest cache behind the region references: each entry is the
+  // FNV digest of the page as a verified commit (or a baseline) installed
+  // it. Installs clear the valid flag; refresh_region_digest rehashes only
+  // invalid entries, so a commit costs the pages it changed, not the 512 of
+  // every region it touched.
+  std::vector<std::uint64_t> page_digests_;
+  std::vector<std::uint8_t> page_digest_valid_;
 };
 
 }  // namespace here::rep

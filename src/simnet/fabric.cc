@@ -174,16 +174,30 @@ void Fabric::set_link_reordering(NodeId a, NodeId b, double probability) {
 
 FrameFate Fabric::transmit_frame(NodeId a, NodeId b,
                                  std::span<std::uint8_t> payload) {
+  return transmit(a, b, payload.size(), payload.data());
+}
+
+FrameFate Fabric::transmit_readonly_frame(
+    NodeId a, NodeId b, std::span<const std::uint8_t> payload) {
+  if (link_quality(a, b).mutates_frames()) {
+    throw std::logic_error(
+        "Fabric::transmit_readonly_frame: direction damages frames");
+  }
+  return transmit(a, b, payload.size(), nullptr);
+}
+
+FrameFate Fabric::transmit(NodeId a, NodeId b, std::size_t bytes,
+                           std::uint8_t* writable) {
   Direction* dir = direction(a, b);
   if (dir == nullptr) {
     throw std::invalid_argument("Fabric::transmit_frame: not connected");
   }
   FrameFate fate;
-  fate.delivered_bytes = payload.size();
+  fate.delivered_bytes = bytes;
   ++frames_sent_;
-  frame_bytes_sent_ += payload.size();
+  frame_bytes_sent_ += bytes;
   if (m_frame_bytes_ != nullptr) {
-    m_frame_bytes_->add(static_cast<double>(payload.size()));
+    m_frame_bytes_->add(static_cast<double>(bytes));
   }
   if (dir->down) {
     fate.lost = true;
@@ -193,27 +207,27 @@ FrameFate Fabric::transmit_frame(NodeId a, NodeId b,
   // Fixed draw order (bit errors, truncation, duplication, reordering); each
   // knob's draws are consumed only while that knob is non-zero, so enabling
   // one impairment never perturbs another's stream.
-  if (dir->bit_error_rate > 0.0 && !payload.empty()) {
+  if (dir->bit_error_rate > 0.0 && bytes > 0) {
     // Geometric skipping: jump straight to the next flipped bit instead of
     // drawing once per bit (a 2 MiB frame is ~16.8M bits).
     const double log_keep = std::log1p(-dir->bit_error_rate);
-    const std::uint64_t total_bits = payload.size() * 8;
+    const std::uint64_t total_bits = bytes * 8;
     std::uint64_t bit = 0;
     while (true) {
       const double u = data_rng_.uniform01();
       const double skip = std::floor(std::log1p(-u) / log_keep);
       if (skip >= static_cast<double>(total_bits - bit)) break;
       bit += static_cast<std::uint64_t>(skip);
-      payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      writable[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       ++fate.bit_flips;
       ++bit;
       if (bit >= total_bits) break;
     }
   }
-  if (dir->truncate_prob > 0.0 && !payload.empty() &&
+  if (dir->truncate_prob > 0.0 && bytes > 0 &&
       data_rng_.bernoulli(dir->truncate_prob)) {
     fate.truncated = true;
-    fate.delivered_bytes = data_rng_.uniform(payload.size());
+    fate.delivered_bytes = data_rng_.uniform(bytes);
   }
   if (dir->duplicate_prob > 0.0 && data_rng_.bernoulli(dir->duplicate_prob)) {
     fate.duplicated = true;

@@ -36,6 +36,11 @@ struct LinkQuality {
   double truncate_prob = 0.0;     // per-frame truncation probability
   double duplicate_prob = 0.0;    // per-frame duplicate-delivery probability
   double reorder_prob = 0.0;      // per-frame late-delivery probability
+
+  // Whether transmit_frame can change a frame's bytes on this direction.
+  [[nodiscard]] bool mutates_frames() const {
+    return bit_error_rate > 0.0 || truncate_prob > 0.0;
+  }
 };
 
 // What the wire did to one checkpoint frame (see Fabric::transmit_frame).
@@ -124,6 +129,12 @@ class Fabric {
   // separately. Throws std::invalid_argument when not connected.
   FrameFate transmit_frame(NodeId a, NodeId b,
                            std::span<std::uint8_t> payload);
+  // transmit_frame for a direction whose link_quality() does not
+  // mutates_frames(): same accounting and draws, over bytes nobody writes,
+  // so the sender's frame can be delivered without a private copy. Throws
+  // std::logic_error when the direction could damage the frame.
+  FrameFate transmit_readonly_frame(NodeId a, NodeId b,
+                                    std::span<const std::uint8_t> payload);
 
   [[nodiscard]] std::uint64_t frames_sent() const { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_damaged() const { return frames_damaged_; }
@@ -180,6 +191,10 @@ class Fabric {
 
   Direction* direction(NodeId from, NodeId to);
   [[nodiscard]] const Direction* direction(NodeId from, NodeId to) const;
+  // Shared body of the transmit_frame variants; `writable` is null only
+  // when the direction cannot flip bits.
+  FrameFate transmit(NodeId a, NodeId b, std::size_t bytes,
+                     std::uint8_t* writable);
 
   struct Node {
     std::string name;

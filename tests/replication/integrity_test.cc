@@ -5,7 +5,8 @@
 //     whole epoch;
 //   * an exhausted retransmit budget falls back to PR 2's abort-and-retry,
 //     with output commit preserved across the aborts;
-//   * background scrubbing detects and repairs post-commit divergence;
+//   * background scrubbing detects and repairs post-commit divergence, even
+//     when a later epoch re-referenced the rotted region first;
 //   * the whole corruption pipeline is byte-identical across same-seed runs.
 #include <gtest/gtest.h>
 
@@ -250,6 +251,61 @@ TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
                staging->live_region_digest(region);
       },
       sim::from_seconds(5)));
+  EXPECT_FALSE(bed.engine().failed_over());
+}
+
+TEST(StreamIntegrity, ScrubRepairsRotInRegionALaterEpochTouched) {
+  TestbedConfig config = integrity_config();
+  config.engine.ft.scrub_interval = sim::from_seconds(3);
+  Testbed bed(config);
+  // A hot 10 % writer: its working set is gfns 409-1186 of 8192, so region 2
+  // (gfns 1024-1535) is rewritten every epoch but its last page never is.
+  hv::Vm& vm = bed.create_vm(std::make_unique<wl::SyntheticProgram>(
+      wl::memory_microbench(10, /*rewrite_seconds=*/1.0)));
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_millis(500));
+
+  ReplicaStaging* staging = bed.engine().staging();
+  ASSERT_NE(staging, nullptr);
+  constexpr std::uint32_t kRegion = 2;
+  const common::Gfn first = common::Gfn{kRegion} * common::kPagesPerRegion;
+  const common::Gfn rotted = first + common::kPagesPerRegion - 1;
+  const auto other_pages = [&] {
+    std::vector<std::uint64_t> digests;
+    for (common::Gfn g = first; g < rotted; ++g) {
+      digests.push_back(staging->memory().page_digest(g));
+    }
+    return digests;
+  };
+  ASSERT_EQ(staging->committed_region_digest(kRegion),
+            staging->live_region_digest(kRegion));
+  const std::vector<std::uint64_t> before = other_pages();
+  const std::uint64_t scrubs_before = bed.engine().stats().scrub_runs;
+  const std::uint64_t epoch = staging->committed_epoch();
+
+  staging->memory().page_mut(rotted)[0] ^= 0xff;
+  ASSERT_TRUE(bed.run_until(
+      [&] { return staging->committed_epoch() >= epoch + 2; },
+      sim::from_seconds(2)));
+  // Later epochs committed other pages of the region before any scrub ran...
+  ASSERT_NE(other_pages(), before);
+  ASSERT_EQ(bed.engine().stats().scrub_runs, scrubs_before);
+  // ...and re-referenced it without absorbing the rot.
+  EXPECT_NE(staging->committed_region_digest(kRegion),
+            staging->live_region_digest(kRegion));
+
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().scrub_repairs > 0; },
+      sim::from_seconds(5)));
+  EXPECT_TRUE(bed.run_until(
+      [&] {
+        return staging->committed_region_digest(kRegion) ==
+               staging->live_region_digest(kRegion);
+      },
+      sim::from_seconds(5)));
+  EXPECT_EQ(staging->memory().page_digest(rotted),
+            vm.memory().page_digest(rotted));
   EXPECT_FALSE(bed.engine().failed_over());
 }
 

@@ -2,7 +2,7 @@
 // cross-worker region sharing, abort discarding stale buffers) and the
 // verified frame path (duplicate/reordered/corrupt frames, NACK bookkeeping,
 // commit refusal on missing frames or digest mismatch, per-region digest
-// references for the scrubber).
+// references for the scrubber, which post-commit rot must never enter).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -208,6 +208,46 @@ TEST(ReplicaStagingEdge, CommitRecordsRegionDigestReferences) {
   page[0] ^= 0xff;
   EXPECT_NE(staging.committed_region_digest(1), staging.live_region_digest(1));
   EXPECT_EQ(staging.committed_region_digest(0), staging.live_region_digest(0));
+}
+
+TEST(ReplicaStagingEdge, LaterCommitInSameRegionDoesNotLaunderRot) {
+  ReplicaStaging staging(small_spec(), 1);
+  staging.begin_epoch(1);
+  staging.buffer_page(0, 600, filled_page(0x42));  // region 1
+  ASSERT_TRUE(staging.commit().ok());
+
+  // Page 600 rots after commit; the next epoch installs its neighbour 601
+  // through the verified frame path, which re-references region 1.
+  staging.memory().page_mut(600)[0] ^= 0xff;
+  staging.begin_epoch(2);
+  const wire::RegionFrame frame = make_frame(2, 0, {601}, 0x43);
+  staging.expect_epoch(header_for(2, {frame}));
+  ASSERT_EQ(staging.receive_frame(frame), FrameVerdict::kOk);
+  ASSERT_TRUE(staging.commit().ok());
+
+  // The new reference covers page 601's committed bytes and page 600's
+  // committed bytes, not the rot: the scrubber still sees the divergence.
+  EXPECT_NE(staging.committed_region_digest(1), staging.live_region_digest(1));
+  staging.memory().page_mut(600)[0] ^= 0xff;  // undo the rot
+  EXPECT_EQ(staging.committed_region_digest(1), staging.live_region_digest(1));
+}
+
+TEST(ReplicaStagingEdge, SeedInstallAfterCommitEntersNextRegionReference) {
+  ReplicaStaging staging(small_spec(), 1);
+  staging.begin_epoch(1);
+  staging.buffer_page(0, 600, filled_page(0x42));
+  ASSERT_TRUE(staging.commit().ok());
+
+  // A rejoin resync installs a divergent page outside any epoch; the next
+  // commit touching the region folds the installed bytes in.
+  staging.install_seed_page(700, filled_page(0x17));
+  staging.begin_epoch(2);
+  staging.buffer_page(0, 601, filled_page(0x43));
+  ASSERT_TRUE(staging.commit().ok());
+  for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+    EXPECT_EQ(staging.committed_region_digest(r), staging.live_region_digest(r))
+        << "region " << r;
+  }
 }
 
 }  // namespace

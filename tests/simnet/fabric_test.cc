@@ -1,6 +1,9 @@
 // Tests for the simulated network fabric: serialization, latency, ordering,
-// node-down semantics and bulk transfers.
+// node-down semantics, bulk transfers and checkpoint-frame crossings.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <vector>
 
 #include "simnet/fabric.h"
 
@@ -135,6 +138,34 @@ TEST(Fabric, NodeNames) {
   TwoNodes t;
   EXPECT_EQ(t.fabric.node_name(t.a), "a");
   EXPECT_EQ(t.fabric.node_name(t.b), "b");
+}
+
+// A read-only frame crossing draws exactly the fates a writable one would on
+// a direction that cannot damage bytes, and refuses a direction that can.
+TEST(Fabric, ReadonlyFrameMatchesWritableOnCleanDirection) {
+  TwoNodes writable, readonly;
+  for (TwoNodes* t : {&writable, &readonly}) {
+    t->fabric.seed_impairments(9);
+    t->fabric.set_link_duplication(t->a, t->b, 0.3);
+    t->fabric.set_link_reordering(t->a, t->b, 0.3);
+    ASSERT_FALSE(t->fabric.link_quality(t->a, t->b).mutates_frames());
+  }
+  std::vector<std::uint8_t> payload(4096, 0x5a);
+  for (int i = 0; i < 200; ++i) {
+    const FrameFate w = writable.fabric.transmit_frame(writable.a, writable.b, payload);
+    const FrameFate r =
+        readonly.fabric.transmit_readonly_frame(readonly.a, readonly.b, payload);
+    ASSERT_EQ(w.duplicated, r.duplicated) << "frame " << i;
+    ASSERT_EQ(w.reordered, r.reordered) << "frame " << i;
+    ASSERT_EQ(w.delivered_bytes, r.delivered_bytes) << "frame " << i;
+  }
+  EXPECT_EQ(readonly.fabric.frame_bytes_sent(), writable.fabric.frame_bytes_sent());
+
+  readonly.fabric.set_link_truncation(readonly.a, readonly.b, 0.1);
+  EXPECT_TRUE(readonly.fabric.link_quality(readonly.a, readonly.b).mutates_frames());
+  EXPECT_THROW(
+      (void)readonly.fabric.transmit_readonly_frame(readonly.a, readonly.b, payload),
+      std::logic_error);
 }
 
 }  // namespace
