@@ -1,14 +1,11 @@
-// Ablation: content-aware checkpoint encoders (and legacy XBZRLE-style
-// whole-stream compression) vs interconnect bandwidth.
+// Ablation: content-aware checkpoint encoders vs interconnect bandwidth.
 //
 // The encoders attack α in t = αN/P + C: a collapsed page (zero-elided,
 // hash-skipped, or XOR-delta'd against the committed shadow) never pays the
 // 4 KiB stream copy — only its encoder cycles — and ships a header or a few
 // delta bytes instead of the page. On the paper's 100 Gbit/s Omni-Path the
 // copy is CPU-bound, so the win is pure CPU; on a 10 GbE replication link
-// the wire is the bottleneck and the byte reduction dominates. Whole-stream
-// compression, by contrast, pays extra CPU on *every* page and only wins on
-// thin pipes — which is why the paper's design doesn't compress.
+// the wire is the bottleneck and the byte reduction dominates.
 //
 // Acceptance (mirrors tests/replication/encoder_roundtrip_test.cc): with
 // all encoders stacked on a 10 GbE wire, the mean checkpoint pause must be
@@ -30,7 +27,6 @@ using namespace here::bench;
 struct Variant {
   const char* name;           // bench-value key fragment and table column
   rep::EncoderConfig encoders;
-  bool compress = false;      // legacy whole-stream XBZRLE model
 };
 
 constexpr double kMeasureSeconds = 30.0;
@@ -47,7 +43,6 @@ CellResult run(double wire_gbps, const Variant& v) {
   tb.engine.checkpoint_threads = 4;
   tb.engine.period.t_max = sim::from_seconds(5);
   tb.engine.encoders = v.encoders;
-  tb.engine.compress_pages = v.compress;
   tb.engine.time_model.wire_bytes_per_second = wire_gbps * 1e9 / 8.0;
   rep::Testbed bed(tb);
 
@@ -91,7 +86,6 @@ int main(int argc, char** argv) {
       {"delta", rep::EncoderConfig{.delta = true}},
       {"hash_skip", rep::EncoderConfig{.hash_skip = true}},
       {"stacked", rep::EncoderConfig::all()},
-      {"xbzrle", rep::EncoderConfig{}, /*compress=*/true},
   };
 
   print_title(
@@ -128,9 +122,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nOn the paper's 100 Gbit/s fabric the copy is CPU-bound: collapsed\n"
-      "pages skip the stream copy, so the encoders win on CPU alone, while\n"
-      "whole-stream compression only adds CPU. On thin pipes the wire\n"
-      "dominates and the encoded stream's byte reduction is decisive.\n");
+      "pages skip the stream copy, so the encoders win on CPU alone. On thin\n"
+      "pipes the wire dominates and the encoded stream's byte reduction is\n"
+      "decisive.\n");
   if (!ok) std::printf("\nENCODER ABLATION: acceptance FAILED\n");
   const bool finished = obs.finish();
   return ok && finished ? 0 : 1;

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/fnv.h"
+
 namespace here::hv {
 
 using common::kPageSize;
@@ -59,14 +61,13 @@ void GuestMemory::install_page(common::Gfn gfn,
   std::memcpy(frames_.data() + gfn * kPageSize, data.data(), kPageSize);
 }
 
-std::uint64_t GuestMemory::page_digest(common::Gfn gfn) const {
-  const auto p = page(gfn);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : p) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+// The byte-serial FNV-1a loop dominates replication wall time, and its speed
+// on x86 moves by ~10 % with where the loop lands in a cache line. Pinning
+// the function to a cache line keeps that from depending on how much code
+// the linker happens to place before it.
+[[gnu::aligned(64)]] std::uint64_t GuestMemory::page_digest(
+    common::Gfn gfn) const {
+  return common::fnv1a(page(gfn));
 }
 
 std::uint64_t GuestMemory::full_digest() const {

@@ -5,18 +5,15 @@
 #include <limits>
 #include <mutex>
 
+#include "common/fnv.h"
+
 namespace here::mgmt {
 
 PlacementRing::PlacementRing(PlacementConfig config) : config_(config) {}
 
 std::uint64_t PlacementRing::hash_key(std::string_view key) {
   // FNV-1a, 64-bit. Stable across platforms and runs by construction.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return common::fnv1a(key);
 }
 
 std::uint64_t PlacementRing::ring_point(std::string_view key) {

@@ -42,8 +42,8 @@ class ProtectionManager {
   void add_host(hv::Host& host);
 
   // Shared-resource scheduling for multi-VM fleets. Off by default: without
-  // it every engine keeps its private thread pool and dedicated-wire time
-  // model, byte-identical to the single-VM behaviour.
+  // it every engine keeps its private one-client migrator pool and
+  // dedicated-wire time model, byte-identical to the single-VM behaviour.
   struct FleetConfig {
     // Size of the migrator thread pool shared by all engines whose primary
     // is the same host.

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <string>
 
+#include "common/fnv.h"
+
 namespace here::rep {
 
 using common::kPageSize;
@@ -17,12 +19,7 @@ bool is_zero_page(std::span<const std::uint8_t> page) {
 }
 
 std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : page) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return common::fnv1a(page);
 }
 
 namespace {

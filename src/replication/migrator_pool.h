@@ -1,12 +1,12 @@
 // Host-level shared migrator pool (multi-VM protection).
 //
-// Each ReplicationEngine used to own a private ThreadPool sized to its
-// configured checkpoint_threads, so a host protecting N VMs silently
-// oversubscribed its migrator cores N-fold: every engine planned its pause
-// as if it had the whole machine. The MigratorPool makes that contention
-// explicit and *scheduled* — one real worker pool per primary host, shared
-// by all engines, with per-engine fair-share admission and tagged work
-// accounting.
+// Without a shared pool, a host protecting N VMs would oversubscribe its
+// migrator cores N-fold: every engine would plan its pause as if it had the
+// whole machine. The MigratorPool makes that contention explicit and
+// *scheduled* — one real worker pool per primary host, shared by all
+// engines, with per-engine fair-share admission and tagged work accounting.
+// A standalone engine owns a pool of its own, of which it is the only
+// client, so its grants are always its full configured parallelism.
 //
 // Admission model (virtual time, deterministic): a checkpoint burst asks for
 // a thread grant at its start. The grant is the client's weighted fair share

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string_view>
 
+#include "common/fnv.h"
 #include "common/log.h"
 #include "common/units.h"
 #include "xlate/translator.h"
@@ -58,12 +59,6 @@ Status validate_replication_config(const ReplicationConfig& config) {
     return Status::invalid_argument(
         "ReplicationConfig: flow_weight must be positive");
   }
-  if (config.compress_pages && config.encoders.any()) {
-    return Status::invalid_argument(
-        "ReplicationConfig: compress_pages and content-aware encoders are "
-        "mutually exclusive (the whole-stream compression model would "
-        "double-count the encoder's savings)");
-  }
   if (config.replica_max_wire_version > wire::kWireVersionEncoded) {
     return Status::invalid_argument(
         "ReplicationConfig: replica_max_wire_version exceeds the highest "
@@ -76,7 +71,7 @@ namespace {
 
 // Fail-fast validation, run in the constructor's init list *before* any
 // member that consumes the config is built (a zero thread count would
-// otherwise reach the ThreadPool constructor first).
+// otherwise reach the migrator pool's constructor first).
 ReplicationConfig validated(ReplicationConfig config) {
   if (const Status s = validate_replication_config(config); !s.ok()) {
     throw std::invalid_argument(std::string(s.message()));
@@ -89,20 +84,36 @@ sim::Duration scaled(sim::Duration d, double factor) {
       static_cast<std::int64_t>(static_cast<double>(d.count()) * factor)};
 }
 
-// Deterministic engine identity for the resume-probe arbitration, derived
-// from the VM name (FNV-1a) — never from pointers, which vary run to run.
-// Several engines share a host pair's interconnect; the token keeps one
-// engine's grant from resuming a neighbour's primary.
-std::uint64_t probe_token_for(std::string_view name) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+using enum CounterGate;
+
+constexpr EngineCounterRow kCounterRows[] = {
+    {"rep.epochs_committed", kAlways, &EngineStats::epochs_committed},
+    {"rep.dirty_pages_total", kAlways, &EngineStats::dirty_pages_total},
+    {"rep.bytes_total", kAlways, &EngineStats::bytes_total},
+    {"rep.heartbeats_sent", kAlways, &EngineStats::heartbeats_sent},
+    {"rep.seed_retries", kAlways, &EngineStats::seed_retries},
+    {"rep.epochs_aborted", kAlways, &EngineStats::epochs_aborted},
+    {"rep.failovers_fenced", kAlways, &EngineStats::failovers_fenced},
+    {"rep.resume_probes", kAlways, &EngineStats::resume_probes},
+    {"rep.primary_demotions", kAlways, &EngineStats::primary_demotions},
+    {"rep.regions_corrupted", kAlways, &EngineStats::regions_corrupted},
+    {"rep.retransmits", kAlways, &EngineStats::retransmits},
+    {"rep.commits_rejected", kAlways, &EngineStats::commits_rejected},
+    {"rep.scrub_runs", kAlways, &EngineStats::scrub_runs},
+    {"rep.scrub_repairs", kAlways, &EngineStats::scrub_repairs},
+    {"rep.enc_bytes_in", kEncoders, nullptr, &EncodeStats::bytes_in},
+    {"rep.enc_bytes_out", kEncoders, nullptr, &EncodeStats::bytes_out},
+    {"rep.enc_pages_zero", kEncoders, nullptr, &EncodeStats::pages_zero},
+    {"rep.enc_pages_delta", kEncoders, nullptr, &EncodeStats::pages_delta},
+    {"rep.enc_pages_skipped", kEncoders, nullptr, &EncodeStats::pages_skipped},
+    {"rep.wal_appends", kDurable, &EngineStats::wal_appends},
+    {"rep.wal_replays", kDurable, &EngineStats::wal_records_replayed},
+    {"rep.resync_regions", kDurable, &EngineStats::resync_regions},
+};
 
 }  // namespace
+
+std::span<const EngineCounterRow> engine_counter_rows() { return kCounterRows; }
 
 ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
                                      net::Fabric& fabric, hv::Host& primary,
@@ -115,12 +126,10 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
       config_(validated(std::move(config))),
       env_(env),
       model_(config_.time_model),
-      pool_(env_.migrator_pool != nullptr
-                ? nullptr
-                : std::make_unique<common::ThreadPool>(
-                      config_.mode == EngineMode::kRemus
-                          ? 1
-                          : config_.checkpoint_threads)),
+      own_pool_(env_.migrator_pool != nullptr
+                    ? nullptr
+                    : std::make_unique<MigratorPool>(simulation, threads())),
+      pool_(own_pool_ != nullptr ? own_pool_.get() : env_.migrator_pool),
       period_(config_.period),
       outbound_(fabric) {
   if (config_.mode == EngineMode::kRemus &&
@@ -139,31 +148,13 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
   }
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& m = *config_.metrics;
-    m_epochs_ = &m.counter("rep.epochs_committed");
-    m_dirty_pages_ = &m.counter("rep.dirty_pages_total");
-    m_bytes_ = &m.counter("rep.bytes_total");
-    m_heartbeats_ = &m.counter("rep.heartbeats_sent");
-    m_seed_retries_ = &m.counter("rep.seed_retries");
-    m_epochs_aborted_ = &m.counter("rep.epochs_aborted");
-    m_failovers_fenced_ = &m.counter("rep.failovers_fenced");
-    m_resume_probes_ = &m.counter("rep.resume_probes");
-    m_primary_demotions_ = &m.counter("rep.primary_demotions");
-    m_regions_corrupted_ = &m.counter("rep.regions_corrupted");
-    m_retransmits_ = &m.counter("rep.retransmits");
-    m_commits_rejected_ = &m.counter("rep.commits_rejected");
-    m_scrub_runs_ = &m.counter("rep.scrub_runs");
-    m_scrub_repairs_ = &m.counter("rep.scrub_repairs");
-    if (config_.encoders.any()) {
-      m_enc_bytes_in_ = &m.counter("rep.enc_bytes_in");
-      m_enc_bytes_out_ = &m.counter("rep.enc_bytes_out");
-      m_enc_pages_zero_ = &m.counter("rep.enc_pages_zero");
-      m_enc_pages_delta_ = &m.counter("rep.enc_pages_delta");
-      m_enc_pages_skipped_ = &m.counter("rep.enc_pages_skipped");
+    for (const EngineCounterRow& row : kCounterRows) {
+      const bool on = row.gate == kAlways ||
+                      (row.gate == kEncoders && config_.encoders.any()) ||
+                      (row.gate == kDurable && env_.durable_store != nullptr);
+      counters_.push_back(on ? &m.counter(row.metric) : nullptr);
     }
     if (env_.durable_store != nullptr) {
-      m_wal_appends_ = &m.counter("rep.wal_appends");
-      m_wal_replays_ = &m.counter("rep.wal_replays");
-      m_resync_regions_ = &m.counter("rep.resync_regions");
       m_rejoin_ms_ = &m.histogram(
           "rep.rejoin_ms",
           {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000});
@@ -180,27 +171,48 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
   outbound_.attach_obs(config_.tracer, config_.metrics);
 }
 
-ReplicationEngine::~ReplicationEngine() {
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
-  sim_.cancel(heartbeat_event_);
-  sim_.cancel(watchdog_event_);
-  sim_.cancel(seed_deadline_event_);
-  sim_.cancel(seed_retry_event_);
-  sim_.cancel(probe_event_);
-  sim_.cancel(failover_activate_event_);
-  sim_.cancel(scrub_event_);
-  sim_.cancel(secondary_reboot_event_);
-  sim_.cancel(resume_probe_event_);
+ReplicationEngine::~ReplicationEngine() { cancel_scheduled_events(); }
+
+void ReplicationEngine::cancel_scheduled_events() {
+  for (const sim::EventId id :
+       {checkpoint_event_, checkpoint_finish_event_, heartbeat_event_,
+        watchdog_event_, seed_deadline_event_, seed_retry_event_, probe_event_,
+        failover_activate_event_, scrub_event_, secondary_reboot_event_,
+        resume_probe_event_}) {
+    sim_.cancel(id);
+  }
 }
 
 std::uint32_t ReplicationEngine::threads() const {
   return config_.mode == EngineMode::kRemus ? 1 : config_.checkpoint_threads;
 }
 
-common::ThreadPool& ReplicationEngine::worker_pool() {
-  return env_.migrator_pool != nullptr ? env_.migrator_pool->workers()
-                                       : *pool_;
+void ReplicationEngine::bump(std::uint64_t EngineStats::*field,
+                             std::uint64_t n) {
+  stats_.*field += n;
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    if (kCounterRows[i].field != field) continue;
+    if (counters_[i] != nullptr) counters_[i]->add(n);
+    return;
+  }
+}
+
+void ReplicationEngine::sync_encode_stats() {
+  const EncodeStats now = encoder_->stats();
+  for (std::size_t i = 0; i < counters_.size(); ++i) {
+    const auto f = kCounterRows[i].encode_field;
+    if (f != nullptr && counters_[i] != nullptr) {
+      counters_[i]->add(now.*f - stats_.encode.*f);
+    }
+  }
+  stats_.encode = now;
+}
+
+void ReplicationEngine::resume_guest() {
+  if (vm_ != nullptr && primary_.alive() &&
+      vm_->state() == hv::VmState::kPaused) {
+    primary_.hypervisor().resume(*vm_);
+  }
 }
 
 void ReplicationEngine::add_observer(EngineObserver* observer) {
@@ -216,13 +228,13 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   }
   vm_ = &vm;
 
-  // Fleet scheduling: enroll this engine with the host-shared migrator pool
-  // and the secondary's ingest-link arbiter. Both are per-protection, so a
-  // re-protected generation registers afresh.
-  if (env_.migrator_pool != nullptr) {
-    pool_client_ = env_.migrator_pool->register_client(
-        vm.spec().name, threads(), config_.flow_weight);
-  }
+  // Enroll with the migrator pool and (fleet scheduling) the secondary's
+  // ingest-link arbiter. Both are per-protection, so a re-protected
+  // generation registers afresh. A private pool's only client weighs 1: its
+  // fair share is the whole pool, exactly.
+  pool_client_ =
+      pool_->register_client(vm.spec().name, threads(),
+                             own_pool_ != nullptr ? 1.0 : config_.flow_weight);
   if (env_.link_arbiter != nullptr) {
     arb_flow_ =
         env_.link_arbiter->register_flow(vm.spec().name, config_.flow_weight);
@@ -279,7 +291,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // probe; this handler — serialized with every other event on the sim's
   // queue — is the race's linearization point. The token filter keeps a
   // neighbour engine's probe (same host pair, different VM) out.
-  probe_token_ = probe_token_for(vm.spec().name);
+  probe_token_ = common::fnv1a(vm.spec().name, common::kFnvStreamOffset);
   secondary_.add_ic_handler([this](const net::Packet& p) {
     if (p.kind == kResumeProbeKind && p.src == primary_.ic_node() &&
         p.tag == probe_token_) {
@@ -304,12 +316,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // partition can be told apart from a dead host (which answers nothing).
   primary_.add_eth_handler([this](const net::Packet& p) {
     if (p.kind == kProbeRequestKind) {
-      net::Packet reply;
-      reply.src = primary_.eth_node();
-      reply.dst = p.src;
-      reply.size_bytes = 64;
-      reply.kind = kProbeReplyKind;
-      fabric_.send(reply);
+      send_control(primary_.eth_node(), p.src, kProbeReplyKind);
     }
   });
   secondary_.add_eth_handler([this](const net::Packet& p) {
@@ -325,10 +332,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
     sim_.cancel(seed_deadline_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();
-    if (primary_.alive() && vm_ != nullptr &&
-        vm_->state() == hv::VmState::kPaused) {
-      primary_.hypervisor().resume(*vm_);
-    }
+    resume_guest();
     schedule_seed_retry("secondary failed during seed");
   });
   last_heartbeat_rx_ = sim_.now();
@@ -343,7 +347,6 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
 
 void ReplicationEngine::begin_seed_attempt() {
   if (drained_) return;
-  ++seed_attempt_;
   ++stats_.seed_attempts;
   if (vm_ == nullptr) return;
   if (!primary_.alive()) {
@@ -355,17 +358,16 @@ void ReplicationEngine::begin_seed_attempt() {
     return;
   }
   // A torn-down attempt may have left the VM paused mid-stop-copy.
-  if (vm_->state() == hv::VmState::kPaused) primary_.hypervisor().resume(*vm_);
+  resume_guest();
 
-  if (config_.tracer != nullptr && seed_attempt_ > 1) {
+  if (config_.tracer != nullptr && stats_.seed_attempts > 1) {
     config_.tracer->instant(sim_.now(), "seed.attempt", "seed",
-                            {{"attempt", seed_attempt_}});
+                            {{"attempt", stats_.seed_attempts}});
   }
   seeder_.reset();  // cancel any stale in-flight seeding event first
   encoder_.reset();  // references describe the old staging image, if any
   delta_seeded_ = false;
-  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+  reset_staging();
   // Delta re-seed (cascading re-protection): when the durable store already
   // holds a snapshot+WAL — written by a previous engine generation whose
   // secondary is now this engine's secondary — the replica recovers locally
@@ -376,7 +378,7 @@ void ReplicationEngine::begin_seed_attempt() {
   if (env_.durable_store != nullptr) {
     staging_->attach_durable_store(env_.durable_store);
   }
-  seeder_ = std::make_unique<Seeder>(sim_, model_, worker_pool(),
+  seeder_ = std::make_unique<Seeder>(sim_, model_, pool_->workers(),
                                      primary_.hypervisor(), *vm_, *staging_,
                                      config_.seed, config_.tracer);
   if (config_.ft.seed_attempt_timeout > sim::Duration::zero()) {
@@ -393,40 +395,38 @@ void ReplicationEngine::begin_seed_attempt() {
 void ReplicationEngine::on_seed_attempt_timeout() {
   if (seeded_) return;
   seeder_.reset();  // the destructor cancels the in-flight seeding event
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "seed.timeout", "seed",
-                            {{"attempt", seed_attempt_}});
+                            {{"attempt", stats_.seed_attempts}});
   }
   schedule_seed_retry("attempt deadline exceeded");
 }
 
 void ReplicationEngine::schedule_seed_retry(const char* why) {
-  if (seed_attempt_ >= config_.ft.seed_max_attempts) {
+  if (stats_.seed_attempts >= config_.ft.seed_max_attempts) {
     HERE_LOG(kWarn, "seeding abandoned after %u attempt(s): %s",
-             seed_attempt_, why);
+             stats_.seed_attempts, why);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "seed.abandoned", "seed",
-                              {{"attempts", seed_attempt_}});
+                              {{"attempts", stats_.seed_attempts}});
     }
     notify_degraded(DegradedKind::kSeedAbandoned, why);
     return;
   }
-  const std::uint32_t shift = std::min<std::uint32_t>(seed_attempt_ - 1, 6);
+  const std::uint32_t shift =
+      std::min<std::uint32_t>(stats_.seed_attempts - 1, 6);
   const sim::Duration backoff =
       config_.ft.seed_retry_backoff * (std::int64_t{1} << shift);
-  if (m_seed_retries_ != nullptr) m_seed_retries_->add(1);
+  bump(&EngineStats::seed_retries);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "seed.retry", "seed",
-                            {{"attempt", seed_attempt_},
+                            {{"attempt", stats_.seed_attempts},
                              {"backoff_ns", backoff.count()}});
   }
   notify_degraded(DegradedKind::kSeedRetry, why);
   HERE_LOG(kWarn, "seeding attempt %u failed (%s); retrying in %s",
-           seed_attempt_, why, sim::format_duration(backoff).c_str());
+           stats_.seed_attempts, why, sim::format_duration(backoff).c_str());
   seed_retry_event_ = sim_.schedule_after(
       backoff, [this] { begin_seed_attempt(); }, "seed-retry");
 }
@@ -450,26 +450,10 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
     return;
   }
 
-  // Baseline the engine-side digest mirror: should the secondary crash, the
-  // rejoin diff compares the recovered image against these references.
-  if (env_.durable_store != nullptr) {
-    committed_digest_mirror_.resize(staging_->region_count());
-    for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-      committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-    }
-  }
-
-  // Baseline the encoder references now, while the VM is paused and the
-  // replica's committed image is byte-identical to primary memory: every
-  // page has a valid committed reference from epoch 1 on. A replica pinned
-  // below wire v1 suppresses the stage entirely — encoded bytes can never
-  // travel in v0 frames, so the stream stays raw instead of NACK-looping.
-  if (config_.encoders.any() &&
-      staging_->advertised_wire_version() >= wire::kWireVersionEncoded) {
-    encoder_ = std::make_unique<EncoderPipeline>(config_.encoders,
-                                                 vm_->memory().pages());
-    encoder_->baseline(vm_->memory());
-  }
+  // Should the secondary crash, the rejoin diff compares the recovered image
+  // against the mirrored references; every page has a valid committed encoder
+  // reference from epoch 1 on.
+  baseline_references();
 
   sim_.schedule_after(state_cost, [this] { commit_initial_checkpoint(); },
                       "seed-state");
@@ -517,94 +501,55 @@ void ReplicationEngine::commit_initial_checkpoint() {
 
 bool ReplicationEngine::try_delta_seed() {
   if (env_.durable_store == nullptr) return false;
-  const RecoveryManager recovery(*env_.durable_store);
-  const Expected<RecoveryResult> result = recovery.recover(*staging_);
-  if (!result.ok()) {
+  const Expected<sim::Duration> replay = recover_from_store();
+  if (!replay.ok()) {
     // Nothing usable in the store (or a damaged snapshot). Rebuild staging so
     // the full-seed path never sees a half-populated image.
-    staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-    staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+    reset_staging();
     return false;
   }
-  stats_.last_recovery = *result;
-  stats_.wal_records_replayed += (*result).wal_records_replayed;
-  if (m_wal_replays_ != nullptr) {
-    m_wal_replays_->add((*result).wal_records_replayed);
-  }
+  const RecoveryResult& recovered = stats_.last_recovery;
 
   // Stop-and-diff: pause the guest, install exactly the pages whose digests
   // disagree with the recovered image, re-mirror the divergent disk sectors.
   // Dirty tracking arms before the diff so writes from the resumed guest are
   // caught by the first continuous epoch (PML rings stay off — this is the
-  // bitmap path, like a KVM-primary seed).
+  // bitmap path, like a KVM-primary seed). The store was written by another
+  // generation, so no mirrored reference vouches for any region: every
+  // region is a candidate.
   const bool was_running = vm_->state() == hv::VmState::kRunning;
   if (was_running) primary_.hypervisor().pause(*vm_);
   primary_.hypervisor().enable_dirty_bitmap(*vm_);
   primary_.hypervisor().dirty_bitmap(*vm_)->clear();
-
-  const std::uint64_t pages = vm_->memory().pages();
-  const std::uint64_t scale = vm_->spec().model_scale;
-  std::uint64_t divergent = 0;
-  for (common::Gfn g = 0; g < pages; ++g) {
-    if (vm_->memory().page_digest(g) == staging_->memory().page_digest(g)) {
-      continue;
-    }
+  committed_digest_mirror_.clear();
+  const StoreDiff diff = diff_recovered_image();
+  for (const common::Gfn g : diff.pages) {
     staging_->install_seed_page(g, vm_->memory().page(g));
-    ++divergent;
   }
-  const hv::VirtualDisk& primary_disk = primary_.hypervisor().disk(*vm_);
-  std::uint64_t divergent_sectors = 0;
-  {
-    const auto want = primary_disk.sorted_stamps();
-    const auto have = staging_->disk().sorted_stamps();
-    std::size_t i = 0;
-    for (const auto& [sector, stamp] : want) {
-      while (i < have.size() && have[i].first < sector) ++i;
-      const bool match = i < have.size() && have[i].first == sector &&
-                         have[i].second == stamp;
-      if (!match) ++divergent_sectors;
-    }
-  }
-  staging_->seed_disk(primary_disk);
+  const std::uint64_t divergent = diff.pages.size();
+  const std::uint64_t divergent_sectors = resync_disk();
   epoch_disk_writes_.clear();  // contained in the just-mirrored disk image
 
   // Commit the reconciled image as a fresh epoch above everything the store
-  // already holds. The store re-attaches only *after* the commit — replay
-  // must never feed back into the log — and the explicit snapshot then
-  // supersedes the previous generation's WAL.
+  // already holds, then re-attach the store and snapshot.
   staging_->begin_epoch(staging_->committed_epoch() + 1);
   const sim::Duration state_cost = snapshot_state_and_program();
   if (const Expected<std::uint64_t> committed = staging_->commit();
       !committed.ok()) {
-    staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-    staging_->set_advertised_wire_version(config_.replica_max_wire_version);
-    if (was_running && vm_->state() == hv::VmState::kPaused) {
-      primary_.hypervisor().resume(*vm_);
-    }
+    reset_staging();
+    if (was_running) resume_guest();
     return false;
   }
   ++stats_.delta_seeds;
-  staging_->attach_durable_store(env_.durable_store);
-  env_.durable_store->write_snapshot(staging_->committed_epoch(),
-                                     staging_->memory(), staging_->disk());
-
-  committed_digest_mirror_.resize(staging_->region_count());
-  for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-    committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-  }
-  if (config_.encoders.any() &&
-      staging_->advertised_wire_version() >= wire::kWireVersionEncoded) {
-    encoder_ = std::make_unique<EncoderPipeline>(config_.encoders, pages);
-    encoder_->baseline(vm_->memory());
-  }
+  reattach_store();
+  baseline_references();
 
   // Modelled cost: local snapshot+WAL replay, the both-ways page-digest
   // exchange over the whole image (8 bytes a page each way), the divergent
   // pages, and the divergent sectors; machine state + ack ride on top.
+  const std::uint64_t scale = vm_->spec().model_scale;
   const sim::Duration cost =
-      model_.durable_replay((*result).bytes_read * scale,
-                            (*result).wal_records_replayed) +
-      model_.wire_time(2 * pages * 8ULL * scale) +
+      *replay + model_.wire_time(2 * diff.digest_pages * 8ULL * scale) +
       model_.wire_time(common::pages_to_bytes(divergent * scale)) +
       model_.wire_time(divergent_sectors * 512ULL);
 
@@ -618,20 +563,112 @@ bool ReplicationEngine::try_delta_seed() {
   delta_seeded_ = true;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "seed.delta", "seed",
-                            {{"recovered_epoch", (*result).recovered_epoch},
+                            {{"recovered_epoch", recovered.recovered_epoch},
                              {"divergent_pages", divergent},
                              {"divergent_sectors", divergent_sectors},
-                             {"wal_records", (*result).wal_records_replayed}});
+                             {"wal_records", recovered.wal_records_replayed}});
   }
   HERE_LOG(kInfo,
            "delta seed from surviving store: recovered epoch %llu, "
            "%llu divergent page(s), %llu divergent sector(s)",
-           static_cast<unsigned long long>((*result).recovered_epoch),
+           static_cast<unsigned long long>(recovered.recovered_epoch),
            static_cast<unsigned long long>(divergent),
            static_cast<unsigned long long>(divergent_sectors));
   sim_.schedule_after(cost + state_cost,
                       [this] { commit_initial_checkpoint(); }, "seed-delta");
   return true;
+}
+
+// --- Store reconcile (delta seed and rejoin) ---------------------------------
+
+void ReplicationEngine::reset_staging() {
+  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
+  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+}
+
+Expected<sim::Duration> ReplicationEngine::recover_from_store() {
+  const Expected<RecoveryResult> result =
+      RecoveryManager(*env_.durable_store).recover(*staging_);
+  if (!result.ok()) return result.status();
+  stats_.last_recovery = *result;
+  bump(&EngineStats::wal_records_replayed, (*result).wal_records_replayed);
+  return model_.durable_replay((*result).bytes_read * vm_->spec().model_scale,
+                               (*result).wal_records_replayed);
+}
+
+ReplicationEngine::StoreDiff ReplicationEngine::diff_recovered_image() {
+  // Two levels. A region whose recovered digest agrees with the last-acked
+  // mirror is byte-identical: no re-send. For any other region (lost WAL
+  // tail, damaged record, never committed) the replica answers with its
+  // per-page digests — 8 bytes a page on the wire — and only the pages that
+  // actually disagree with the primary re-cross. Without the page-level pass
+  // a single torn epoch with scattered writes would re-ship every touched
+  // region whole, which is most of what a full reseed sends anyway.
+  StoreDiff diff;
+  const std::uint64_t pages = vm_->memory().pages();
+  for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
+    const std::uint64_t want = r < committed_digest_mirror_.size()
+                                   ? committed_digest_mirror_[r]
+                                   : 0;
+    if (want != 0 && staging_->committed_region_digest(r) == want) continue;
+    ++diff.regions;
+    // The encoder's shadow holds the primary's last committed content, which
+    // the recovered replica no longer matches — deltas against it would not
+    // apply, so the divergent pages go raw.
+    if (encoder_ != nullptr) encoder_->invalidate_region(r);
+    const common::Gfn first = std::uint64_t{r} * kPagesPerRegion;
+    const common::Gfn last =
+        std::min<common::Gfn>(first + kPagesPerRegion, pages);
+    diff.digest_pages += last - first;
+    for (common::Gfn g = first; g < last; ++g) {
+      if (vm_->memory().page_digest(g) != staging_->memory().page_digest(g)) {
+        diff.pages.push_back(g);
+      }
+    }
+  }
+  return diff;
+}
+
+std::uint64_t ReplicationEngine::resync_disk() {
+  const hv::VirtualDisk& primary_disk = primary_.hypervisor().disk(*vm_);
+  const auto want = primary_disk.sorted_stamps();
+  const auto have = staging_->disk().sorted_stamps();
+  std::uint64_t divergent = 0;
+  std::size_t i = 0;
+  for (const auto& [sector, stamp] : want) {
+    while (i < have.size() && have[i].first < sector) ++i;
+    const bool match =
+        i < have.size() && have[i].first == sector && have[i].second == stamp;
+    if (!match) ++divergent;
+  }
+  staging_->seed_disk(primary_disk);
+  return divergent;
+}
+
+void ReplicationEngine::reattach_store() {
+  staging_->attach_durable_store(env_.durable_store);
+  env_.durable_store->write_snapshot(staging_->committed_epoch(),
+                                     staging_->memory(), staging_->disk());
+}
+
+void ReplicationEngine::mirror_committed_digests() {
+  if (env_.durable_store == nullptr) return;
+  committed_digest_mirror_.resize(staging_->region_count());
+  for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
+    committed_digest_mirror_[r] = staging_->committed_region_digest(r);
+  }
+}
+
+void ReplicationEngine::baseline_references() {
+  mirror_committed_digests();
+  // Encoded bytes can never travel in v0 frames, so a replica pinned below
+  // v1 keeps the stream raw instead of NACK-looping.
+  if (config_.encoders.any() &&
+      staging_->advertised_wire_version() >= wire::kWireVersionEncoded) {
+    encoder_ = std::make_unique<EncoderPipeline>(config_.encoders,
+                                                 vm_->memory().pages());
+    encoder_->baseline(vm_->memory());
+  }
 }
 
 sim::Duration ReplicationEngine::snapshot_state_and_program() {
@@ -680,8 +717,7 @@ void ReplicationEngine::run_scrub() {
     schedule_scrub();
     return;
   }
-  ++stats_.scrub_runs;
-  if (m_scrub_runs_ != nullptr) m_scrub_runs_->add(1);
+  bump(&EngineStats::scrub_runs);
 
   // Compare the replica's image, region by region, against the per-region
   // digests recorded at commit. A mismatch means the committed bytes changed
@@ -696,8 +732,7 @@ void ReplicationEngine::run_scrub() {
     if (reference == 0) continue;  // nothing committed for this region yet
     if (staging_->live_region_digest(r) == reference) continue;
     ++repaired;
-    ++stats_.scrub_repairs;
-    if (m_scrub_repairs_ != nullptr) m_scrub_repairs_->add(1);
+    bump(&EngineStats::scrub_repairs);
     // The region's committed bytes rotted after commit, so the primary's
     // encoder references no longer describe the replica's image: drop them
     // and the repair epoch ships the region raw. (Without this, a delta
@@ -727,7 +762,8 @@ void ReplicationEngine::run_scrub() {
   schedule_scrub();
 }
 
-void ReplicationEngine::restore_aborted_epoch() {
+void ReplicationEngine::fold_back_epoch() {
+  if (staging_) abort_staged_epoch();
   if (vm_ == nullptr) return;
   if (common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_)) {
     for (const common::Gfn g : last_epoch_gfns_) bm->set(g);
@@ -748,10 +784,21 @@ void ReplicationEngine::abort_staged_epoch() {
   if (encoder_ != nullptr) encoder_->abort_epoch();
 }
 
-void ReplicationEngine::note_epoch_abort(const char* reason) {
-  ++stats_.epochs_aborted;
+void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
+                                    std::optional<sim::Duration> resume_after) {
+  fold_back_epoch();
+  if (resume_after.has_value()) {
+    checkpoint_finish_event_ = sim_.schedule_after(
+        *resume_after,
+        [this, was_running] {
+          if (was_running && !failover_in_progress_) resume_guest();
+        },
+        "checkpoint-abort");
+  } else if (was_running) {
+    resume_guest();
+  }
+  bump(&EngineStats::epochs_aborted);
   ++abort_streak_;
-  if (m_epochs_aborted_ != nullptr) m_epochs_aborted_->add(1);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "epoch.abort", "ckpt",
                             {{"epoch", current_epoch_},
@@ -782,7 +829,7 @@ void ReplicationEngine::run_checkpoint() {
   const net::LinkQuality link =
       fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
   if (!link.connected || link.down) {
-    note_epoch_abort("interconnect down");
+    abort_epoch("interconnect down", /*was_running=*/false);
     return;
   }
 
@@ -799,21 +846,18 @@ void ReplicationEngine::run_checkpoint() {
   common::DirtyBitmap& scratch = primary_.hypervisor().scratch_bitmap(*vm_);
   primary_.hypervisor().dirty_bitmap(*vm_)->exchange_into(scratch);
 
-  std::uint32_t p = threads();
-  // Shared migrator pool: admission may grant fewer threads than requested
-  // when other engines' bursts cover this instant. The grant shapes this
-  // epoch's parallelism (and therefore its copy/scan cost), which Algorithm 1
-  // then feeds back into the VM's period.
-  if (env_.migrator_pool != nullptr) {
-    const MigratorPool::Grant grant =
-        env_.migrator_pool->begin_burst(pool_client_);
-    p = std::min(p, grant.threads);
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
-                              {{"epoch", current_epoch_},
-                               {"threads", p},
-                               {"contending", grant.contending}});
-    }
+  // Pool admission: a shared pool may grant fewer threads than requested
+  // when other engines' bursts cover this instant (a private pool always
+  // grants them all). The grant shapes this epoch's parallelism (and
+  // therefore its copy/scan cost), which Algorithm 1 then feeds back into
+  // the VM's period.
+  const MigratorPool::Grant grant = pool_->begin_burst(pool_client_);
+  const std::uint32_t p = std::min(threads(), grant.threads);
+  if (env_.migrator_pool != nullptr && config_.tracer != nullptr) {
+    config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
+                            {{"epoch", current_epoch_},
+                             {"threads", p},
+                             {"contending", grant.contending}});
   }
   const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t regions = (pages + kPagesPerRegion - 1) / kPagesPerRegion;
@@ -822,7 +866,7 @@ void ReplicationEngine::run_checkpoint() {
   std::vector<std::uint64_t> per_worker_pages(p, 0);
   std::vector<std::vector<common::Gfn>> found(p);
   std::vector<std::vector<common::Gfn>> region_gfns(regions);
-  const auto capture_shard = [&](std::size_t w) {
+  pool_->run_shards(pool_client_, p, [&](std::uint32_t w) {
     for (std::uint64_t r = w; r < regions; r += p) {
       const common::Gfn first = r * kPagesPerRegion;
       const common::Gfn last = std::min<common::Gfn>(first + kPagesPerRegion, pages);
@@ -831,15 +875,7 @@ void ReplicationEngine::run_checkpoint() {
                       region_gfns[r].end());
     }
     per_worker_pages[w] = found[w].size();
-  };
-  if (env_.migrator_pool != nullptr) {
-    env_.migrator_pool->run_shards(
-        pool_client_, p, [&](std::uint32_t w) { capture_shard(w); });
-  } else {
-    pool_->run_per_worker([&](std::size_t w) {
-      if (w < p) capture_shard(w);
-    });
-  }
+  });
 
   std::uint64_t captured = 0;
   std::uint64_t max_worker = 0;
@@ -900,19 +936,14 @@ void ReplicationEngine::run_checkpoint() {
     // critical path is the slowest worker; the total is the §8.7 CPU work.
     const EncodeStats enc_before = encoder_->stats();
     std::vector<EncodeWork> enc_work(p);
-    const auto encode_shard = [&](std::uint32_t w) {
-      for (std::size_t i = w; i < frames.size(); i += p) {
-        encoder_->encode_region(vm_->memory(), frames[i], enc_work[w]);
-      }
-    };
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->run_shards(pool_client_, p, encode_shard,
-                                     MigratorPool::WorkKind::kEncode);
-    } else {
-      pool_->run_per_worker([&](std::size_t w) {
-        if (w < p) encode_shard(static_cast<std::uint32_t>(w));
-      });
-    }
+    pool_->run_shards(
+        pool_client_, p,
+        [&](std::uint32_t w) {
+          for (std::size_t i = w; i < frames.size(); i += p) {
+            encoder_->encode_region(vm_->memory(), frames[i], enc_work[w]);
+          }
+        },
+        MigratorPool::WorkKind::kEncode);
     for (const EncodeWork& w : enc_work) {
       const sim::Duration enc_cost = model_.encode_cpu(
           w.zero_scans * scale, w.hashes * scale, w.delta_pages * scale);
@@ -924,14 +955,6 @@ void ReplicationEngine::run_checkpoint() {
       encoded_bytes += w.bytes_out;
     }
     const EncodeStats enc_now = encoder_->stats();
-    if (m_enc_bytes_in_ != nullptr) {
-      m_enc_bytes_in_->add(enc_now.bytes_in - enc_before.bytes_in);
-      m_enc_bytes_out_->add(enc_now.bytes_out - enc_before.bytes_out);
-      m_enc_pages_zero_->add(enc_now.pages_zero - enc_before.pages_zero);
-      m_enc_pages_delta_->add(enc_now.pages_delta - enc_before.pages_delta);
-      m_enc_pages_skipped_->add(enc_now.pages_skipped -
-                                enc_before.pages_skipped);
-    }
     if (config_.tracer != nullptr && captured > 0) {
       config_.tracer->instant(
           sim_.now(), "epoch.encode", "ckpt",
@@ -988,8 +1011,7 @@ void ReplicationEngine::run_checkpoint() {
       encoder_ != nullptr
           ? model_.checkpoint_copy_encoded(worker_cpu_critical,
                                            encoded_bytes * scale)
-          : model_.checkpoint_copy(max_worker * scale, captured * scale, p,
-                                   config_.compress_pages);
+          : model_.checkpoint_copy(max_worker * scale, captured * scale, p);
   // Selective retransmissions re-ship their regions' payloads (as sealed,
   // i.e. encoded when encoders are on): the repair happens inside the
   // epoch's transfer window, inflating it.
@@ -1012,31 +1034,21 @@ void ReplicationEngine::run_checkpoint() {
   // would, so it folds into copy_cost (and from there into the pause or the
   // background push). Uncontended grants have actual == ideal: zero stretch,
   // byte-identical to the dedicated-wire model.
+  const std::uint64_t wire_bytes =
+      (encoder_ != nullptr ? encoded_bytes * scale
+                           : common::pages_to_bytes(captured * scale)) +
+      disk_bytes;
   if (env_.link_arbiter != nullptr) {
-    double wire_raw;
-    if (encoder_ != nullptr) {
-      wire_raw = static_cast<double>(encoded_bytes * scale);
-    } else {
-      wire_raw = static_cast<double>(common::pages_to_bytes(captured * scale));
-      if (config_.compress_pages) {
-        wire_raw *= model_.config().compression_ratio;
-      }
-    }
-    const auto wire_bytes =
-        static_cast<std::uint64_t>(wire_raw) + disk_bytes;
     const net::LinkArbiter::Reservation res =
         env_.link_arbiter->request(arb_flow_, wire_bytes);
     if (res.actual > res.ideal) copy_cost += res.actual - res.ideal;
   }
-  // Durable ack path: the replica WAL-appends the epoch before acking, so
-  // the local NVMe append rides the commit's critical path. Local to the
-  // secondary — deliberately outside the net_penalty scaling above.
+  // Durable ack path: the replica WAL-appends the epoch (the same bytes)
+  // before acking, so the local NVMe append rides the commit's critical
+  // path. Local to the secondary — deliberately outside the net_penalty
+  // scaling above.
   if (env_.durable_store != nullptr) {
-    const std::uint64_t durable_bytes =
-        (encoder_ != nullptr ? encoded_bytes * scale
-                             : common::pages_to_bytes(captured * scale)) +
-        disk_bytes;
-    state_cost += model_.durable_append(durable_bytes);
+    state_cost += model_.durable_append(wire_bytes);
   }
   const sim::Duration constants =
       model_.config().checkpoint_setup +
@@ -1064,21 +1076,9 @@ void ReplicationEngine::run_checkpoint() {
   // the running epoch and retry with backoff (output commit holds: the
   // epoch's buffered output is released only by a later successful commit).
   if (retransmits_exhausted) {
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->commit_burst(pool_client_, pause);
-    }
-    abort_staged_epoch();
-    restore_aborted_epoch();
-    checkpoint_finish_event_ = sim_.schedule_after(
-        pause,
-        [this, was_running] {
-          if (!primary_.alive() || failover_in_progress_) return;
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-        },
-        "checkpoint-abort");
-    note_epoch_abort("retransmit budget exhausted with corrupt regions");
+    pool_->commit_burst(pool_client_, pause);
+    abort_epoch("retransmit budget exhausted with corrupt regions",
+                was_running, pause);
     return;
   }
 
@@ -1088,30 +1088,16 @@ void ReplicationEngine::run_checkpoint() {
   // after the scan it already paid for, and retry with backoff.
   if (config_.ft.checkpoint_timeout > sim::Duration::zero() &&
       pause + background > config_.ft.checkpoint_timeout) {
-    abort_staged_epoch();
-    restore_aborted_epoch();
     const sim::Duration abort_pause = constants + scan_cost;
-    if (env_.migrator_pool != nullptr) {
-      env_.migrator_pool->commit_burst(pool_client_, abort_pause);
-    }
-    checkpoint_finish_event_ = sim_.schedule_after(
-        abort_pause,
-        [this, was_running] {
-          if (!primary_.alive() || failover_in_progress_) return;
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-        },
-        "checkpoint-abort");
-    note_epoch_abort("projected transfer exceeds checkpoint_timeout");
+    pool_->commit_burst(pool_client_, abort_pause);
+    abort_epoch("projected transfer exceeds checkpoint_timeout", was_running,
+                abort_pause);
     return;
   }
 
   // The burst's busy window covers the whole epoch transfer — pause plus any
   // speculative background push — so overlapping engines see the contention.
-  if (env_.migrator_pool != nullptr) {
-    env_.migrator_pool->commit_burst(pool_client_, pause + background);
-  }
+  pool_->commit_burst(pool_client_, pause + background);
 
   if (config_.tracer != nullptr) {
     const sim::TimePoint pause_begin = sim_.now();
@@ -1159,27 +1145,10 @@ void ReplicationEngine::run_checkpoint() {
   checkpoint_finish_event_ = sim_.schedule_after(
       pause,
       [this, epoch, captured, period_used, pause, was_running, background] {
-        if (!primary_.alive() || failover_in_progress_) {
-          // Host died while the checkpoint was in flight: the replica
-          // discards the partial epoch and will activate the previous one.
-          // (If this failover is later fenced, restore_aborted_epoch folds
-          // the capture back in.)
-          abort_staged_epoch();
-          return;
-        }
-        // Link died while the epoch was being pushed: abort before the new
-        // execution epoch opens, keeping buffered output in the current one.
-        const net::LinkQuality q =
-            fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
-        if (!q.connected || q.down) {
-          abort_staged_epoch();
-          restore_aborted_epoch();
-          if (was_running && vm_->state() == hv::VmState::kPaused) {
-            primary_.hypervisor().resume(*vm_);
-          }
-          note_epoch_abort("interconnect down at commit");
-          return;
-        }
+        // A link that died while the epoch was being pushed aborts it before
+        // the new execution epoch opens, keeping buffered output in the
+        // current one.
+        if (epoch_lost("interconnect down at commit", was_running)) return;
         // A new execution epoch starts the moment the VM resumes; output
         // produced from here on must wait for the *next* commit.
         ++current_epoch_;
@@ -1194,16 +1163,8 @@ void ReplicationEngine::run_checkpoint() {
         checkpoint_finish_event_ = sim_.schedule_after(
             background,
             [this, epoch, captured, period_used, pause] {
-              if (!primary_.alive() || failover_in_progress_) {
-                abort_staged_epoch();
-                return;
-              }
-              const net::LinkQuality bq = fabric_.link_quality(
-                  primary_.ic_node(), secondary_.ic_node());
-              if (!bq.connected || bq.down) {
-                abort_staged_epoch();
-                restore_aborted_epoch();
-                note_epoch_abort("interconnect down in background transfer");
+              if (epoch_lost("interconnect down in background transfer",
+                             /*was_running=*/false)) {
                 return;
               }
               finish_checkpoint(epoch, captured, period_used, pause);
@@ -1211,6 +1172,22 @@ void ReplicationEngine::run_checkpoint() {
             "checkpoint-commit");
       },
       "checkpoint-done");
+}
+
+bool ReplicationEngine::epoch_lost(const char* link_reason,
+                                   bool was_running) {
+  if (!primary_.alive() || failover_in_progress_) {
+    // Host died while the checkpoint was in flight: the replica discards the
+    // partial epoch and will activate the previous one. (If this failover is
+    // later fenced, fold_back_epoch restores the capture.)
+    abort_staged_epoch();
+    return true;
+  }
+  const net::LinkQuality q =
+      fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
+  if (q.connected && !q.down) return false;
+  abort_epoch(link_reason, was_running);
+  return true;
 }
 
 std::uint64_t ReplicationEngine::transmit_epoch_frames(
@@ -1224,8 +1201,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
   auto offer = [&](const wire::RegionFrame& rx, bool count) {
     if (staging_->receive_frame(rx) == FrameVerdict::kCorrupt && count) {
       saw_corruption = true;
-      ++stats_.regions_corrupted;
-      if (m_regions_corrupted_ != nullptr) m_regions_corrupted_->add(1);
+      bump(&EngineStats::regions_corrupted);
     }
   };
 
@@ -1284,8 +1260,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
     }
     for (const std::uint32_t region : nack) {
       const wire::RegionFrame* f = by_region.at(region);
-      ++stats_.retransmits;
-      if (m_retransmits_ != nullptr) m_retransmits_->add(1);
+      bump(&EngineStats::retransmits);
       retransmit_bytes += f->payload_bytes();
       net::FrameFate fate;
       const wire::RegionFrame* rx = cross(*f, fate);
@@ -1319,23 +1294,21 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     // would be corrupt. Same recovery as any abort — fold the capture back
     // into the running epoch and retry; the epoch's buffered output stays
     // held until a later commit actually releases it.
-    ++stats_.commits_rejected;
-    if (m_commits_rejected_ != nullptr) m_commits_rejected_->add(1);
+    bump(&EngineStats::commits_rejected);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "epoch.commit_rejected", "ckpt",
                               {{"epoch", epoch},
                                {"status", committed.status().to_string()}});
     }
-    abort_staged_epoch();
-    restore_aborted_epoch();
-    note_epoch_abort("replica refused commit: integrity verification failed");
+    abort_epoch("replica refused commit: integrity verification failed",
+                /*was_running=*/false);
     return;
   }
   // The replica committed: promote the encoder's staged references so the
   // next epoch deltas/skips against what the replica now actually holds.
   if (encoder_ != nullptr) {
     encoder_->commit_epoch();
-    stats_.encode = encoder_->stats();
+    sync_encode_stats();
   }
   last_epoch_gfns_.clear();
   last_epoch_disk_writes_.clear();
@@ -1345,13 +1318,8 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
   // rotated into a snapshot) before returning. Re-mirror the replica's
   // committed digests on the engine side — staging dies with a secondary
   // crash, and the rejoin diff needs the last-acked references.
-  if (env_.durable_store != nullptr) {
-    if (m_wal_appends_ != nullptr) m_wal_appends_->add(1);
-    committed_digest_mirror_.resize(staging_->region_count());
-    for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
-      committed_digest_mirror_[r] = staging_->committed_region_digest(r);
-    }
-  }
+  if (env_.durable_store != nullptr) bump(&EngineStats::wal_appends);
+  mirror_committed_digests();
   // First commit after a secondary rejoin: the resynced image is acked and
   // (if durable) persisted, so the VM survives a primary failure again.
   if (rejoining_) {
@@ -1396,10 +1364,10 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
                              {"dirty_pages", record.dirty_pages_model},
                              {"bytes", record.bytes_model}});
   }
-  if (m_epochs_ != nullptr) {
-    m_epochs_->add(1);
-    m_dirty_pages_->add(record.dirty_pages_model);
-    m_bytes_->add(record.bytes_model);
+  bump(&EngineStats::epochs_committed);
+  bump(&EngineStats::dirty_pages_total, record.dirty_pages_model);
+  bump(&EngineStats::bytes_total, record.bytes_model);
+  if (m_pause_ms_ != nullptr) {
     m_pause_ms_->add(sim::to_seconds(pause) * 1e3);
     m_degradation_pct_->add(record.degradation * 100.0);
   }
@@ -1443,14 +1411,8 @@ void ReplicationEngine::send_heartbeat() {
     // arbitration, pre-empting the secondary's grant-or-deny decision.
     // Control message on the interconnect; a crashed host's packets drop, a
     // hung host never reaches this point.
-    net::Packet hb;
-    hb.src = primary_.ic_node();
-    hb.dst = secondary_.ic_node();
-    hb.size_bytes = 64;
-    hb.kind = kHeartbeatKind;
-    fabric_.send(hb);
-    ++stats_.heartbeats_sent;
-    if (m_heartbeats_ != nullptr) m_heartbeats_->add(1);
+    send_control(primary_.ic_node(), secondary_.ic_node(), kHeartbeatKind);
+    bump(&EngineStats::heartbeats_sent);
   }
   heartbeat_event_ = sim_.schedule_after(config_.heartbeat_interval,
                                          [this] { send_heartbeat(); },
@@ -1496,12 +1458,8 @@ void ReplicationEngine::on_heartbeat_lost() {
       // host answers; a crashed or hung one cannot.
       probe_in_flight_ = true;
       probe_reply_received_ = false;
-      net::Packet probe;
-      probe.src = secondary_.eth_node();
-      probe.dst = primary_.eth_node();
-      probe.size_bytes = 64;
-      probe.kind = kProbeRequestKind;
-      fabric_.send(probe);
+      send_control(secondary_.eth_node(), primary_.eth_node(),
+                   kProbeRequestKind);
       if (config_.tracer != nullptr) {
         config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
                                 {{"timeout_ns", config_.ft.probe_timeout.count()}});
@@ -1593,28 +1551,33 @@ void ReplicationEngine::begin_failover(const std::string& reason,
                           "failover-activate");
 }
 
-void ReplicationEngine::fence_failover() {
-  if (!failover_in_progress_ || stats_.failed_over) return;
+void ReplicationEngine::stand_down_failover(bool by_probe,
+                                            const char* detail) {
   sim_.cancel(failover_activate_event_);
   sim_.cancel(checkpoint_finish_event_);
   failover_in_progress_ = false;
   fencing_armed_ = false;
-  ++stats_.failovers_fenced;
-  if (m_failovers_fenced_ != nullptr) m_failovers_fenced_->add(1);
-  if (config_.tracer != nullptr) {
+  bump(&EngineStats::failovers_fenced);
+  if (config_.tracer != nullptr && by_probe) {
+    config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
+                            {{"fenced_total", stats_.failovers_fenced},
+                             {"by", "resume-probe"}});
+  } else if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
                             {{"fenced_total", stats_.failovers_fenced}});
   }
-  notify_degraded(DegradedKind::kFailoverFenced,
-                  "primary heartbeats resumed within the fencing window");
+  notify_degraded(DegradedKind::kFailoverFenced, detail);
+}
+
+void ReplicationEngine::fence_failover() {
+  if (!failover_in_progress_ || stats_.failed_over) return;
+  stand_down_failover(/*by_probe=*/false,
+                      "primary heartbeats resumed within the fencing window");
   // The epoch aborted at failover start folds back into the running epoch;
   // its buffered output was never dropped (that happens only at activation),
   // so the next commit releases it and clients see a gapless stream.
-  restore_aborted_epoch();
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  fold_back_epoch();
+  resume_guest();
   last_checkpoint_done_ = sim_.now();
   schedule_checkpoint();
   watchdog_check();
@@ -1717,17 +1680,7 @@ void ReplicationEngine::drain(const std::string& reason) {
   drained_ = true;
   // Everything this generation ever scheduled is cancelled; a drained
   // engine is inert except for reads.
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
-  sim_.cancel(heartbeat_event_);
-  sim_.cancel(watchdog_event_);
-  sim_.cancel(seed_deadline_event_);
-  sim_.cancel(seed_retry_event_);
-  sim_.cancel(probe_event_);
-  sim_.cancel(failover_activate_event_);
-  sim_.cancel(scrub_event_);
-  sim_.cancel(secondary_reboot_event_);
-  sim_.cancel(resume_probe_event_);
+  cancel_scheduled_events();
   seeder_.reset();
   failover_in_progress_ = false;
   fencing_armed_ = false;
@@ -1735,12 +1688,8 @@ void ReplicationEngine::drain(const std::string& reason) {
   // A drain can land mid-epoch (guest paused for capture): fold the capture
   // back into the running epoch — the successor re-ships those pages — and
   // let the guest run again.
-  if (staging_) abort_staged_epoch();
-  restore_aborted_epoch();
-  if (vm_ != nullptr && primary_.alive() && !resume_probe_pending_ &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  fold_back_epoch();
+  if (!resume_probe_pending_) resume_guest();
   // Unreleased output belongs to epochs that will never commit through this
   // engine. Dropping it is the same output-commit call failover makes: a
   // never-released packet was never client-visible.
@@ -1769,12 +1718,9 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
   sim_.cancel(checkpoint_event_);
   sim_.cancel(checkpoint_finish_event_);
   sim_.cancel(scrub_event_);
-  if (staging_) abort_staged_epoch();
-  restore_aborted_epoch();
+  fold_back_epoch();
   staging_.reset();
-  if (primary_.alive() && vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  resume_guest();
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "fault.secondary_crash", "fo",
                             {{"reboot_after_ns", reboot_after.count()},
@@ -1793,70 +1739,34 @@ void ReplicationEngine::on_secondary_rebooted() {
     return;
   }
   secondary_down_ = false;
-  staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
-  staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+  reset_staging();
   common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
-  const std::uint64_t pages = vm_->memory().pages();
   const std::uint64_t scale = vm_->spec().model_scale;
   const std::uint32_t regions = staging_->region_count();
-  const hv::VirtualDisk& primary_disk = primary_.hypervisor().disk(*vm_);
   std::uint64_t resync = 0;
   sim::Duration recovery_cost{};
   bool recovered = false;
 
   if (env_.durable_store != nullptr) {
-    const RecoveryManager recovery(*env_.durable_store);
-    if (const Expected<RecoveryResult> result = recovery.recover(*staging_);
-        result.ok()) {
+    if (const Expected<sim::Duration> replay = recover_from_store();
+        replay.ok()) {
       recovered = true;
       ++stats_.rejoins;
-      stats_.last_recovery = *result;
-      stats_.wal_records_replayed += (*result).wal_records_replayed;
-      if (m_wal_replays_ != nullptr) {
-        m_wal_replays_->add((*result).wal_records_replayed);
+      // The divergent pages re-cross as part of the next epoch. The
+      // page-digest exchange is wire traffic too: 8 bytes per modelled page
+      // of every divergent region, both directions.
+      const StoreDiff diff = diff_recovered_image();
+      resync = diff.regions;
+      if (bm != nullptr) {
+        for (const common::Gfn g : diff.pages) bm->set(g);
       }
-      recovery_cost = model_.durable_replay((*result).bytes_read * scale,
-                                            (*result).wal_records_replayed);
-      // Digest diff, two levels. A region whose recovered digest agrees with
-      // the last-acked mirror is byte-identical: no re-send. For a divergent
-      // region (lost WAL tail, damaged record, never committed) the replica
-      // answers with its per-page digests — 8 bytes a page on the wire — and
-      // only the pages that actually disagree with the primary re-cross as
-      // part of the next epoch. Without the page-level pass a single torn
-      // epoch with scattered writes would re-ship every touched region
-      // whole, which is most of what the full reseed sends anyway.
-      std::uint64_t digest_pages = 0;
-      for (std::uint32_t r = 0; r < regions; ++r) {
-        const std::uint64_t want = r < committed_digest_mirror_.size()
-                                       ? committed_digest_mirror_[r]
-                                       : 0;
-        if (want != 0 && staging_->committed_region_digest(r) == want) {
-          continue;
-        }
-        ++resync;
-        // The encoder's shadow holds the primary's last committed content,
-        // which the recovered replica no longer matches — deltas against it
-        // would not apply, so the divergent pages go raw.
-        if (encoder_ != nullptr) encoder_->invalidate_region(r);
-        const common::Gfn first = std::uint64_t{r} * kPagesPerRegion;
-        const common::Gfn last =
-            std::min<common::Gfn>(first + kPagesPerRegion, pages);
-        digest_pages += last - first;
-        for (common::Gfn g = first; g < last; ++g) {
-          if (vm_->memory().page_digest(g) !=
-              staging_->memory().page_digest(g)) {
-            if (bm != nullptr) bm->set(g);
-            ++stats_.resync_pages;
-          }
-        }
-      }
-      // The page-digest exchange is wire traffic too: 8 bytes per modelled
-      // page of every divergent region, both directions.
-      recovery_cost += model_.wire_time(2 * digest_pages * 8ULL * scale);
+      stats_.resync_pages += diff.pages.size();
+      recovery_cost =
+          *replay + model_.wire_time(2 * diff.digest_pages * 8ULL * scale);
     } else if (config_.tracer != nullptr) {
       config_.tracer->instant(
           sim_.now(), "rejoin.recovery_failed", "fo",
-          {{"status", result.status().to_string()}});
+          {{"status", replay.status().to_string()}});
     }
   }
   if (!recovered) {
@@ -1869,7 +1779,7 @@ void ReplicationEngine::on_secondary_rebooted() {
       if (encoder_ != nullptr) encoder_->invalidate_region(r);
     }
     if (bm != nullptr) {
-      for (common::Gfn g = 0; g < pages; ++g) bm->set(g);
+      for (common::Gfn g = 0; g < vm_->memory().pages(); ++g) bm->set(g);
     }
   }
 
@@ -1878,33 +1788,14 @@ void ReplicationEngine::on_secondary_rebooted() {
   // recovery, all) sectors re-cross the wire. The re-mirrored disk may run
   // ahead of the recovered memory by the open epoch's writes — harmless, as
   // failover stays impossible until the next commit delivers machine state.
-  std::uint64_t divergent_sectors = 0;
-  {
-    const auto want = primary_disk.sorted_stamps();
-    const auto have = staging_->disk().sorted_stamps();
-    std::size_t i = 0;
-    for (const auto& [sector, stamp] : want) {
-      while (i < have.size() && have[i].first < sector) ++i;
-      const bool match =
-          i < have.size() && have[i].first == sector && have[i].second == stamp;
-      if (!match) ++divergent_sectors;
-    }
-  }
-  staging_->seed_disk(primary_disk);
+  const std::uint64_t divergent_sectors = resync_disk();
   stats_.resync_disk_sectors += divergent_sectors;
   recovery_cost += model_.wire_time(divergent_sectors * 512ULL);
-
-  stats_.resync_regions += resync;
-  if (m_resync_regions_ != nullptr) m_resync_regions_->add(resync);
+  bump(&EngineStats::resync_regions, resync);
 
   // Persist the recovered state as a fresh snapshot: a damaged WAL tail must
-  // not linger into the next crash. (Attach happens after recovery so replay
-  // never feeds back into the log.)
-  if (env_.durable_store != nullptr) {
-    staging_->attach_durable_store(env_.durable_store);
-    env_.durable_store->write_snapshot(staging_->committed_epoch(),
-                                       staging_->memory(), staging_->disk());
-  }
+  // not linger into the next crash.
+  if (env_.durable_store != nullptr) reattach_store();
 
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "rejoin.begin", "fo",
@@ -1976,8 +1867,7 @@ void ReplicationEngine::send_resume_probe() {
     resume_probe_pending_ = false;
     return;
   }
-  ++stats_.resume_probes;
-  if (m_resume_probes_ != nullptr) m_resume_probes_->add(1);
+  bump(&EngineStats::resume_probes);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "resume.probe", "fo",
                             {{"probes", stats_.resume_probes}});
@@ -1988,13 +1878,8 @@ void ReplicationEngine::send_resume_probe() {
     on_resume_grant();
     return;
   }
-  net::Packet probe;
-  probe.src = primary_.ic_node();
-  probe.dst = secondary_.ic_node();
-  probe.size_bytes = 64;
-  probe.kind = kResumeProbeKind;
-  probe.tag = probe_token_;
-  fabric_.send(probe);
+  send_control(primary_.ic_node(), secondary_.ic_node(), kResumeProbeKind,
+               probe_token_);
   // Keep probing (partition, drop, hung secondary) until a verdict arrives.
   const sim::Duration retry = config_.ft.probe_timeout > sim::Duration::zero()
                                   ? config_.ft.probe_timeout
@@ -2016,29 +1901,13 @@ void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
   if (!deny) {
     last_heartbeat_rx_ = sim_.now();
     if (failover_in_progress_) {
-      sim_.cancel(failover_activate_event_);
-      sim_.cancel(checkpoint_finish_event_);
-      failover_in_progress_ = false;
-      fencing_armed_ = false;
-      ++stats_.failovers_fenced;
-      if (m_failovers_fenced_ != nullptr) m_failovers_fenced_->add(1);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
-                                {{"fenced_total", stats_.failovers_fenced},
-                                 {"by", "resume-probe"}});
-      }
-      notify_degraded(DegradedKind::kFailoverFenced,
-                      "recovered primary probed before replica activation");
+      stand_down_failover(/*by_probe=*/true,
+                          "recovered primary probed before replica activation");
       watchdog_check();  // the loop parked when the failover began
     }
   }
-  net::Packet reply;
-  reply.src = secondary_.ic_node();
-  reply.dst = packet.src;
-  reply.size_bytes = 64;
-  reply.kind = deny ? kResumeDenyKind : kResumeGrantKind;
-  reply.tag = probe_token_;
-  fabric_.send(reply);
+  send_control(secondary_.ic_node(), packet.src,
+               deny ? kResumeDenyKind : kResumeGrantKind, probe_token_);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), deny ? "resume.deny" : "resume.grant",
                             "fo", {{"failed_over", stats_.failed_over}});
@@ -2057,12 +1926,8 @@ void ReplicationEngine::on_resume_grant() {
   // The epoch that died with the crash folds back into the running one so
   // the first post-recovery checkpoint re-ships it (output commit held: its
   // buffered output was never dropped, only activation drops).
-  if (staging_) abort_staged_epoch();
-  restore_aborted_epoch();
-  if (primary_.alive() && vm_ != nullptr &&
-      vm_->state() == hv::VmState::kPaused) {
-    primary_.hypervisor().resume(*vm_);
-  }
+  fold_back_epoch();
+  resume_guest();
   if (staging_ && !secondary_down_ && seeded_) {
     sim_.cancel(checkpoint_event_);
     last_checkpoint_done_ = sim_.now();
@@ -2079,8 +1944,7 @@ void ReplicationEngine::demote_primary(const char* reason) {
   sim_.cancel(resume_probe_event_);
   sim_.cancel(checkpoint_event_);
   sim_.cancel(checkpoint_finish_event_);
-  ++stats_.primary_demotions;
-  if (m_primary_demotions_ != nullptr) m_primary_demotions_->add(1);
+  bump(&EngineStats::primary_demotions);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "primary.demoted", "fo",
                             {{"reason", reason}});
@@ -2132,6 +1996,12 @@ void ReplicationEngine::notify_degraded(DegradedKind kind, std::string detail) {
 }
 
 // --- Packet paths ---------------------------------------------------------------
+
+void ReplicationEngine::send_control(net::NodeId src, net::NodeId dst,
+                                     std::uint32_t kind, std::uint64_t tag) {
+  fabric_.send(
+      {.src = src, .dst = dst, .size_bytes = 64, .kind = kind, .tag = tag});
+}
 
 void ReplicationEngine::on_guest_tx(const net::Packet& packet) {
   net::Packet out = packet;

@@ -29,10 +29,11 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "hv/host.h"
 #include "kvmsim/kvm_hypervisor.h"
 #include "obs/metrics.h"
@@ -114,12 +115,13 @@ struct FaultToleranceConfig {
 // construction next to (not inside) ReplicationConfig: the config describes
 // policy knobs that are meaningful per engine, the environment names
 // longer-lived infrastructure that is owned elsewhere and must outlive the
-// engine. A default-constructed EngineEnv reproduces the standalone engine
-// byte-for-byte (private thread pool, dedicated wire, no durability).
+// engine. A default-constructed EngineEnv is the standalone engine (private
+// migrator pool, dedicated wire, no durability).
 struct EngineEnv {
   // Shared host migrator pool: when set, checkpoint bursts draw fair-share
-  // thread grants from it instead of a private pool, so N engines on one
-  // host contend explicitly. Null keeps the original dedicated pool.
+  // thread grants from it, so N engines on one host contend explicitly. Null
+  // gives the engine a private pool whose only client it is, so every grant
+  // is the full configured parallelism.
   MigratorPool* migrator_pool = nullptr;
   // Shared replication-link bandwidth arbiter: when set, every epoch
   // transfer reserves WFQ capacity and contention stretches the pause.
@@ -147,15 +149,10 @@ struct ReplicationConfig {
   TimeModelConfig time_model;
   // Activate the replica automatically when the heartbeat lapses.
   bool auto_failover = true;
-  // XBZRLE-style page compression on the replication stream (extension; see
-  // bench/ablation_compression for when it pays off).
-  bool compress_pages = false;
   // Content-aware checkpoint encoders (src/replication/encoder.h): shrink
   // what reaches the migrator pool and the wire (zero elision, XOR-delta,
   // content-hash skip) on wire version 1. All-off keeps the engine on wire
-  // version 0, byte-identical to the un-encoded stream. Mutually exclusive
-  // with compress_pages (the whole-stream model would double-count the
-  // encoder's savings).
+  // version 0, byte-identical to the un-encoded stream.
   EncoderConfig encoders;
   // Speculative copy-on-write checkpointing (the Remus paper's classic
   // optimization, extension here): the dirty set is duplicated into a local
@@ -196,6 +193,9 @@ struct EngineStats {
   std::vector<CheckpointRecord> checkpoints;
   sim::TimeSeries period_series{"period_s"};
   sim::TimeSeries degradation_series{"degradation_pct"};
+  std::uint64_t epochs_committed = 0;
+  std::uint64_t dirty_pages_total = 0;  // model pages over committed epochs
+  std::uint64_t bytes_total = 0;        // model bytes over committed epochs
   std::uint64_t heartbeats_sent = 0;
   sim::Duration total_pause{};
   // Replication CPU-seconds consumed on the primary (§8.7).
@@ -203,6 +203,7 @@ struct EngineStats {
 
   // Hardening counters (all zero on the fault-free path).
   std::uint32_t seed_attempts = 0;    // begun attempts, incl. the first
+  std::uint64_t seed_retries = 0;     // retries scheduled after a failed one
   std::uint64_t epochs_aborted = 0;   // checkpoints aborted and retried
   std::uint64_t failovers_fenced = 0; // activations cancelled by fencing
 
@@ -216,12 +217,14 @@ struct EngineStats {
   // Content-aware encoder accounting (all zero with encoders off). Real
   // (pre-model_scale) page counts and bytes, cumulative over encode passes
   // including aborted epochs — it measures encode work done, not commits.
+  // Refreshed from the encoder at each commit.
   EncodeStats encode;
 
   // Durable-rejoin accounting (all zero without secondary crashes).
   std::uint64_t secondary_crashes = 0;  // injected secondary process crashes
   std::uint64_t rejoins = 0;            // local snapshot+WAL recoveries
   std::uint64_t full_resyncs = 0;       // rejoins that fell back to re-send-all
+  std::uint64_t wal_appends = 0;        // epochs persisted before their ack
   std::uint64_t wal_records_replayed = 0;
   std::uint64_t resync_regions = 0;     // regions with any post-recovery divergence
   std::uint64_t resync_pages = 0;       // real pages re-sent after page-digest diff
@@ -259,6 +262,29 @@ struct EngineStats {
   std::uint64_t replica_disk_digest_at_activation = 0;
   std::uint64_t committed_disk_digest_at_activation = 0;
 };
+
+// When a counter row is registered: always, only with content-aware
+// encoders, or only with a durable store — a snapshot names only the
+// instruments this configuration can move.
+enum class CounterGate : std::uint8_t { kAlways, kEncoders, kDurable };
+
+// One `rep.*` counter and the EngineStats field it mirrors. The engine keeps
+// one set of books: every bump lands in the field and, when registered, in
+// the counter. Exactly one of `field` and `encode_field` (a field of
+// EngineStats::encode) is set.
+struct EngineCounterRow {
+  const char* metric;
+  CounterGate gate;
+  std::uint64_t EngineStats::*field = nullptr;
+  std::uint64_t EncodeStats::*encode_field = nullptr;
+
+  [[nodiscard]] std::uint64_t value(const EngineStats& stats) const {
+    return field != nullptr ? stats.*field : stats.encode.*encode_field;
+  }
+};
+
+// The engine's counters, in registration order (docs/observability.md).
+[[nodiscard]] std::span<const EngineCounterRow> engine_counter_rows();
 
 class ReplicationEngine {
  public:
@@ -382,8 +408,9 @@ class ReplicationEngine {
     return primary_.hypervisor().kind() != secondary_.hypervisor().kind();
   }
 
-  // Fleet-scheduling identities (valid once start_protection ran; only
-  // meaningful when the corresponding EngineEnv pointer is set).
+  // Fleet-scheduling identities, valid once start_protection ran. The pool
+  // client is this engine's id on the shared pool, or on its private pool
+  // without one; the arbiter flow is only meaningful with an arbiter.
   [[nodiscard]] MigratorPool::ClientId pool_client() const {
     return pool_client_;
   }
@@ -393,9 +420,6 @@ class ReplicationEngine {
 
  private:
   [[nodiscard]] std::uint32_t threads() const;
-  // The real worker pool backing seeding and checkpoint copies: the shared
-  // host pool when fleet scheduling is on, the engine's own otherwise.
-  [[nodiscard]] common::ThreadPool& worker_pool();
 
   // --- Seeding (with retry) --------------------------------------------------
   void begin_seed_attempt();
@@ -421,16 +445,35 @@ class ReplicationEngine {
   // Saves + (if heterogeneous) translates machine state and program snapshot
   // into staging's pending slot. Returns the time cost.
   sim::Duration snapshot_state_and_program();
-  // Records an aborted epoch and schedules the retry (exponential backoff).
-  void note_epoch_abort(const char* reason);
+  // The one abort-and-retry path: folds the epoch's capture (if any) back
+  // into the running epoch, lets a guest the capture paused run again —
+  // after `resume_after` (the part of the pause already paid) or, without
+  // it, now — books the abort and schedules the retry (exponential
+  // backoff). `was_running` is false when the guest is not held paused.
+  void abort_epoch(const char* reason, bool was_running,
+                   std::optional<sim::Duration> resume_after = std::nullopt);
+  // Commit-point check of an in-flight epoch: a dead primary (or a failover
+  // in progress) discards it, a down interconnect aborts it. Returns true
+  // when the epoch cannot commit.
+  bool epoch_lost(const char* link_reason, bool was_running);
   // Folds the last captured-but-uncommitted epoch back into the running
-  // one: re-marks its pages dirty and restores its mirrored disk writes, so
-  // the retry (or a fenced failover's restart) re-ships them.
-  void restore_aborted_epoch();
-  // Discards the in-flight epoch on both sides of the stream: the staging
-  // buffers *and* the encoder's staged reference updates (which must only
-  // ever promote when the replica actually commits).
+  // one: discards it on both sides of the stream (abort_staged_epoch), then
+  // re-marks its pages dirty and restores its mirrored disk writes, so the
+  // retry (or a fenced failover's restart) re-ships them.
+  void fold_back_epoch();
+  // Discards the in-flight epoch's staging buffers *and* the encoder's
+  // staged reference updates (which must only ever promote when the replica
+  // actually commits).
   void abort_staged_epoch();
+  // Lets a guest the engine holds paused run again; no-op when the primary
+  // is down or the VM is not paused.
+  void resume_guest();
+  // Bumps an EngineStats counter field and its registered counter.
+  void bump(std::uint64_t EngineStats::*field, std::uint64_t n = 1);
+  // Refreshes stats_.encode from the encoder at a commit, mirroring the
+  // deltas into the rep.enc_* counters.
+  void sync_encode_stats();
+  void cancel_scheduled_events();
 
   // --- Heartbeat / failover --------------------------------------------------
   void send_heartbeat();
@@ -441,6 +484,9 @@ class ReplicationEngine {
   // only; explicit triggers and detectors are deliberate and never fenced).
   void begin_failover(const std::string& reason, bool fence_on_heartbeat);
   void fence_failover();
+  // Cancels an armed-but-unfired failover: the primary proved alive (its
+  // heartbeats, or its resume probe) before the replica activated.
+  void stand_down_failover(bool by_probe, const char* detail);
   void activate_replica();
 
   // --- Secondary crash / rejoin ----------------------------------------------
@@ -468,6 +514,40 @@ class ReplicationEngine {
   // recovery fails.
   bool try_delta_seed();
 
+  // --- Store reconcile (delta seed and rejoin) -------------------------------
+  // Both recover the replica locally, then reconcile only what diverged.
+  void reset_staging();
+  // Recovers staging from the durable store's snapshot+WAL and books the
+  // replay. Returns the modelled replay time.
+  [[nodiscard]] Expected<sim::Duration> recover_from_store();
+  struct StoreDiff {
+    std::uint64_t regions = 0;       // candidate regions
+    std::uint64_t digest_pages = 0;  // pages whose digests crossed the wire
+    std::vector<common::Gfn> pages;  // pages that differ from the primary
+  };
+  // Page-digest diff of the recovered image against primary memory. The
+  // candidates are the regions whose recovered digest disagrees with the
+  // last-acked mirror (an empty mirror makes every region a candidate).
+  StoreDiff diff_recovered_image();
+  // Re-mirrors the primary's disk into staging; returns the sectors whose
+  // stamps diverged (the ones that re-cross the wire).
+  std::uint64_t resync_disk();
+  // Attaches the store after recovery (replay never feeds back into the log)
+  // and snapshots the reconciled image, superseding the old WAL.
+  void reattach_store();
+  // Re-mirrors the replica's committed per-region digests on the engine side
+  // (durable store only): staging dies with a secondary crash, and the rejoin
+  // diff needs the last-acked references.
+  void mirror_committed_digests();
+  // Mirror plus encoder baseline, taken while the VM is paused and the
+  // replica's committed image equals primary memory. A replica pinned below
+  // wire v1 suppresses the encoder stage entirely.
+  void baseline_references();
+
+  // Sends a 64-byte control message: heartbeat, watchdog probe, resume
+  // probe or arbitration verdict.
+  void send_control(net::NodeId src, net::NodeId dst, std::uint32_t kind,
+                    std::uint64_t tag = 0);
   void on_guest_tx(const net::Packet& packet);
   void on_service_packet(const net::Packet& packet);
 
@@ -480,8 +560,10 @@ class ReplicationEngine {
   ReplicationConfig config_;
   EngineEnv env_;
   TimeModel model_;
-  // Private worker pool; null when a shared MigratorPool is configured.
-  std::unique_ptr<common::ThreadPool> pool_;
+  // A standalone engine owns a one-client pool; a fleet engine borrows the
+  // host's. `pool_` is whichever one this engine draws from.
+  std::unique_ptr<MigratorPool> own_pool_;
+  MigratorPool* pool_;
   PeriodManager period_;
   OutboundBuffer outbound_;
   MigratorPool::ClientId pool_client_ = MigratorPool::kInvalidClient;
@@ -504,7 +586,6 @@ class ReplicationEngine {
   bool fencing_armed_ = false;
   bool probe_in_flight_ = false;
   bool probe_reply_received_ = false;
-  std::uint32_t seed_attempt_ = 0;
   std::uint32_t abort_streak_ = 0;   // consecutive aborted checkpoints
   std::uint32_t corruption_streak_ = 0;  // consecutive epochs with bad frames
   sim::Duration pending_stall_{};    // injected migrator stall, not yet paid
@@ -547,29 +628,9 @@ class ReplicationEngine {
   std::uint64_t probe_token_ = 0;
   sim::EventId resume_probe_event_;
 
-  // Cached metric instruments (all null when config_.metrics is null).
-  obs::Counter* m_epochs_ = nullptr;
-  obs::Counter* m_dirty_pages_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_heartbeats_ = nullptr;
-  obs::Counter* m_seed_retries_ = nullptr;
-  obs::Counter* m_epochs_aborted_ = nullptr;
-  obs::Counter* m_failovers_fenced_ = nullptr;
-  obs::Counter* m_regions_corrupted_ = nullptr;
-  obs::Counter* m_retransmits_ = nullptr;
-  obs::Counter* m_commits_rejected_ = nullptr;
-  obs::Counter* m_scrub_runs_ = nullptr;
-  obs::Counter* m_scrub_repairs_ = nullptr;
-  obs::Counter* m_enc_bytes_in_ = nullptr;
-  obs::Counter* m_enc_bytes_out_ = nullptr;
-  obs::Counter* m_enc_pages_zero_ = nullptr;
-  obs::Counter* m_enc_pages_delta_ = nullptr;
-  obs::Counter* m_enc_pages_skipped_ = nullptr;
-  obs::Counter* m_resume_probes_ = nullptr;
-  obs::Counter* m_primary_demotions_ = nullptr;
-  obs::Counter* m_wal_appends_ = nullptr;
-  obs::Counter* m_wal_replays_ = nullptr;
-  obs::Counter* m_resync_regions_ = nullptr;
+  // Registered instruments (empty/null when config_.metrics is null).
+  // counters_[i] mirrors engine_counter_rows()[i]; null when its gate is off.
+  std::vector<obs::Counter*> counters_;
   obs::FixedHistogram* m_rejoin_ms_ = nullptr;
   obs::FixedHistogram* m_pause_ms_ = nullptr;
   obs::FixedHistogram* m_degradation_pct_ = nullptr;

@@ -3,28 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/fnv.h"
 #include "replication/durable_store.h"
 #include "replication/encoder.h"
 
 namespace here::rep {
 
 using common::kPageSize;
-
-namespace {
-
-// FNV-1a fold of one page digest into a region accumulator (same family as
-// GuestMemory::full_digest, restricted to one 2 MiB region).
-constexpr std::uint64_t kRegionDigestInit = 1469598103934665603ULL;
-
-std::uint64_t fold_page_digest(std::uint64_t acc, std::uint64_t d) {
-  for (int i = 0; i < 8; ++i) {
-    acc ^= (d >> (i * 8)) & 0xFFu;
-    acc *= 1099511628211ULL;
-  }
-  return acc;
-}
-
-}  // namespace
 
 ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers)
     : spec_(spec),
@@ -124,12 +109,12 @@ std::uint64_t ReplicaStaging::committed_region_digest(
 
 std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
   // The scrubber's audit: always a full rehash of the bytes as they are now.
-  std::uint64_t acc = kRegionDigestInit;
+  std::uint64_t acc = common::kFnvStreamOffset;
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
       std::min(first + common::kPagesPerRegion, spec_.pages);
   for (std::uint64_t gfn = first; gfn < last; ++gfn) {
-    acc = fold_page_digest(acc, memory_.page_digest(common::Gfn{gfn}));
+    acc = common::fnv1a_u64(acc, memory_.page_digest(common::Gfn{gfn}));
   }
   return acc;
 }
@@ -145,7 +130,7 @@ void ReplicaStaging::refresh_region_digest(std::uint32_t region) {
   if (committed_region_digests_.size() < region_count()) {
     committed_region_digests_.resize(region_count(), 0);
   }
-  std::uint64_t acc = kRegionDigestInit;
+  std::uint64_t acc = common::kFnvStreamOffset;
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
       std::min(first + common::kPagesPerRegion, spec_.pages);
@@ -154,7 +139,7 @@ void ReplicaStaging::refresh_region_digest(std::uint32_t region) {
       page_digests_[gfn] = memory_.page_digest(common::Gfn{gfn});
       page_digest_valid_[gfn] = 1;
     }
-    acc = fold_page_digest(acc, page_digests_[gfn]);
+    acc = common::fnv1a_u64(acc, page_digests_[gfn]);
   }
   committed_region_digests_[region] = acc;
 }

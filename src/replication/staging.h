@@ -160,9 +160,11 @@ class ReplicaStaging {
   // Per-region digests of the image as of the last commit. The background
   // scrubber compares these references against live_region_digest(); a
   // mismatch means the replica image diverged *after* commit (bit rot, stray
-  // write) and the region needs a full re-send. A reference folds the digest
-  // each page had when a commit installed it, so a later commit that touches
-  // other pages of a rotted region does not absorb the rot.
+  // write) and the region needs a full re-send. A region digest is the
+  // stream FNV-1a fold (common/fnv.h) of its pages' digests in gfn order; a
+  // reference folds the digest each page had when a commit installed it, so
+  // a later commit that touches other pages of a rotted region does not
+  // absorb the rot.
 
   [[nodiscard]] std::uint32_t region_count() const;
   // Reference recorded at commit (0 before the first commit).

@@ -30,18 +30,11 @@ sim::Duration scale_per_page(sim::Duration per_page, std::uint64_t pages,
 
 sim::Duration TimeModel::checkpoint_copy(std::uint64_t max_worker_pages,
                                          std::uint64_t total_pages,
-                                         std::uint32_t threads,
-                                         bool compressed) const {
+                                         std::uint32_t threads) const {
   const double eff = efficiency(config_.copy_eff, threads);
-  sim::Duration per_page = config_.per_page_copy;
-  double bytes = static_cast<double>(common::pages_to_bytes(total_pages));
-  if (compressed) {
-    per_page += config_.compression_cpu_per_page;
-    bytes *= config_.compression_ratio;
-  }
   const sim::Duration cpu =
-      scale_per_page(per_page, max_worker_pages, 1.0 / eff);
-  return std::max(cpu, wire_time(static_cast<std::uint64_t>(bytes)));
+      scale_per_page(config_.per_page_copy, max_worker_pages, 1.0 / eff);
+  return std::max(cpu, wire_time(common::pages_to_bytes(total_pages)));
 }
 
 sim::Duration TimeModel::checkpoint_copy_encoded(

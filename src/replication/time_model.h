@@ -43,13 +43,6 @@ struct TimeModelConfig {
   // Interconnect (Omni-Path HFI 100).
   double wire_bytes_per_second = 12.5e9;
 
-  // Optional XBZRLE-style page compression for the replication stream:
-  // extra CPU per page vs fewer bytes on the wire. Pays off on thin pipes
-  // (10 GbE), not on the paper's CPU-bound 100 Gbit/s setup — see
-  // bench/ablation_compression.
-  sim::Duration compression_cpu_per_page = sim::Duration{1000};  // 1 us (XOR+RLE)
-  double compression_ratio = 0.35;  // compressed bytes / raw bytes
-
   // Local CoW page duplication (speculative checkpointing): a plain local
   // memcpy, ~6 GB/s per thread.
   sim::Duration per_page_cow = sim::Duration{700};  // 0.7 us
@@ -59,8 +52,7 @@ struct TimeModelConfig {
   // *real* copy cost of the encoded stream to PeriodManager/Algorithm 1:
   //   * zero_scan: read 4 KiB and compare against zero (~25 GB/s);
   //   * page_hash: byte-wise FNV-1a over the page;
-  //   * delta_encode: XOR against the shadow + RLE emit (same ballpark as
-  //     the XBZRLE compression cost above).
+  //   * delta_encode: XOR against the shadow + RLE emit.
   sim::Duration encode_zero_scan_per_page = sim::Duration{160};   // 0.16 us
   sim::Duration encode_page_hash_per_page = sim::Duration{400};   // 0.4 us
   sim::Duration encode_delta_per_page = sim::Duration{1100};      // 1.1 us
@@ -83,11 +75,9 @@ class TimeModel {
   // Continuous-replication checkpoint copy: `max_worker_pages` is the
   // largest per-thread share (the critical path), `total_pages` feeds the
   // wire serialization term. Result = max(cpu critical path, wire time).
-  // With `compressed`, each page costs extra CPU but ships fewer bytes.
   [[nodiscard]] sim::Duration checkpoint_copy(std::uint64_t max_worker_pages,
                                               std::uint64_t total_pages,
-                                              std::uint32_t threads,
-                                              bool compressed = false) const;
+                                              std::uint32_t threads) const;
 
   // Encoded-stream variant: `max_worker_cpu` is the slowest worker's shard
   // cost (price each worker with encoded_shard_cpu) and the wire term

@@ -1,18 +1,9 @@
 #include "replication/wire.h"
 
+#include "common/fnv.h"
+
 namespace here::rep::wire {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv_u64(std::uint64_t acc, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    acc ^= (value >> (i * 8)) & 0xFFu;
-    acc *= kFnvPrime;
-  }
-  return acc;
-}
 
 // Serialized little-endian PageMeta record fed into the version-1 CRC.
 std::uint32_t fold_page_meta(std::uint32_t crc, const PageMeta& meta) {
@@ -70,18 +61,18 @@ bool frame_intact(const RegionFrame& frame) {
   return frame_crc(frame) == frame.crc;
 }
 
-std::uint64_t digest_init() { return kFnvOffset; }
+std::uint64_t digest_init() { return common::kFnvStreamOffset; }
 
 std::uint64_t digest_fold(std::uint64_t acc, const RegionFrame& frame) {
-  acc = fnv_u64(acc, frame.seq);
-  acc = fnv_u64(acc, frame.region);
-  acc = fnv_u64(acc, frame.gfns.size());
-  acc = fnv_u64(acc, frame.crc);
+  acc = common::fnv1a_u64(acc, frame.seq);
+  acc = common::fnv1a_u64(acc, frame.region);
+  acc = common::fnv1a_u64(acc, frame.gfns.size());
+  acc = common::fnv1a_u64(acc, frame.crc);
   if (frame.version != kWireVersionRaw) {
     // Version-1 frames additionally commit to the stream version and the
     // encoded payload size; version-0 folds stay bit-identical to PR 3.
-    acc = fnv_u64(acc, frame.version);
-    acc = fnv_u64(acc, frame.bytes.size());
+    acc = common::fnv1a_u64(acc, frame.version);
+    acc = common::fnv1a_u64(acc, frame.bytes.size());
   }
   return acc;
 }

@@ -6,11 +6,13 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "common/crc32c.h"
 #include "common/dirty_bitmap.h"
+#include "common/fnv.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "sim/rng.h"
@@ -53,6 +55,32 @@ std::uint32_t table_crc(std::span<const std::uint8_t> data) {
 
 // RFC 3720 appendix B.4 vectors plus the common "123456789" check value,
 // through both the dispatched path and the table oracle.
+// Standard 64-bit FNV-1a vectors (the reference implementation's test
+// suite), through both the byte-span and the string overloads.
+TEST(Fnv1a, KnownVectors) {
+  EXPECT_EQ(common::fnv1a(std::string_view{}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(common::fnv1a(std::string_view{"a"}), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(common::fnv1a(std::string_view{"foobar"}), 0x85944171f73967e8ULL);
+  const std::uint8_t foobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(common::fnv1a(std::span<const std::uint8_t>(foobar)),
+            0x85944171f73967e8ULL);
+  // Folding is incremental: a split input hashes like the whole.
+  EXPECT_EQ(common::fnv1a(std::string_view{"bar"},
+                          common::fnv1a(std::string_view{"foo"})),
+            0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a, U64FoldIsTheLittleEndianByteFold) {
+  const std::uint64_t v = 0x0123456789abcdefULL;
+  const std::uint8_t le[] = {0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
+  for (const std::uint64_t seed :
+       {common::kFnvOffset, common::kFnvStreamOffset}) {
+    EXPECT_EQ(common::fnv1a_u64(seed, v),
+              common::fnv1a(std::span<const std::uint8_t>(le), seed));
+  }
+  EXPECT_NE(common::kFnvStreamOffset, common::kFnvOffset);
+}
+
 TEST(Crc32c, KnownVectors) {
   std::vector<std::uint8_t> ascending(32);
   std::iota(ascending.begin(), ascending.end(), std::uint8_t{0});

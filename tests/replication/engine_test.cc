@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/trace.h"
 #include "replication/testbed.h"
 #include "workload/synthetic.h"
 
@@ -127,6 +128,41 @@ TEST(ReplicationEngine, RemusBaselineIsHomogeneous) {
   ASSERT_NE(bed.engine().replica_vm()->net_device(), nullptr);
   EXPECT_EQ(bed.engine().replica_vm()->net_device()->family(),
             hv::DeviceFamily::kXenPv);
+}
+
+// A standalone engine (no EngineEnv pool) is the only client of its private
+// migrator pool, so every burst is granted the full configured parallelism:
+// P = checkpoint_threads under HERE, 1 under Remus.
+TEST(ReplicationEngine, StandaloneGrantIsTheConfiguredParallelism) {
+  for (const EngineMode mode : {EngineMode::kHere, EngineMode::kRemus}) {
+    obs::RingBufferRecorder recorder(1u << 16);
+    obs::Tracer tracer(&recorder);
+    TestbedConfig config = small_here_config();
+    config.engine.mode = mode;
+    config.engine.checkpoint_threads = 3;
+    config.engine.tracer = &tracer;
+    Testbed bed(config);
+    ASSERT_EQ(bed.engine().env().migrator_pool, nullptr);
+    hv::Vm& vm = bed.create_vm(
+        std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(20)));
+    bed.protect(vm);
+    EXPECT_NE(bed.engine().pool_client(), MigratorPool::kInvalidClient);
+    bed.run_until_seeded(sim::from_seconds(600));
+    bed.simulation().run_for(sim::from_seconds(5));
+
+    const std::uint64_t want = mode == EngineMode::kHere ? 3 : 1;
+    std::size_t pauses = 0;
+    for (const obs::TraceEvent& e : recorder.snapshot()) {
+      EXPECT_NE(e.name, "pool.grant");  // only a shared pool traces grants
+      if (e.name != "ckpt.pause") continue;
+      ++pauses;
+      for (const auto& [key, value] : e.args) {
+        if (key == "threads") EXPECT_EQ(value.as_uint64(), want);
+      }
+    }
+    EXPECT_GT(pauses, 2u);
+    EXPECT_GE(pauses, bed.engine().stats().checkpoints.size());
+  }
 }
 
 TEST(ReplicationEngine, HangTriggersFailoverViaHeartbeat) {
