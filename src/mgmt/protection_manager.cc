@@ -66,18 +66,14 @@ void ProtectionManager::enable_fleet_scheduling(FleetConfig config) {
 }
 
 rep::MigratorPool& ProtectionManager::pool_for(hv::Host& primary) {
-  for (auto& [host, pool] : pools_) {
-    if (host == &primary) return *pool;
-  }
+  if (rep::MigratorPool* pool = migrator_pool_of(primary)) return *pool;
   pools_.emplace_back(&primary, std::make_unique<rep::MigratorPool>(
                                     sim_, fleet_.migrator_workers));
   return *pools_.back().second;
 }
 
 net::LinkArbiter& ProtectionManager::arbiter_for(hv::Host& secondary) {
-  for (auto& [host, arbiter] : arbiters_) {
-    if (host == &secondary) return *arbiter;
-  }
+  if (net::LinkArbiter* arbiter = link_arbiter_of(secondary)) return *arbiter;
   const double capacity = fleet_.link_bytes_per_second > 0.0
                               ? fleet_.link_bytes_per_second
                               : defaults_.time_model.wire_bytes_per_second;
@@ -155,6 +151,15 @@ std::size_t ProtectionManager::secondary_load_of(const hv::Host& host) const {
   return load;
 }
 
+Expected<hv::Host*> ProtectionManager::ring_secondary(
+    const std::string& domain, const hv::Host& primary,
+    const hv::Host* exclude, std::size_t protections) const {
+  return ring_->secondary_for(
+      domain, primary, exclude,
+      [this](const hv::Host& h) { return secondary_load_of(h); },
+      ring_->load_cap(protections));
+}
+
 hv::Host* ProtectionManager::pool_host_of(const hv::Vm& vm) {
   for (hv::Host* host : pool_) {
     if (host->hypervisor().owns(vm)) return host;
@@ -195,10 +200,8 @@ Expected<rep::ReplicationEngine*> ProtectionManager::protect_placed(
     return Status::invalid_argument("protect_placed: no pool host owns '" +
                                     vm.spec().name + "'");
   }
-  const Expected<hv::Host*> partner = ring_->secondary_for(
-      vm.spec().name, *home, nullptr,
-      [this](const hv::Host& h) { return secondary_load_of(h); },
-      ring_->load_cap(protections_.size() + 1));
+  const Expected<hv::Host*> partner =
+      ring_secondary(vm.spec().name, *home, nullptr, protections_.size() + 1);
   if (!partner.ok()) return partner.status();
   if (!(*partner)->alive()) {
     return Status::unavailable("protect_placed: ring secondary '" +
@@ -241,7 +244,6 @@ Status ProtectionManager::rehome_secondary(const std::string& domain,
     return Status::failed_precondition("rehome: '" + domain +
                                        "' has no authoritative VM");
   }
-  ensure_connected(*protection->primary, next);
   // Drain first: the old generation folds any in-flight epoch back and
   // resumes the guest, so the successor's start_protection sees a running
   // VM. If the successor fails to start, the protection is left drained and
@@ -251,17 +253,9 @@ Status ProtectionManager::rehome_secondary(const std::string& domain,
     return Status::failed_precondition("rehome: VM '" + domain +
                                        "' is not running");
   }
-  const std::size_t stores_before = protection->stores.size();
-  protection->engines.push_back(std::make_unique<rep::ReplicationEngine>(
-      sim_, fabric_, *protection->primary, next,
-      config_for(protection->policy),
-      env_for(*protection->primary, next, *protection)));
-  if (const Status s = protection->engines.back()->start_protection(*vm);
+  if (const Status s =
+          start_generation(*protection, *protection->primary, next, *vm);
       !s.ok()) {
-    protection->engines.pop_back();
-    while (protection->stores.size() > stores_before) {
-      protection->stores.pop_back();
-    }
     HERE_LOG(kWarn, "mgmt: re-placing '%s' -> %s failed: %s", domain.c_str(),
              next.name().c_str(), s.to_string().c_str());
     return s;
@@ -285,14 +279,16 @@ void ProtectionManager::handle_host_down(hv::Host& host) {
     rep::ReplicationEngine& engine = protection->engine();
     if (engine.failed_over() || engine.failover_in_progress()) continue;
     engine.drain("secondary host '" + host.name() + "' declared down");
-    const Expected<hv::Host*> next = ring_->secondary_for(
-        protection->domain, *protection->primary, &host,
-        [this](const hv::Host& h) { return secondary_load_of(h); },
-        ring_->load_cap(protections_.size()));
-    if (!next.ok()) continue;  // repair pass retries once hosts return
-    if (rehome_secondary(protection->domain, **next).ok()) {
-      ++placement_repairs_;
-    }
+    repair_placement(*protection, &host);
+  }
+}
+
+void ProtectionManager::repair_placement(const Protection& protection,
+                                         const hv::Host* exclude) {
+  const Expected<hv::Host*> next = ring_secondary(
+      protection.domain, *protection.primary, exclude, protections_.size());
+  if (next.ok() && rehome_secondary(protection.domain, **next).ok()) {
+    ++placement_repairs_;
   }
 }
 
@@ -307,16 +303,7 @@ void ProtectionManager::placement_tick() {
   // (the immediate rehome failed or had no candidate). Unbounded on
   // purpose — restoring protection beats balance and budgets.
   for (const auto& protection : protections_) {
-    rep::ReplicationEngine& engine = protection->engine();
-    if (!engine.drained()) continue;
-    const Expected<hv::Host*> next = ring_->secondary_for(
-        protection->domain, *protection->primary, nullptr,
-        [this](const hv::Host& h) { return secondary_load_of(h); },
-        ring_->load_cap(protections_.size()));
-    if (!next.ok()) continue;
-    if (rehome_secondary(protection->domain, **next).ok()) {
-      ++placement_repairs_;
-    }
+    if (protection->engine().drained()) repair_placement(*protection, nullptr);
   }
   // Rebalance pass: per-flow queueing share over this tick feeds the
   // bounded move plan (drift toward ring-ideal, then off saturated links).
@@ -383,6 +370,22 @@ rep::EngineEnv ProtectionManager::env_for(hv::Host& primary,
   return env;
 }
 
+Status ProtectionManager::start_generation(Protection& protection,
+                                           hv::Host& primary,
+                                           hv::Host& secondary, hv::Vm& vm) {
+  ensure_connected(primary, secondary);
+  const std::size_t stores_before = protection.stores.size();
+  protection.engines.push_back(std::make_unique<rep::ReplicationEngine>(
+      sim_, fabric_, primary, secondary, config_for(protection.policy),
+      env_for(primary, secondary, protection)));
+  const Status s = protection.engines.back()->start_protection(vm);
+  if (!s.ok()) {
+    protection.engines.pop_back();
+    protection.stores.resize(stores_before);
+  }
+  return s;
+}
+
 Expected<rep::ReplicationEngine*> ProtectionManager::protect(hv::Vm& vm,
                                                              hv::Host& home) {
   return protect(vm, home, VmPolicy{});
@@ -393,11 +396,6 @@ Expected<rep::ReplicationEngine*> ProtectionManager::protect(
   if (std::ranges::find(pool_, &home) == pool_.end()) {
     return Status::invalid_argument("protect: home host '" + home.name() +
                                     "' not in the pool");
-  }
-  if (defaults_.mode == rep::EngineMode::kRemus) {
-    return Status::invalid_argument(
-        "protect: ProtectionManager pairs heterogeneous hosts, which the "
-        "Remus baseline cannot replicate across");
   }
   hv::Host* partner = pick_partner(home);
   if (partner == nullptr) {
@@ -421,7 +419,6 @@ Expected<rep::ReplicationEngine*> ProtectionManager::protect_on(
   if (const Status s = rep::validate_replication_config(config); !s.ok()) {
     return s;
   }
-  ensure_connected(home, partner);
 
   auto protection = std::make_unique<Protection>();
   protection->domain = vm.spec().name;
@@ -429,10 +426,7 @@ Expected<rep::ReplicationEngine*> ProtectionManager::protect_on(
   protection->secondary = &partner;
   protection->vm = &vm;
   protection->policy = policy;
-  protection->engines.push_back(std::make_unique<rep::ReplicationEngine>(
-      sim_, fabric_, home, partner, config,
-      env_for(home, partner, *protection)));
-  if (const Status s = protection->engines.back()->start_protection(vm);
+  if (const Status s = start_generation(*protection, home, partner, vm);
       !s.ok()) {
     return s;  // the half-built Protection dies with this scope
   }
@@ -480,26 +474,16 @@ void ProtectionManager::policy_tick() {
       // Placement-aware re-protection: the ring picks the new secondary so
       // post-failover topology stays consistent with what the rebalancer
       // will later converge toward.
-      const Expected<hv::Host*> choice = ring_->secondary_for(
-          protection->domain, *survivor, nullptr,
-          [this](const hv::Host& h) { return secondary_load_of(h); },
-          ring_->load_cap(protections_.size()));
+      const Expected<hv::Host*> choice = ring_secondary(
+          protection->domain, *survivor, nullptr, protections_.size());
       if (choice.ok() && (*choice)->alive()) next = *choice;
     }
     if (next == nullptr) next = pick_partner(*survivor);
     if (next == nullptr) continue;  // no live heterogeneous partner yet
-    ensure_connected(*survivor, *next);
     const sim::TimePoint detected = engine.stats().failure_detected_at;
-    const std::size_t stores_before = protection->stores.size();
-    protection->engines.push_back(std::make_unique<rep::ReplicationEngine>(
-        sim_, fabric_, *survivor, *next, config_for(protection->policy),
-        env_for(*survivor, *next, *protection)));
-    if (const Status s = protection->engines.back()->start_protection(*replica);
+    if (const Status s =
+            start_generation(*protection, *survivor, *next, *replica);
         !s.ok()) {
-      protection->engines.pop_back();
-      while (protection->stores.size() > stores_before) {
-        protection->stores.pop_back();
-      }
       HERE_LOG(kWarn, "mgmt: re-protecting '%s' failed: %s",
                protection->domain.c_str(), s.to_string().c_str());
       continue;

@@ -277,11 +277,20 @@ class ProtectionManager {
   [[nodiscard]] std::size_t load_of(const hv::Host& host) const;
   [[nodiscard]] std::size_t secondary_load_of(const hv::Host& host) const;
   [[nodiscard]] hv::Host* pool_host_of(const hv::Vm& vm);
+  // The ring's secondary for `domain`, balancing by secondary load under the
+  // cap for a fleet of `protections` protected VMs.
+  [[nodiscard]] Expected<hv::Host*> ring_secondary(
+      const std::string& domain, const hv::Host& primary,
+      const hv::Host* exclude, std::size_t protections) const;
   // Shared tail of protect()/protect_placed(): validates the effective
-  // config, connects the pair and starts generation 1.
+  // config and starts generation 1.
   [[nodiscard]] Expected<rep::ReplicationEngine*> protect_on(
       hv::Vm& vm, hv::Host& home, hv::Host& partner, const VmPolicy& policy);
   void handle_host_down(hv::Host& host);
+  // Re-places a drained protection's replica on the ring's secondary
+  // (skipping `exclude`); a failure or no candidate is retried by the
+  // placement tick's repair pass.
+  void repair_placement(const Protection& protection, const hv::Host* exclude);
   void handle_host_admitted(hv::Host& host);
   void placement_tick();
   void policy_tick();
@@ -295,6 +304,13 @@ class ProtectionManager {
   // durable replicas are on.
   [[nodiscard]] rep::EngineEnv env_for(hv::Host& primary, hv::Host& secondary,
                                        Protection& protection);
+  // Connects the pair, pushes a new engine generation (primary -> secondary,
+  // the protection's policy) and starts it on `vm`. On failure the
+  // generation and any store created for it are rolled back and the status
+  // is returned.
+  [[nodiscard]] Status start_generation(Protection& protection,
+                                        hv::Host& primary,
+                                        hv::Host& secondary, hv::Vm& vm);
 
   sim::Simulation& sim_;
   net::Fabric& fabric_;

@@ -377,6 +377,16 @@ Expected<RecoveryResult> RecoveryManager::recover(
         std::to_string(up_to_epoch));
   }
 
+  // Geometry first: a page past the image end refuses the whole snapshot
+  // before anything is installed.
+  for (const auto& [gfn, bytes] : (*snap).pages) {
+    if (gfn >= staging.spec().pages) {
+      return Status::data_loss(
+          "snapshot page " + std::to_string(gfn) + " lies outside the " +
+          std::to_string(staging.spec().pages) + "-page replica image");
+    }
+  }
+
   RecoveryResult result;
   result.snapshot_epoch = (*snap).epoch;
   result.bytes_read = store_.snapshot_bytes();

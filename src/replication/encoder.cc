@@ -143,33 +143,7 @@ EncoderPipeline::EncoderPipeline(EncoderConfig config, std::uint64_t pages)
     committed_hash_.assign(pages_, 0);
     has_ref_.assign(pages_, 0);
   }
-  if (config_.delta && config_.shadow_budget_bytes == 0) {
-    shadow_.assign(pages_ * kPageSize, 0);
-  }
-}
-
-const std::uint8_t* EncoderPipeline::shadow_base(common::Gfn gfn) const {
-  if (!config_.delta) return nullptr;
-  if (config_.shadow_budget_bytes == 0) {
-    return shadow_.data() + gfn * kPageSize;
-  }
-  const auto it = shadow_lru_.find(gfn);
-  return it == shadow_lru_.end() ? nullptr : it->second.content.data();
-}
-
-void EncoderPipeline::evict_to_budget() {
-  // Deterministic victim order: smallest (last_use, gfn). std::map iterates
-  // in gfn order, so the first entry at the minimum tick is the victim.
-  while (shadow_lru_bytes_ > config_.shadow_budget_bytes &&
-         !shadow_lru_.empty()) {
-    auto victim = shadow_lru_.begin();
-    for (auto it = std::next(victim); it != shadow_lru_.end(); ++it) {
-      if (it->second.last_use < victim->second.last_use) victim = it;
-    }
-    shadow_lru_bytes_ -= victim->second.content.size();
-    shadow_lru_.erase(victim);
-    ++stats_.shadow_evictions;
-  }
+  if (config_.delta) shadow_.assign(pages_ * kPageSize, 0);
 }
 
 void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
@@ -181,23 +155,10 @@ void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
       has_ref_[g] = 1;
     }
   }
-  if (config_.delta && config_.shadow_budget_bytes == 0) {
+  if (config_.delta) {
     for (common::Gfn g = 0; g < pages_; ++g) {
       const auto page = memory.page(g);
       std::memcpy(shadow_.data() + g * kPageSize, page.data(), kPageSize);
-    }
-  } else if (config_.delta) {
-    shadow_lru_.clear();
-    shadow_lru_bytes_ = 0;
-    use_tick_ = 0;
-    for (common::Gfn g = 0; g < pages_; ++g) {
-      if (shadow_lru_bytes_ + kPageSize > config_.shadow_budget_bytes) break;
-      const auto page = memory.page(g);
-      ShadowEntry entry;
-      entry.content.assign(page.begin(), page.end());
-      entry.last_use = 0;
-      shadow_lru_bytes_ += entry.content.size();
-      shadow_lru_.emplace(g, std::move(entry));
     }
   }
 }
@@ -241,21 +202,17 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
         encoded = true;
         ++local.pages_skipped;
       } else if (config_.delta) {
-        // An LRU-evicted shadow means no base to delta against: fall
-        // through to raw (and pay no delta CPU).
-        if (const std::uint8_t* base_ptr = shadow_base(gfn);
-            base_ptr != nullptr) {
-          const std::span<const std::uint8_t> base{base_ptr, kPageSize};
-          std::vector<std::uint8_t> enc = xor_rle_encode(page, base);
-          ++work.delta_pages;
-          if (enc.size() < kPageSize) {
-            meta.enc = wire::PageEncoding::kDelta;
-            meta.aux = committed_hash_[gfn];
-            meta.length = static_cast<std::uint32_t>(enc.size());
-            frame.bytes.insert(frame.bytes.end(), enc.begin(), enc.end());
-            encoded = true;
-            ++local.pages_delta;
-          }
+        const std::span<const std::uint8_t> base{
+            shadow_.data() + gfn * kPageSize, kPageSize};
+        std::vector<std::uint8_t> enc = xor_rle_encode(page, base);
+        ++work.delta_pages;
+        if (enc.size() < kPageSize) {
+          meta.enc = wire::PageEncoding::kDelta;
+          meta.aux = committed_hash_[gfn];
+          meta.length = static_cast<std::uint32_t>(enc.size());
+          frame.bytes.insert(frame.bytes.end(), enc.begin(), enc.end());
+          encoded = true;
+          ++local.pages_delta;
         }
       }
     }
@@ -299,26 +256,17 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
 
 void EncoderPipeline::commit_epoch() {
   std::lock_guard lock(mu_);
-  ++use_tick_;
-  for (PendingPage& p : pending_) {
+  for (const PendingPage& p : pending_) {
     if (!committed_hash_.empty()) {
       committed_hash_[p.gfn] = p.hash;
       has_ref_[p.gfn] = 1;
     }
     if (config_.delta && !p.content.empty()) {
-      if (config_.shadow_budget_bytes == 0) {
-        std::memcpy(shadow_.data() + p.gfn * kPageSize, p.content.data(),
-                    kPageSize);
-      } else {
-        auto [it, inserted] = shadow_lru_.try_emplace(p.gfn);
-        if (inserted) shadow_lru_bytes_ += p.content.size();
-        it->second.content = std::move(p.content);
-        it->second.last_use = use_tick_;
-      }
+      std::memcpy(shadow_.data() + p.gfn * kPageSize, p.content.data(),
+                  kPageSize);
     }
   }
   pending_.clear();
-  if (config_.delta && config_.shadow_budget_bytes > 0) evict_to_budget();
 }
 
 void EncoderPipeline::abort_epoch() {
@@ -332,26 +280,12 @@ void EncoderPipeline::invalidate_region(std::uint32_t region) {
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
       std::min(first + common::kPagesPerRegion, pages_);
-  for (std::uint64_t g = first; g < last; ++g) {
-    has_ref_[g] = 0;
-    // Invalid references make the shadow dead weight; give its bytes back.
-    if (const auto it = shadow_lru_.find(g); it != shadow_lru_.end()) {
-      shadow_lru_bytes_ -= it->second.content.size();
-      shadow_lru_.erase(it);
-    }
-  }
+  for (std::uint64_t g = first; g < last; ++g) has_ref_[g] = 0;
 }
 
 EncodeStats EncoderPipeline::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
-}
-
-std::uint64_t EncoderPipeline::shadow_bytes() const {
-  std::lock_guard lock(mu_);
-  return config_.shadow_budget_bytes == 0
-             ? static_cast<std::uint64_t>(shadow_.size())
-             : shadow_lru_bytes_;
 }
 
 }  // namespace here::rep

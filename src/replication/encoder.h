@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -47,13 +46,6 @@ struct EncoderConfig {
   bool zero_elide = false;
   bool delta = false;
   bool hash_skip = false;
-  // Byte budget for the delta shadow (the per-page committed copies). 0
-  // keeps the unbounded flat shadow, byte-identical to the original
-  // behaviour. When > 0, shadows live in an LRU-bounded store: the pages
-  // least recently (re)committed are evicted first at each epoch commit,
-  // and a page whose shadow was evicted falls back to raw encode (hash-skip
-  // still works — hashes are 8 bytes and never evicted).
-  std::uint64_t shadow_budget_bytes = 0;
 
   [[nodiscard]] bool any() const { return zero_elide || delta || hash_skip; }
   [[nodiscard]] static EncoderConfig all() { return {true, true, true}; }
@@ -70,8 +62,6 @@ struct EncodeStats {
   std::uint64_t pages_skipped = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  // Delta shadows evicted under EncoderConfig::shadow_budget_bytes.
-  std::uint64_t shadow_evictions = 0;
 };
 
 // Per-worker cycle-cost inputs for one epoch's encode shards (real page
@@ -150,27 +140,12 @@ class EncoderPipeline {
 
   [[nodiscard]] EncodeStats stats() const;
 
-  // Bytes currently held by delta shadows (pages_ * kPageSize on the
-  // unbounded flat path; the LRU store's residency under a budget).
-  [[nodiscard]] std::uint64_t shadow_bytes() const;
-
  private:
   struct PendingPage {
     common::Gfn gfn = 0;
     std::uint64_t hash = 0;
     std::vector<std::uint8_t> content;  // non-empty only when delta is on
   };
-  struct ShadowEntry {
-    std::vector<std::uint8_t> content;  // kPageSize bytes
-    std::uint64_t last_use = 0;         // commit tick of the last (re)write
-  };
-
-  // Shadow bytes for `gfn`, or nullptr when delta is off or the LRU store
-  // evicted it. Like the committed references, shadows are only mutated on
-  // the sim thread between epochs, so encode workers read without mu_.
-  [[nodiscard]] const std::uint8_t* shadow_base(common::Gfn gfn) const;
-  // Drops smallest-(last_use, gfn) entries until the budget holds.
-  void evict_to_budget();
 
   EncoderConfig config_;
   std::uint64_t pages_ = 0;
@@ -181,11 +156,10 @@ class EncoderPipeline {
                                   "rep.encoder_state"};
   std::vector<std::uint64_t> committed_hash_;  // per gfn
   std::vector<std::uint8_t> has_ref_;          // per gfn: reference valid
-  std::vector<std::uint8_t> shadow_;           // pages_ * kPageSize when delta
-                                               // and no budget is set
-  std::map<common::Gfn, ShadowEntry> shadow_lru_;  // budgeted path
-  std::uint64_t shadow_lru_bytes_ = 0;
-  std::uint64_t use_tick_ = 0;
+  // Committed copy of every page, pages_ * kPageSize when delta is on. Like
+  // the references, only mutated on the sim thread between epochs, so
+  // encode workers read it without mu_.
+  std::vector<std::uint8_t> shadow_;
   std::vector<PendingPage> pending_;
   EncodeStats stats_;
 };

@@ -37,19 +37,10 @@ void Migrator::migrate(hv::Vm& vm, DoneFn done) {
         destination_.hypervisor().default_cpuid());
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->instant(sim_.now(), "migrate.start", "migrate",
-                     {{"vm", vm.spec().name},
-                      {"src", source_.name()},
-                      {"dst", destination_.name()}});
-  }
-
-  staging_ = std::make_unique<ReplicaStaging>(
-      vm.spec(),
-      seed_config_.mode == SeedMode::kHereMultithreaded ? vm.spec().vcpus : 1);
+  staging_ = std::make_unique<ReplicaStaging>(vm.spec(), 1);
   seeder_ = std::make_unique<Seeder>(sim_, model_, pool_,
                                      source_.hypervisor(), vm, *staging_,
-                                     seed_config_, tracer_);
+                                     seed_config_);
   seeder_->start([this](const SeedResult& result) {
     result_.seed = result;
     activate_on_destination();
@@ -74,17 +65,10 @@ void Migrator::activate_on_destination() {
   }
 
   const hv::HvCostProfile& cost = destination_.hypervisor().cost_profile();
-  sim::Duration d = model_.wire_time(wire_bytes) +
-                    translate_cost + cost.create_vm_base +
-                    cost.per_device_setup * 3 + cost.state_load +
-                    cost.vm_resume;
-  // An injected migrator stall holds the source paused and pushes the
-  // destination activation (and thus downtime) out by its duration.
-  if (pending_stall_ > sim::Duration::zero()) {
-    d += pending_stall_;
-    injected_stall_ += pending_stall_;
-    pending_stall_ = {};
-  }
+  const sim::Duration d = model_.wire_time(wire_bytes) +
+                          translate_cost + cost.create_vm_base +
+                          cost.per_device_setup * 3 + cost.state_load +
+                          cost.vm_resume;
 
   sim_.schedule_after(d, [this, to_load = std::shared_ptr<hv::SavedMachineState>(
                                     std::move(to_load))] {
@@ -111,12 +95,6 @@ void Migrator::activate_on_destination() {
     HERE_LOG(kInfo, "migration done in %s (downtime %s)",
              sim::format_duration(result_.total_time).c_str(),
              sim::format_duration(result_.downtime).c_str());
-    if (tracer_ != nullptr) {
-      tracer_->instant(sim_.now(), "migrate.done", "migrate",
-                       {{"total_ns", result_.total_time.count()},
-                        {"downtime_ns", result_.downtime.count()},
-                        {"translated", result_.translated}});
-    }
     if (done_) done_(result_);
   }, "migrate-activate");
 }

@@ -31,22 +31,9 @@ class Migrator {
            common::ThreadPool& pool, hv::Host& source, hv::Host& destination,
            SeedConfig seed_config);
 
-  // Optional observability: the tracer (borrowed, may be null) receives
-  // migrate.start/migrate.done instants plus the underlying Seeder's "seed"
-  // spans. Must be set before migrate().
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   // Migrates `vm` (owned by the source host's hypervisor; any kind). On
   // completion the source VM is destroyed and the destination VM is running.
   void migrate(hv::Vm& vm, DoneFn done);
-
-  // Fault-injection hook (src/faults): a wedged migrator thread delays the
-  // destination activation by `stall` (added to downtime). Accumulates if
-  // injected repeatedly before the stop-and-copy completes.
-  void inject_stall(sim::Duration stall) {
-    if (stall > sim::Duration::zero()) pending_stall_ += stall;
-  }
-  [[nodiscard]] sim::Duration injected_stall() const { return injected_stall_; }
 
   [[nodiscard]] hv::Vm* destination_vm() { return dest_vm_; }
 
@@ -59,7 +46,6 @@ class Migrator {
   hv::Host& source_;
   hv::Host& destination_;
   SeedConfig seed_config_;
-  obs::Tracer* tracer_ = nullptr;
 
   hv::Vm* vm_ = nullptr;
   hv::Vm* dest_vm_ = nullptr;
@@ -67,8 +53,6 @@ class Migrator {
   std::unique_ptr<Seeder> seeder_;
   DoneFn done_;
   sim::TimePoint started_at_{};
-  sim::Duration pending_stall_{};   // injected, not yet paid
-  sim::Duration injected_stall_{};  // total paid so far
   MigrationResult result_;
 };
 

@@ -1,7 +1,5 @@
 #include "replication/period_manager.h"
 
-#include <stdexcept>
-
 namespace here::rep {
 
 Status check_period_config(const PeriodConfig& config) {
@@ -20,12 +18,6 @@ Status check_period_config(const PeriodConfig& config) {
         "PeriodConfig: adaptive_remus_io_period must be positive");
   }
   return Status::ok_status();
-}
-
-void validate_period_config(const PeriodConfig& config) {
-  if (const Status s = check_period_config(config); !s.ok()) {
-    throw std::invalid_argument(s.message());
-  }
 }
 
 namespace {

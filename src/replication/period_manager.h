@@ -61,10 +61,6 @@ struct PeriodConfig {
 // territory.
 [[nodiscard]] Status check_period_config(const PeriodConfig& config);
 
-// Throwing wrapper kept for pre-Status callers: std::invalid_argument with
-// the same message.
-void validate_period_config(const PeriodConfig& config);
-
 class PeriodManager {
  public:
   explicit PeriodManager(PeriodConfig config);
@@ -76,9 +72,6 @@ class PeriodManager {
   // (and, for the Adaptive Remus policy, whether the epoch carried guest
   // I/O); recomputes T for the next epoch.
   void observe_epoch(sim::Duration t_curr, bool io_active = false);
-
-  // Back-compat spelling used by Algorithm 1 call sites and tests.
-  void observe_pause(sim::Duration t_curr) { observe_epoch(t_curr, false); }
 
   [[nodiscard]] double last_degradation() const { return d_curr_; }
   [[nodiscard]] PeriodPolicy effective_policy() const { return policy_; }

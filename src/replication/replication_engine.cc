@@ -918,8 +918,8 @@ void ReplicationEngine::run_checkpoint() {
     f.gfns = std::move(region_gfns[r]);
     frames.push_back(std::move(f));
   }
-  std::uint64_t encoded_bytes = 0;      // encoded payload, real bytes
-  std::uint64_t raw_pages_total = 0;    // pages that fell back to full copy
+  std::uint64_t payload_bytes = 0;      // sealed payload, real bytes
+  std::uint64_t raw_pages_total = 0;    // pages that took the full copy
   sim::Duration worker_cpu_critical{};  // slowest shard: raw copies + encode
   sim::Duration encode_cpu_total{};     // all workers' encode cycles
   if (encoder_ == nullptr) {
@@ -929,7 +929,10 @@ void ReplicationEngine::run_checkpoint() {
         const auto page = vm_->memory().page(g);
         f.bytes.insert(f.bytes.end(), page.begin(), page.end());
       }
+      payload_bytes += f.bytes.size();
     }
+    worker_cpu_critical = model_.shard_cpu(max_worker * scale, p, {});
+    raw_pages_total = captured;
   } else {
     // Encode shards: worker w owns frames w, w+p, ... (disjoint), granted
     // pool work tagged kEncode so fleet accounting sees the stage. The
@@ -949,10 +952,10 @@ void ReplicationEngine::run_checkpoint() {
           w.zero_scans * scale, w.hashes * scale, w.delta_pages * scale);
       worker_cpu_critical =
           std::max(worker_cpu_critical,
-                   model_.encoded_shard_cpu(w.raw_pages * scale, p, enc_cost));
+                   model_.shard_cpu(w.raw_pages * scale, p, enc_cost));
       encode_cpu_total += enc_cost;
       raw_pages_total += w.raw_pages;
-      encoded_bytes += w.bytes_out;
+      payload_bytes += w.bytes_out;
     }
     const EncodeStats enc_now = encoder_->stats();
     if (config_.tracer != nullptr && captured > 0) {
@@ -1008,10 +1011,7 @@ void ReplicationEngine::run_checkpoint() {
   // PeriodManager/Algorithm 1 re-optimise T and P against.
   const sim::Duration scan_cost = model_.scan(pages * scale, p);
   sim::Duration copy_cost =
-      encoder_ != nullptr
-          ? model_.checkpoint_copy_encoded(worker_cpu_critical,
-                                           encoded_bytes * scale)
-          : model_.checkpoint_copy(max_worker * scale, captured * scale, p);
+      model_.checkpoint_copy(worker_cpu_critical, payload_bytes * scale);
   // Selective retransmissions re-ship their regions' payloads (as sealed,
   // i.e. encoded when encoders are on): the repair happens inside the
   // epoch's transfer window, inflating it.
@@ -1034,10 +1034,7 @@ void ReplicationEngine::run_checkpoint() {
   // would, so it folds into copy_cost (and from there into the pause or the
   // background push). Uncontended grants have actual == ideal: zero stretch,
   // byte-identical to the dedicated-wire model.
-  const std::uint64_t wire_bytes =
-      (encoder_ != nullptr ? encoded_bytes * scale
-                           : common::pages_to_bytes(captured * scale)) +
-      disk_bytes;
+  const std::uint64_t wire_bytes = payload_bytes * scale + disk_bytes;
   if (env_.link_arbiter != nullptr) {
     const net::LinkArbiter::Reservation res =
         env_.link_arbiter->request(arb_flow_, wire_bytes);
@@ -1127,15 +1124,13 @@ void ReplicationEngine::run_checkpoint() {
 
   // §8.7: CPU-seconds burnt by the replication threads (work, not makespan).
   // The encoder's cycles are work too — every worker's, not just the
-  // critical path's. With encoders on, only the raw-fallback pages did the
-  // full stream copy; collapsed pages' cycles are in encode_cpu_total.
+  // critical path's. Only the raw pages did the full stream copy; collapsed
+  // pages' cycles are in encode_cpu_total.
   const double copy_eff = TimeModel::efficiency(model_.config().copy_eff, p);
-  const std::uint64_t copied_pages =
-      encoder_ != nullptr ? raw_pages_total : captured;
   const sim::Duration cpu_work =
       sim::Duration{static_cast<std::int64_t>(
           static_cast<double>(model_.config().per_page_copy.count()) *
-          static_cast<double>(copied_pages * scale) / copy_eff)} +
+          static_cast<double>(raw_pages_total * scale) / copy_eff)} +
       scan_cost * static_cast<std::int64_t>(p) +
       model_.config().checkpoint_setup + encode_cpu_total;
   stats_.replication_cpu += cpu_work;
@@ -1427,8 +1422,7 @@ void ReplicationEngine::watchdog_check() {
   if (stats_.failed_over || drained_) return;
   if (secondary_.alive() && seeded_ && !failover_in_progress_ &&
       !probe_in_flight_) {
-    if (sim_.now() - last_heartbeat_rx_ > config_.heartbeat_timeout &&
-        config_.auto_failover) {
+    if (sim_.now() - last_heartbeat_rx_ > config_.heartbeat_timeout) {
       on_heartbeat_lost();
     } else {
       // Active detectors (starvation, guest watchdog, intrusion detection):

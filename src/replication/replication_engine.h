@@ -147,8 +147,6 @@ struct ReplicationConfig {
   sim::Duration heartbeat_interval = sim::from_millis(25);
   sim::Duration heartbeat_timeout = sim::from_millis(100);
   TimeModelConfig time_model;
-  // Activate the replica automatically when the heartbeat lapses.
-  bool auto_failover = true;
   // Content-aware checkpoint encoders (src/replication/encoder.h): shrink
   // what reaches the migrator pool and the wire (zero elision, XOR-delta,
   // content-hash skip) on wire version 1. All-off keeps the engine on wire
@@ -396,7 +394,6 @@ class ReplicationEngine {
   [[nodiscard]] bool service_available();
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  [[nodiscard]] EngineStats& mutable_stats() { return stats_; }
   [[nodiscard]] OutboundBuffer& outbound() { return outbound_; }
   [[nodiscard]] ReplicaStaging* staging() { return staging_.get(); }
   [[nodiscard]] PeriodManager& period_manager() { return period_; }

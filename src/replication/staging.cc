@@ -1,7 +1,6 @@
 #include "replication/staging.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/fnv.h"
 #include "replication/durable_store.h"
@@ -11,10 +10,10 @@ namespace here::rep {
 
 using common::kPageSize;
 
-ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers)
+ReplicaStaging::ReplicaStaging(const hv::VmSpec& spec,
+                               std::uint32_t /*workers*/)
     : spec_(spec),
       memory_(spec.pages, spec.vcpus),
-      buffers_(std::max<std::uint32_t>(1, workers)),
       page_digests_(spec.pages, 0),
       page_digest_valid_(spec.pages, 0) {}
 
@@ -28,23 +27,10 @@ void ReplicaStaging::install_seed_page(common::Gfn gfn,
 void ReplicaStaging::begin_epoch(std::uint64_t epoch) {
   std::lock_guard lock(commit_mu_);
   open_epoch_ = epoch;
-  for (auto& b : buffers_) {
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   expectation_armed_ = false;
   expected_ = {};
   frames_.clear();
   corrupt_regions_.clear();
-}
-
-void ReplicaStaging::buffer_page(std::uint32_t worker, common::Gfn gfn,
-                                 std::span<const std::uint8_t> bytes) {
-  WorkerBuffer& buf = buffers_.at(worker);
-  buf.gfns.push_back(gfn);
-  const std::size_t off = buf.bytes.size();
-  buf.bytes.resize(off + kPageSize);
-  std::memcpy(buf.bytes.data() + off, bytes.data(), kPageSize);
 }
 
 void ReplicaStaging::buffer_disk_writes(std::vector<hv::DiskWrite> writes) {
@@ -74,26 +60,25 @@ FrameVerdict ReplicaStaging::receive_frame(const wire::RegionFrame& frame) {
   if (frames_.contains(frame.seq)) return FrameVerdict::kDuplicate;
   // Version discipline: a frame beyond this replica's decoder, or one that
   // disagrees with the version the epoch header announced, can never decode
-  // — NACK it like any other damage.
-  if (frame.version > advertised_version_ ||
-      (expectation_armed_ && frame.version != expected_.version)) {
-    corrupt_regions_.insert(frame.region);
-    return FrameVerdict::kCorrupt;
-  }
-  if (!wire::frame_intact(frame)) {
+  // — NACK it like any other damage, as is a frame whose pages do not fit
+  // its region or the VM (it would write outside the image or the region's
+  // digest reference).
+  const bool decodable =
+      frame.version <= advertised_version_ &&
+      (!expectation_armed_ || frame.version == expected_.version);
+  const bool fits =
+      frame.region < region_count() &&
+      std::ranges::all_of(frame.gfns, [&](common::Gfn gfn) {
+        return gfn < spec_.pages &&
+               gfn / common::kPagesPerRegion == frame.region;
+      });
+  if (!decodable || !fits || !wire::frame_intact(frame)) {
     corrupt_regions_.insert(frame.region);
     return FrameVerdict::kCorrupt;
   }
   corrupt_regions_.erase(frame.region);
   frames_.emplace(frame.seq, frame);
   return FrameVerdict::kOk;
-}
-
-std::uint64_t ReplicaStaging::buffered_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& b : buffers_) total += b.bytes.size();
-  for (const auto& [seq, frame] : frames_) total += frame.bytes.size();
-  return total;
 }
 
 std::uint32_t ReplicaStaging::region_count() const {
@@ -151,7 +136,14 @@ void ReplicaStaging::baseline_region_digests() {
 
 Expected<std::uint64_t> ReplicaStaging::commit() {
   std::lock_guard lock(commit_mu_);
-  peak_buffered_ = std::max(peak_buffered_, buffered_bytes());
+  std::uint64_t buffered = 0;
+  for (const auto& [seq, frame] : frames_) buffered += frame.bytes.size();
+  peak_buffered_ = std::max(peak_buffered_, buffered);
+  if (!expectation_armed_ && !frames_.empty()) {
+    return Status::data_loss("epoch " + std::to_string(open_epoch_) + ": " +
+                             std::to_string(frames_.size()) +
+                             " frame(s) arrived with no epoch header");
+  }
   if (expectation_armed_) {
     // Refuse-before-apply: a rejected epoch leaves the committed image
     // untouched, exactly like an abort.
@@ -191,14 +183,11 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
     }
     decoded.emplace(seq, std::move(*d));
   }
-  // Durable capture: only the verified frame path can be re-described as a
-  // WAL record; commits that carry worker-buffered pages (seeding, legacy
-  // path) persist as full snapshots. The record takes the epoch header now
-  // and the frames and disk writes once the apply below is done with them.
-  bool worker_pages = false;
-  for (const auto& b : buffers_) worker_pages |= !b.gfns.empty();
-  const bool log_epoch =
-      durable_ != nullptr && expectation_armed_ && !worker_pages;
+  // Durable capture: a verified epoch is re-described as a WAL record; a
+  // seed commit (no header) persists as a full snapshot. The record takes
+  // the epoch header now and the frames and disk writes once the apply
+  // below is done with them.
+  const bool log_epoch = durable_ != nullptr && expectation_armed_;
   WalRecord durable_record;
   if (log_epoch) {
     durable_record.epoch = open_epoch_;
@@ -207,18 +196,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
   }
   std::uint64_t applied = 0;
   std::set<std::uint32_t> touched;
-  for (auto& b : buffers_) {
-    for (std::size_t i = 0; i < b.gfns.size(); ++i) {
-      memory_.install_page(
-          b.gfns[i], {b.bytes.data() + i * kPageSize, kPageSize});
-      page_digest_valid_[b.gfns[i]] = 0;
-      touched.insert(
-          static_cast<std::uint32_t>(b.gfns[i] / common::kPagesPerRegion));
-      ++applied;
-    }
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   // Seq order: a retransmitted frame (higher seq, same region) lands after
   // the original, so the last writer wins deterministically.
   for (const auto& [seq, frame] : frames_) {
@@ -277,10 +254,6 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
 
 void ReplicaStaging::abort_epoch() {
   std::lock_guard lock(commit_mu_);
-  for (auto& b : buffers_) {
-    b.gfns.clear();
-    b.bytes.clear();
-  }
   pending_disk_writes_.clear();
   pending_state_.reset();
   pending_program_.reset();

@@ -1,7 +1,7 @@
 // Replica-side checkpoint staging.
 //
-// The replica never applies incoming pages directly to its VM image:
-// an epoch's pages are buffered and applied atomically when the whole
+// The replica never applies incoming pages directly to its VM image: an
+// epoch's verified frames are staged and applied atomically when the whole
 // checkpoint has arrived (then ACKed). If the primary dies mid-transfer the
 // partial epoch is discarded and the replica activates the last *committed*
 // checkpoint — the rollback property of asynchronous state replication.
@@ -31,15 +31,17 @@ class DurableStore;
 
 // Outcome of offering one wire frame to the staging area.
 enum class FrameVerdict : std::uint8_t {
-  kOk,          // verified and buffered (also: a retransmit that repaired)
+  kOk,          // verified and staged (also: a retransmit that repaired)
   kDuplicate,   // seq already verified this epoch; ignored
-  kCorrupt,     // CRC/length check failed; region queued for retransmission
+  kCorrupt,     // CRC/length/geometry check failed; region queued for
+                // retransmission
   kWrongEpoch,  // frame does not belong to the open epoch; ignored
 };
 
 class ReplicaStaging {
  public:
-  // `workers` = number of migrator threads that may buffer concurrently.
+  // `workers` is unused: frames are staged under one lock, so no per-worker
+  // state exists. The parameter stays for existing two-argument callers.
   ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers);
 
   [[nodiscard]] const hv::VmSpec& spec() const { return spec_; }
@@ -59,22 +61,14 @@ class ReplicaStaging {
     disk_.clear_faults();
   }
 
-  // --- Continuous phase: epoch buffering --------------------------------------
+  // --- Continuous phase: verified frames (checkpoint wire format) ------------
+  //
+  // The engine opens the epoch, announces its header, then offers frames as
+  // they come off the interconnect (in any order — duplicates and reordering
+  // are absorbed here). commit() refuses the epoch unless every expected
+  // frame verified and the recomputed rolling digest matches the header.
 
   void begin_epoch(std::uint64_t epoch);
-  [[nodiscard]] std::uint64_t open_epoch() const { return open_epoch_; }
-
-  // Buffers one page for the open epoch. Thread-safe across distinct
-  // `worker` indices (each worker owns its buffer).
-  void buffer_page(std::uint32_t worker, common::Gfn gfn,
-                   std::span<const std::uint8_t> bytes);
-
-  // --- Verified frame path (checkpoint wire format) ---------------------------
-  //
-  // The engine announces the epoch header, then offers frames as they come
-  // off the interconnect (in any order — duplicates and reordering are
-  // absorbed here). commit() refuses the epoch unless every expected frame
-  // verified and the recomputed rolling digest matches the header.
 
   // Highest wire version this replica's *build* can decode.
   [[nodiscard]] static constexpr std::uint16_t supported_wire_version() {
@@ -98,9 +92,10 @@ class ReplicaStaging {
   void expect_epoch(const wire::EpochHeader& header);
   [[nodiscard]] bool expectation_armed() const { return expectation_armed_; }
 
-  // Verifies and buffers one frame. A corrupt frame marks its region for
-  // selective retransmission; a later intact frame with the same seq repairs
-  // it (returns kOk).
+  // Verifies and stages one frame. A corrupt frame — damaged in flight, of
+  // an undecodable version, or with a page outside its region or the VM —
+  // marks its region for selective retransmission; a later intact frame with
+  // the same seq repairs it (returns kOk).
   FrameVerdict receive_frame(const wire::RegionFrame& frame);
 
   // Regions whose frames failed verification and have not yet been repaired
@@ -119,13 +114,13 @@ class ReplicaStaging {
   void set_pending_state(std::unique_ptr<hv::SavedMachineState> state);
   void set_pending_program(std::unique_ptr<hv::GuestProgram> program);
 
-  // Atomically applies the open epoch and returns pages applied. With an
-  // expectation armed (verified frame path) the commit is refused — nothing
-  // applied, kDataLoss — when frames are missing or corrupt, the recomputed
-  // rolling digest disagrees with the epoch header, or an encoded frame's
-  // delta/skip base disagrees with the committed image (version-1 frames are
-  // decoded *before* anything is applied). Without an expectation (legacy
-  // worker-buffer path) the commit is unconditional.
+  // Atomically applies the open epoch and returns pages applied. The commit
+  // is refused — nothing applied, kDataLoss — when frames are missing or
+  // corrupt, the recomputed rolling digest disagrees with the epoch header,
+  // or an encoded frame's delta/skip base disagrees with the committed image
+  // (version-1 frames are decoded *before* anything is applied). Without an
+  // armed header only a seed epoch commits: frames that arrived with no
+  // header to verify them against are refused.
   [[nodiscard]] Expected<std::uint64_t> commit();
 
   // Discards a partially received epoch (primary failed mid-checkpoint).
@@ -174,24 +169,18 @@ class ReplicaStaging {
 
   // --- §8.7 accounting ---------------------------------------------------------
 
+  // Largest frame payload staged for one epoch so far.
   [[nodiscard]] std::uint64_t peak_buffered_bytes() const { return peak_buffered_; }
 
  private:
-  struct WorkerBuffer {
-    std::vector<common::Gfn> gfns;
-    std::vector<std::uint8_t> bytes;  // gfns.size() * kPageSize
-  };
-
-  [[nodiscard]] std::uint64_t buffered_bytes() const;
   // Recomputes one region's committed reference from the per-page cache.
   void refresh_region_digest(std::uint32_t region);
   // Drops the whole cache and re-references every region from the bytes.
   void baseline_region_digests();
 
   // Serializes the epoch frame/commit path (receive_frame, commit,
-  // begin/abort_epoch) against itself; per-worker page buffers stay
-  // lock-free because each worker owns its own buffer. Ranked so any future
-  // nesting against the pool queue or PML rings is order-checked.
+  // begin/abort_epoch) against itself. Ranked so any future nesting against
+  // the pool queue or PML rings is order-checked.
   mutable common::RankedMutex commit_mu_{common::LockRank::kStagingCommit,
                                          "rep.staging_commit"};
 
@@ -200,7 +189,6 @@ class ReplicaStaging {
   hv::VirtualDisk disk_;
   DurableStore* durable_ = nullptr;
   std::vector<hv::DiskWrite> pending_disk_writes_;
-  std::vector<WorkerBuffer> buffers_;
   std::uint64_t seeded_pages_ = 0;
   std::uint64_t open_epoch_ = 0;
   std::uint64_t committed_epoch_ = 0;

@@ -28,23 +28,14 @@ sim::Duration scale_per_page(sim::Duration per_page, std::uint64_t pages,
 
 }  // namespace
 
-sim::Duration TimeModel::checkpoint_copy(std::uint64_t max_worker_pages,
-                                         std::uint64_t total_pages,
-                                         std::uint32_t threads) const {
-  const double eff = efficiency(config_.copy_eff, threads);
-  const sim::Duration cpu =
-      scale_per_page(config_.per_page_copy, max_worker_pages, 1.0 / eff);
-  return std::max(cpu, wire_time(common::pages_to_bytes(total_pages)));
+sim::Duration TimeModel::checkpoint_copy(sim::Duration max_worker_cpu,
+                                         std::uint64_t wire_bytes) const {
+  return std::max(max_worker_cpu, wire_time(wire_bytes));
 }
 
-sim::Duration TimeModel::checkpoint_copy_encoded(
-    sim::Duration max_worker_cpu, std::uint64_t encoded_wire_bytes) const {
-  return std::max(max_worker_cpu, wire_time(encoded_wire_bytes));
-}
-
-sim::Duration TimeModel::encoded_shard_cpu(std::uint64_t raw_pages,
-                                           std::uint32_t threads,
-                                           sim::Duration encode_cpu) const {
+sim::Duration TimeModel::shard_cpu(std::uint64_t raw_pages,
+                                   std::uint32_t threads,
+                                   sim::Duration encode_cpu) const {
   const double eff = efficiency(config_.copy_eff, threads);
   return scale_per_page(config_.per_page_copy, raw_pages, 1.0 / eff) +
          encode_cpu;

@@ -72,28 +72,22 @@ class TimeModel {
 
   [[nodiscard]] const TimeModelConfig& config() const { return config_; }
 
-  // Continuous-replication checkpoint copy: `max_worker_pages` is the
-  // largest per-thread share (the critical path), `total_pages` feeds the
-  // wire serialization term. Result = max(cpu critical path, wire time).
-  [[nodiscard]] sim::Duration checkpoint_copy(std::uint64_t max_worker_pages,
-                                              std::uint64_t total_pages,
-                                              std::uint32_t threads) const;
+  // Continuous-replication checkpoint copy: `max_worker_cpu` is the slowest
+  // worker's shard cost (the critical path, priced with shard_cpu) and the
+  // wire term serializes the payload bytes — encoded ones when encoders run,
+  // which is the whole point of driving α down. Result = max(both).
+  [[nodiscard]] sim::Duration checkpoint_copy(sim::Duration max_worker_cpu,
+                                              std::uint64_t wire_bytes) const;
 
-  // Encoded-stream variant: `max_worker_cpu` is the slowest worker's shard
-  // cost (price each worker with encoded_shard_cpu) and the wire term
-  // serializes the *encoded* bytes — the whole point of driving α down.
-  [[nodiscard]] sim::Duration checkpoint_copy_encoded(
-      sim::Duration max_worker_cpu, std::uint64_t encoded_wire_bytes) const;
-
-  // CPU cost of one worker's encoded shard. Only raw-fallback pages pay the
-  // full per-page stream copy: a collapsed page (zero/skip/delta) is read in
-  // place by the encoder — which holds a persistent mapping and its own
-  // shadow — and emits a header or a few delta bytes instead of the 4 KiB
-  // memcpy into the migration stream. Its cycles are `encode_cpu`, which
-  // rides on top.
-  [[nodiscard]] sim::Duration encoded_shard_cpu(std::uint64_t raw_pages,
-                                                std::uint32_t threads,
-                                                sim::Duration encode_cpu) const;
+  // CPU cost of one worker's shard. Only raw pages pay the full per-page
+  // stream copy: a collapsed page (zero/skip/delta) is read in place by the
+  // encoder — which holds a persistent mapping and its own shadow — and
+  // emits a header or a few delta bytes instead of the 4 KiB memcpy into the
+  // migration stream. Its cycles are `encode_cpu`, which rides on top (zero
+  // on the un-encoded stream).
+  [[nodiscard]] sim::Duration shard_cpu(std::uint64_t raw_pages,
+                                        std::uint32_t threads,
+                                        sim::Duration encode_cpu) const;
 
   // Prices one worker's encoder work (model-scaled page counts).
   [[nodiscard]] sim::Duration encode_cpu(std::uint64_t zero_scans,

@@ -7,6 +7,7 @@
 #include "replication/period_manager.h"
 #include "replication/staging.h"
 #include "replication/time_model.h"
+#include "replication/wire.h"
 #include "simnet/fabric.h"
 
 namespace here::rep {
@@ -30,7 +31,7 @@ TEST(PeriodManager, StartsAtTmax) {
 TEST(PeriodManager, FixedWhenTargetIsZero) {
   PeriodManager pm(pc(5, 0.0, 1));
   EXPECT_FALSE(pm.adaptive());
-  for (int i = 0; i < 10; ++i) pm.observe_pause(sim::from_seconds(4));
+  for (int i = 0; i < 10; ++i) pm.observe_epoch(sim::from_seconds(4));
   EXPECT_EQ(pm.current(), sim::from_seconds(5));
   // Degradation is still computed for reporting.
   EXPECT_NEAR(pm.last_degradation(), 4.0 / 9.0, 1e-9);
@@ -38,44 +39,44 @@ TEST(PeriodManager, FixedWhenTargetIsZero) {
 
 TEST(PeriodManager, TightensWhileUnderBudget) {
   PeriodManager pm(pc(10, 0.3, 1));
-  pm.observe_pause(sim::from_millis(100));  // tiny pause: D_curr << D
+  pm.observe_epoch(sim::from_millis(100));  // tiny pause: D_curr << D
   EXPECT_EQ(pm.current(), sim::from_seconds(9));
-  pm.observe_pause(sim::from_millis(100));
+  pm.observe_epoch(sim::from_millis(100));
   EXPECT_EQ(pm.current(), sim::from_seconds(8));
 }
 
 TEST(PeriodManager, WalksBackOnFirstOvershoot) {
   PeriodManager pm(pc(10, 0.3, 1));
-  pm.observe_pause(sim::from_millis(100));  // T: 10 -> 9 (Tprev = 10)
+  pm.observe_epoch(sim::from_millis(100));  // T: 10 -> 9 (Tprev = 10)
   ASSERT_EQ(pm.current(), sim::from_seconds(9));
   // Overshoot at T=9: t=9s -> D_curr = 0.5 > 0.3, Dprev was fine.
-  pm.observe_pause(sim::from_seconds(9));
+  pm.observe_epoch(sim::from_seconds(9));
   EXPECT_EQ(pm.current(), sim::from_seconds(10));  // back to Tprev
 }
 
 TEST(PeriodManager, MidpointJumpOnSustainedOvershoot) {
   PeriodManager pm(pc(20, 0.3, 1));
   // Drive T down to 16 with tiny pauses.
-  for (int i = 0; i < 4; ++i) pm.observe_pause(sim::from_millis(10));
+  for (int i = 0; i < 4; ++i) pm.observe_epoch(sim::from_millis(10));
   ASSERT_EQ(pm.current(), sim::from_seconds(16));
-  pm.observe_pause(sim::from_seconds(30));  // overshoot -> walk back to 17
+  pm.observe_epoch(sim::from_seconds(30));  // overshoot -> walk back to 17
   EXPECT_EQ(pm.current(), sim::from_seconds(17));
-  pm.observe_pause(sim::from_seconds(30));  // still over -> midpoint (17+20)/2
+  pm.observe_epoch(sim::from_seconds(30));  // still over -> midpoint (17+20)/2
   // 18.5 s rounded to the sigma grid (Algorithm 1 line 13: round(., sigma)).
   EXPECT_EQ(pm.current(), sim::from_seconds(19));
 }
 
 TEST(PeriodManager, NeverExceedsTmaxNorDropsBelowSigma) {
   PeriodManager pm(pc(5, 0.3, 1));
-  for (int i = 0; i < 100; ++i) pm.observe_pause(sim::from_millis(1));
+  for (int i = 0; i < 100; ++i) pm.observe_epoch(sim::from_millis(1));
   EXPECT_EQ(pm.current(), sim::from_seconds(1));  // floor at sigma
-  for (int i = 0; i < 100; ++i) pm.observe_pause(sim::from_seconds(60));
+  for (int i = 0; i < 100; ++i) pm.observe_epoch(sim::from_seconds(60));
   EXPECT_LE(pm.current(), sim::from_seconds(5));  // hard cap
 }
 
 TEST(PeriodManager, DegradationFormula) {
   PeriodManager pm(pc(8, 0.0, 1));
-  pm.observe_pause(sim::from_seconds(2));
+  pm.observe_epoch(sim::from_seconds(2));
   EXPECT_NEAR(pm.last_degradation(), 0.2, 1e-9);  // 2 / (2 + 8)
 }
 
@@ -86,7 +87,7 @@ TEST_P(PeriodManagerBounds, AlwaysWithinBounds) {
   PeriodManager pm(pc(12, 0.25, 0.5));
   sim::Rng rng(GetParam());
   for (int i = 0; i < 500; ++i) {
-    pm.observe_pause(sim::from_millis(rng.uniform_real(0.1, 20000.0)));
+    pm.observe_epoch(sim::from_millis(rng.uniform_real(0.1, 20000.0)));
     EXPECT_GE(pm.current(), sim::from_millis(500));
     EXPECT_LE(pm.current(), sim::from_seconds(12));
     // T stays on the sigma grid (Algorithm 1 adjusts in sigma steps).
@@ -178,6 +179,34 @@ std::vector<std::uint8_t> filled_page(std::uint8_t value) {
   return std::vector<std::uint8_t>(common::kPageSize, value);
 }
 
+// A sealed frame carrying `gfns` (all in one region), each page filled with
+// `value`.
+wire::RegionFrame make_frame(std::uint64_t epoch, std::uint64_t seq,
+                             std::vector<common::Gfn> gfns,
+                             std::uint8_t value) {
+  wire::RegionFrame frame;
+  frame.epoch = epoch;
+  frame.seq = seq;
+  frame.region =
+      static_cast<std::uint32_t>(gfns.front() / common::kPagesPerRegion);
+  frame.gfns = std::move(gfns);
+  frame.bytes.assign(frame.gfns.size() * common::kPageSize, value);
+  wire::seal_frame(frame);
+  return frame;
+}
+
+// Opens `epoch`, arms its header and offers every frame (all must verify).
+void stage_epoch(ReplicaStaging& staging, std::uint64_t epoch,
+                 const std::vector<wire::RegionFrame>& frames) {
+  std::uint64_t digest = wire::digest_init();
+  for (const wire::RegionFrame& f : frames) digest = wire::digest_fold(digest, f);
+  staging.begin_epoch(epoch);
+  staging.expect_epoch({epoch, frames.size(), digest});
+  for (const wire::RegionFrame& f : frames) {
+    ASSERT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+  }
+}
+
 TEST(ReplicaStaging, SeedPagesLandDirectly) {
   ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 2);
   staging.install_seed_page(3, filled_page(0xaa));
@@ -186,54 +215,52 @@ TEST(ReplicaStaging, SeedPagesLandDirectly) {
 }
 
 TEST(ReplicaStaging, EpochCommitIsAtomic) {
-  ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 2);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 5, filled_page(0x11));
-  staging.buffer_page(1, 6, filled_page(0x22));
-  // Nothing applied before commit.
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 4ULL << 20), 1);
+  stage_epoch(staging, 1,
+              {make_frame(1, 0, {5}, 0x11), make_frame(1, 1, {600}, 0x22)});
+  // Verified frames are staged, not applied, until the commit.
   EXPECT_EQ(staging.memory().page(5)[0], 0x00);
+  EXPECT_EQ(staging.memory().page(600)[0], 0x00);
   const auto applied = staging.commit();
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 2u);
   EXPECT_EQ(staging.memory().page(5)[0], 0x11);
-  EXPECT_EQ(staging.memory().page(6)[0], 0x22);
+  EXPECT_EQ(staging.memory().page(600)[0], 0x22);
   EXPECT_EQ(staging.committed_epoch(), 1u);
 }
 
 TEST(ReplicaStaging, AbortDiscardsPartialEpoch) {
   ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 5, filled_page(0x11));
+  stage_epoch(staging, 1, {make_frame(1, 0, {5}, 0x11)});
   EXPECT_TRUE(staging.commit().ok());
-  staging.begin_epoch(2);
-  staging.buffer_page(0, 5, filled_page(0x99));
+  stage_epoch(staging, 2, {make_frame(2, 0, {5}, 0x99)});
   staging.abort_epoch();
   // The partially transferred epoch 2 must not be visible.
   EXPECT_EQ(staging.memory().page(5)[0], 0x11);
   EXPECT_EQ(staging.committed_epoch(), 1u);
   // A later epoch still works.
-  staging.begin_epoch(3);
-  staging.buffer_page(0, 5, filled_page(0x33));
+  stage_epoch(staging, 3, {make_frame(3, 0, {5}, 0x33)});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.memory().page(5)[0], 0x33);
 }
 
 TEST(ReplicaStaging, LastWriterWinsWithinEpoch) {
   ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 7, filled_page(0x01));
-  staging.buffer_page(0, 7, filled_page(0x02));
+  // Two seqs carry the same gfn (a retransmit): the higher seq lands last.
+  stage_epoch(staging, 1,
+              {make_frame(1, 0, {7}, 0x01), make_frame(1, 1, {7}, 0x02)});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.memory().page(7)[0], 0x02);
 }
 
 TEST(ReplicaStaging, PeakBufferAccounting) {
   ReplicaStaging staging(hv::make_vm_spec("t", 1, 1ULL << 20), 1);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 1, filled_page(1));
-  staging.buffer_page(0, 2, filled_page(2));
+  stage_epoch(staging, 1, {make_frame(1, 0, {1, 2}, 0x01)});
   EXPECT_TRUE(staging.commit().ok());
   EXPECT_EQ(staging.peak_buffered_bytes(), 2 * common::kPageSize);
+  stage_epoch(staging, 2, {make_frame(2, 0, {3}, 0x02)});
+  EXPECT_TRUE(staging.commit().ok());
+  EXPECT_EQ(staging.peak_buffered_bytes(), 2 * common::kPageSize);  // a peak
 }
 
 TEST(ReplicaStaging, ProgramSnapshotHandover) {
@@ -266,18 +293,26 @@ TEST(TimeModel, EfficiencyAnchorsAndInterpolation) {
   EXPECT_LT(e3, 0.85);
 }
 
+// Copy cost of an even split of `pages` over `threads` un-encoded workers.
+sim::Duration even_copy(const TimeModel& model, std::uint64_t pages,
+                        std::uint32_t threads) {
+  const std::uint64_t max_worker = (pages + threads - 1) / threads;
+  return model.checkpoint_copy(model.shard_cpu(max_worker, threads, {}),
+                               common::pages_to_bytes(pages));
+}
+
 TEST(TimeModel, CopyIsLinearInPages) {
   TimeModel model;
-  const auto t1 = model.checkpoint_copy(1000, 1000, 1);
-  const auto t2 = model.checkpoint_copy(2000, 2000, 1);
+  const auto t1 = even_copy(model, 1000, 1);
+  const auto t2 = even_copy(model, 2000, 1);
   EXPECT_NEAR(static_cast<double>(t2.count()),
               2.0 * static_cast<double>(t1.count()), 1e3);
 }
 
 TEST(TimeModel, ParallelismHelpsButSubLinearly) {
   TimeModel model;
-  const auto t1 = model.checkpoint_copy(400000, 400000, 1);
-  const auto t4 = model.checkpoint_copy(100000, 400000, 4);
+  const auto t1 = even_copy(model, 400000, 1);
+  const auto t4 = even_copy(model, 400000, 4);
   const double speedup =
       static_cast<double>(t1.count()) / static_cast<double>(t4.count());
   EXPECT_GT(speedup, 2.0);
@@ -288,9 +323,33 @@ TEST(TimeModel, WireBoundsLargeTransfers) {
   TimeModelConfig config;
   config.per_page_copy = sim::Duration{1};  // near-free CPU
   TimeModel model(config);
-  const auto t = model.checkpoint_copy(1 << 20, 1 << 20, 4);
+  const auto t = even_copy(model, 1 << 20, 4);
   // 4 GiB at 12.5 GB/s ~ 0.34 s: wire-dominated.
   EXPECT_GT(sim::to_seconds(t), 0.3);
+}
+
+// Exact nanoseconds of the un-encoded checkpoint copy under the default
+// model, one row per (threads, pages) with an even split. Pins the shard
+// pricing (truncation included) so a refactor of the cost path cannot move
+// a pause by even 1 ns.
+TEST(TimeModel, CheckpointCopyGoldenGrid) {
+  struct Row {
+    std::uint32_t threads;
+    std::uint64_t pages;
+    std::int64_t ns;
+  };
+  constexpr Row kGrid[] = {
+      {1, 0, 0}, {1, 1, 5500}, {1, 1000, 5500000}, {1, 262144, 1441792000},
+      {2, 0, 0}, {2, 1, 6470}, {2, 1000, 3235294}, {2, 262144, 848112941},
+      {3, 0, 0}, {3, 1, 8347}, {3, 1000, 2787924}, {3, 262144, 729384538},
+      {4, 0, 0}, {4, 1, 10000}, {4, 1000, 2500000}, {4, 262144, 655360000},
+      {8, 0, 0}, {8, 1, 13750}, {8, 1000, 1718750}, {8, 262144, 450560000},
+  };
+  TimeModel model;
+  for (const Row& row : kGrid) {
+    EXPECT_EQ(even_copy(model, row.pages, row.threads).count(), row.ns)
+        << "threads " << row.threads << ", pages " << row.pages;
+  }
 }
 
 TEST(TimeModel, ScanScalesWithThreads) {
@@ -304,7 +363,7 @@ TEST(TimeModel, ScanScalesWithThreads) {
 TEST(TimeModel, SeedingScalesWorseThanCheckpointing) {
   TimeModel model;
   const auto seed4 = model.seed_copy(100000, 400000, 4);
-  const auto ckpt4 = model.checkpoint_copy(100000, 400000, 4);
+  const auto ckpt4 = even_copy(model, 400000, 4);
   EXPECT_GT(seed4, ckpt4);  // PML drain + problematic tracking overhead
 }
 

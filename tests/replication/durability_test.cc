@@ -8,7 +8,8 @@
 //   * engine-level rejoin: a crashed secondary recovers locally, resyncs
 //     only divergent regions by delta, and a later failover still activates
 //     exactly the committed image;
-//   * no-store fallback: without a DurableStore the rejoin is a full resync.
+//   * no-store fallback: without a DurableStore the rejoin is a full resync;
+//   * a snapshot that does not fit the staging image is refused whole.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -179,6 +180,25 @@ TEST(Durability, NoSnapshotMeansNoLocalRecovery) {
   const auto result = RecoveryManager(store).recover(rec);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(Durability, SnapshotLargerThanStagingRefusedBeforeInstall) {
+  // A 16 MiB image's snapshot offered to an 8 MiB staging area: pages past
+  // the end cannot be installed, so recovery refuses before installing any
+  // (the engine then falls back to a full seed).
+  ReplicaStaging big(hv::make_vm_spec("t", 1, 16ULL << 20), 1);
+  big.install_seed_page(5, std::vector<std::uint8_t>(common::kPageSize, 0x11));
+  big.install_seed_page(3000,
+                        std::vector<std::uint8_t>(common::kPageSize, 0x22));
+  DurableStore store;
+  store.write_snapshot(0, big.memory(), big.disk());
+
+  ReplicaStaging rec(small_spec(), 1);
+  const auto result = RecoveryManager(store).recover(rec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(rec.seeded_pages(), 0u);
+  EXPECT_EQ(rec.memory().page(5)[0], 0x00);
 }
 
 // --- Snapshot + WAL point-in-time restore ------------------------------------

@@ -320,86 +320,6 @@ TEST(EncoderRoundtrip, FrameVersionDisagreeingWithHeaderIsNacked) {
   EXPECT_EQ(staging.receive_frame(f), FrameVerdict::kCorrupt);
 }
 
-// --- Bounded delta-shadow memory (EncoderConfig::shadow_budget_bytes) ---------
-
-TEST(EncoderShadowBudget, EvictedShadowFallsBackToRawAndBudgetHolds) {
-  const std::uint64_t pages = 16;
-  hv::GuestMemory mem(pages, 1);
-  sim::Rng rng(99);
-  for (common::Gfn g = 0; g < pages; ++g) mem.install_page(g, random_page(rng));
-
-  EncoderConfig cfg;
-  cfg.delta = true;
-  cfg.shadow_budget_bytes = 4 * kPageSize;
-  EncoderPipeline enc(cfg, pages);
-  enc.baseline(mem);
-  EXPECT_LE(enc.shadow_bytes(), cfg.shadow_budget_bytes);
-
-  // The budget held shadows for gfns 0..3 only. A sparse touch on page 1
-  // deltas against its shadow; the same touch on page 10 has no base left
-  // and must ship raw (the fallback, not a failure).
-  mem.page_mut(1)[0] ^= 0xff;
-  mem.page_mut(10)[0] ^= 0xff;
-  wire::RegionFrame f;
-  f.epoch = 1;
-  f.seq = 0;
-  f.region = 0;
-  f.gfns = {1, 10};
-  EncodeWork work;
-  enc.encode_region(mem, f, work);
-  ASSERT_EQ(f.pages.size(), 2u);
-  EXPECT_EQ(f.pages[0].enc, wire::PageEncoding::kDelta);
-  EXPECT_EQ(f.pages[1].enc, wire::PageEncoding::kRaw);
-  enc.commit_epoch();
-
-  // Page 10's fresh shadow displaced the least-recently-committed entry;
-  // the budget still holds and the eviction shows in the stats.
-  EXPECT_LE(enc.shadow_bytes(), cfg.shadow_budget_bytes);
-  EXPECT_GT(enc.stats().shadow_evictions, 0u);
-
-  // The recommitted page 10 has a shadow again and deltas next epoch.
-  mem.page_mut(10)[1] ^= 0xff;
-  wire::RegionFrame f2;
-  f2.epoch = 2;
-  f2.seq = 0;
-  f2.region = 0;
-  f2.gfns = {10};
-  enc.encode_region(mem, f2, work);
-  ASSERT_EQ(f2.pages.size(), 1u);
-  EXPECT_EQ(f2.pages[0].enc, wire::PageEncoding::kDelta);
-  enc.commit_epoch();
-}
-
-TEST(EncoderShadowBudget, BudgetedRoundtripStaysByteIdenticalUnderEviction) {
-  // A budget far below the working set forces evictions mid-battery; the
-  // roundtrip's byte-identical property must survive them (run_roundtrip
-  // fails the test on any page divergence).
-  EncoderConfig cfg = EncoderConfig::all();
-  cfg.shadow_budget_bytes = 64 * kPageSize;
-  for (std::uint64_t seed = 60; seed < 65; ++seed) {
-    const TrialResult r = run_roundtrip(seed, ContentClass::kSparseDirty, cfg);
-    EXPECT_LE(r.stats.bytes_out, r.stats.bytes_in) << "seed " << seed;
-    EXPECT_GT(r.stats.shadow_evictions, 0u) << "seed " << seed;
-  }
-}
-
-TEST(EncoderShadowBudget, AmpleBudgetEncodesBitIdenticalToUnbounded) {
-  EncoderConfig flat;
-  flat.delta = true;
-  EncoderConfig budgeted;
-  budgeted.delta = true;
-  budgeted.shadow_budget_bytes = kPages * kPageSize;  // room for everything
-  const TrialResult a = run_roundtrip(17, ContentClass::kSparseDirty, flat);
-  const TrialResult b = run_roundtrip(17, ContentClass::kSparseDirty, budgeted);
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  EXPECT_EQ(a.digest, b.digest);
-  for (std::size_t i = 0; i < a.frames.size(); ++i) {
-    EXPECT_EQ(a.frames[i].crc, b.frames[i].crc);
-    EXPECT_EQ(a.frames[i].bytes, b.frames[i].bytes);
-  }
-  EXPECT_EQ(b.stats.shadow_evictions, 0u);
-}
-
 // --- End-to-end through the engine --------------------------------------------
 
 TestbedConfig encoder_bed_config() {

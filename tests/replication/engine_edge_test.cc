@@ -273,10 +273,10 @@ TEST(EngineConfigValidation, RejectsBadPeriodPolicyParameters) {
 }
 
 TEST(EngineConfigValidation, ValidatePeriodConfigAcceptsDefaults) {
-  EXPECT_NO_THROW(validate_period_config(PeriodConfig{}));
+  EXPECT_TRUE(check_period_config(PeriodConfig{}).ok());
   PeriodConfig period;
   period.target_degradation = 0.30;
-  EXPECT_NO_THROW(validate_period_config(period));
+  EXPECT_TRUE(check_period_config(period).ok());
 }
 
 }  // namespace

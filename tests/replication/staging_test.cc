@@ -1,8 +1,9 @@
-// ReplicaStaging edge cases: worker-buffer semantics (last-writer-wins,
-// cross-worker region sharing, abort discarding stale buffers) and the
-// verified frame path (duplicate/reordered/corrupt frames, NACK bookkeeping,
-// commit refusal on missing frames or digest mismatch, per-region digest
-// references for the scrubber, which post-commit rot must never enter).
+// ReplicaStaging edge cases on the verified frame path: last-writer-wins
+// across out-of-order seqs, abort leaving no residue, duplicate/corrupt
+// frames and NACK bookkeeping, frames that do not fit their region or the
+// VM, commit refusal on missing frames, digest mismatch or an unarmed
+// header, and per-region digest references for the scrubber, which
+// post-commit rot must never enter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -47,53 +48,75 @@ wire::EpochHeader header_for(std::uint64_t epoch,
   return {epoch, frames.size(), digest};
 }
 
-// --- Worker-buffer semantics --------------------------------------------------
+// Seed-installs one page and commits the seed epoch (no header, no frames),
+// which baselines every region reference.
+void seed_commit(ReplicaStaging& staging, common::Gfn gfn, std::uint8_t value) {
+  staging.install_seed_page(gfn, filled_page(value));
+  staging.begin_epoch(1);
+  ASSERT_TRUE(staging.commit().ok());
+}
+
+// Arms `epoch` for `frames`, offers them all and commits.
+Expected<std::uint64_t> commit_frames(
+    ReplicaStaging& staging, std::uint64_t epoch,
+    const std::vector<wire::RegionFrame>& frames) {
+  staging.begin_epoch(epoch);
+  staging.expect_epoch(header_for(epoch, frames));
+  for (const wire::RegionFrame& f : frames) {
+    EXPECT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+  }
+  return staging.commit();
+}
+
+// --- Epoch semantics ---------------------------------------------------------
 
 TEST(ReplicaStagingEdge, SameGfnBufferedTwiceLastWriterWins) {
-  ReplicaStaging staging(small_spec(), 2);
+  ReplicaStaging staging(small_spec(), 1);
+  const std::vector<wire::RegionFrame> frames = {
+      make_frame(1, 0, {7}, 0x01), make_frame(1, 1, {7}, 0x02),
+      make_frame(1, 2, {7}, 0x03)};
   staging.begin_epoch(1);
-  staging.buffer_page(0, 7, filled_page(0x01));
-  staging.buffer_page(0, 7, filled_page(0x02));
-  // A later worker's buffer applies after an earlier worker's.
-  staging.buffer_page(1, 7, filled_page(0x03));
+  staging.expect_epoch(header_for(1, frames));
+  // Arrival order does not matter: the highest seq applies last.
+  for (const std::size_t i : {2, 0, 1}) {
+    ASSERT_EQ(staging.receive_frame(frames[i]), FrameVerdict::kOk);
+  }
   const auto applied = staging.commit();
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(staging.memory().page(7)[0], 0x03);
 }
 
-TEST(ReplicaStagingEdge, DistinctWorkersSameRegionAllApplied) {
-  ReplicaStaging staging(small_spec(), 2);
-  staging.begin_epoch(1);
-  // Both gfns live in region 0; each worker owns its own buffer.
-  staging.buffer_page(0, 10, filled_page(0xaa));
-  staging.buffer_page(1, 11, filled_page(0xbb));
-  const auto applied = staging.commit();
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 2u);
-  EXPECT_EQ(staging.memory().page(10)[0], 0xaa);
-  EXPECT_EQ(staging.memory().page(11)[0], 0xbb);
-}
-
 TEST(ReplicaStagingEdge, BeginEpochAfterAbortDiscardsStaleBuffers) {
   ReplicaStaging staging(small_spec(), 1);
   staging.begin_epoch(1);
-  staging.buffer_page(0, 3, filled_page(0xaa));
   const wire::RegionFrame frame = make_frame(1, 0, {4}, 0xcc);
   staging.expect_epoch(header_for(1, {frame}));
   EXPECT_TRUE(staging.expectation_armed());
+  ASSERT_EQ(staging.receive_frame(frame), FrameVerdict::kOk);
   staging.abort_epoch();
   EXPECT_FALSE(staging.expectation_armed());
   EXPECT_EQ(staging.frames_verified(), 0u);
 
-  staging.begin_epoch(2);
-  staging.buffer_page(0, 5, filled_page(0xbb));
-  const auto applied = staging.commit();
+  const auto applied =
+      commit_frames(staging, 2, {make_frame(2, 0, {5}, 0xbb)});
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 1u);
   // Only the new epoch's page landed; the aborted epoch left no residue.
-  EXPECT_EQ(staging.memory().page(3)[0], 0x00);
   EXPECT_EQ(staging.memory().page(4)[0], 0x00);
   EXPECT_EQ(staging.memory().page(5)[0], 0xbb);
+}
+
+TEST(ReplicaStagingEdge, UnarmedCommitRefusesFrames) {
+  ReplicaStaging staging(small_spec(), 1);
+  staging.begin_epoch(1);
+  ASSERT_EQ(staging.receive_frame(make_frame(1, 0, {3}, 0xaa)),
+            FrameVerdict::kOk);
+  // No header announced the epoch, so nothing vouches for the frame.
+  const auto refused = staging.commit();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(staging.memory().page(3)[0], 0x00);
+  EXPECT_EQ(staging.committed_epoch(), 0u);
 }
 
 // --- Verified frame path ------------------------------------------------------
@@ -192,9 +215,7 @@ TEST(ReplicaStagingEdge, CommitRefusedOnDigestMismatch) {
 TEST(ReplicaStagingEdge, CommitRecordsRegionDigestReferences) {
   ReplicaStaging staging(small_spec(), 1);
   ASSERT_EQ(staging.region_count(), 4u);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 600, filled_page(0x42));  // region 1
-  ASSERT_TRUE(staging.commit().ok());
+  seed_commit(staging, 600, 0x42);  // region 1
 
   // The first commit baselines every region; references match the image.
   for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
@@ -212,18 +233,12 @@ TEST(ReplicaStagingEdge, CommitRecordsRegionDigestReferences) {
 
 TEST(ReplicaStagingEdge, LaterCommitInSameRegionDoesNotLaunderRot) {
   ReplicaStaging staging(small_spec(), 1);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 600, filled_page(0x42));  // region 1
-  ASSERT_TRUE(staging.commit().ok());
+  seed_commit(staging, 600, 0x42);  // region 1
 
   // Page 600 rots after commit; the next epoch installs its neighbour 601
   // through the verified frame path, which re-references region 1.
   staging.memory().page_mut(600)[0] ^= 0xff;
-  staging.begin_epoch(2);
-  const wire::RegionFrame frame = make_frame(2, 0, {601}, 0x43);
-  staging.expect_epoch(header_for(2, {frame}));
-  ASSERT_EQ(staging.receive_frame(frame), FrameVerdict::kOk);
-  ASSERT_TRUE(staging.commit().ok());
+  ASSERT_TRUE(commit_frames(staging, 2, {make_frame(2, 0, {601}, 0x43)}).ok());
 
   // The new reference covers page 601's committed bytes and page 600's
   // committed bytes, not the rot: the scrubber still sees the divergence.
@@ -234,20 +249,65 @@ TEST(ReplicaStagingEdge, LaterCommitInSameRegionDoesNotLaunderRot) {
 
 TEST(ReplicaStagingEdge, SeedInstallAfterCommitEntersNextRegionReference) {
   ReplicaStaging staging(small_spec(), 1);
-  staging.begin_epoch(1);
-  staging.buffer_page(0, 600, filled_page(0x42));
-  ASSERT_TRUE(staging.commit().ok());
+  seed_commit(staging, 600, 0x42);
 
   // A rejoin resync installs a divergent page outside any epoch; the next
   // commit touching the region folds the installed bytes in.
   staging.install_seed_page(700, filled_page(0x17));
-  staging.begin_epoch(2);
-  staging.buffer_page(0, 601, filled_page(0x43));
-  ASSERT_TRUE(staging.commit().ok());
+  ASSERT_TRUE(commit_frames(staging, 2, {make_frame(2, 0, {601}, 0x43)}).ok());
   for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
     EXPECT_EQ(staging.committed_region_digest(r), staging.live_region_digest(r))
         << "region " << r;
   }
+}
+
+// --- Frames that do not fit the VM -------------------------------------------
+//
+// Each frame below is intact (its CRC matches) but describes pages the image
+// or the region cannot hold. receive_frame NACKs it like in-flight damage,
+// and the commit refuses before anything is applied.
+
+// Offers `bad` next to an honest frame for region 0 and checks that the bad
+// frame is NACKed and the epoch refused with the image untouched.
+void expect_frame_refused(ReplicaStaging& staging, wire::RegionFrame bad) {
+  wire::seal_frame(bad);
+  const wire::RegionFrame good = make_frame(1, 0, {5}, 0x11);
+  staging.begin_epoch(1);
+  staging.expect_epoch(header_for(1, {good, bad}));
+  ASSERT_EQ(staging.receive_frame(good), FrameVerdict::kOk);
+  ASSERT_EQ(staging.receive_frame(bad), FrameVerdict::kCorrupt);
+  EXPECT_TRUE(staging.corrupt_regions().contains(bad.region));
+  const auto refused = staging.commit();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(staging.memory().page(5)[0], 0x00);
+  EXPECT_EQ(staging.committed_epoch(), 0u);
+}
+
+TEST(ReplicaStagingEdge, FrameForRegionBeyondVmRefused) {
+  ReplicaStaging staging(small_spec(), 1);
+  wire::RegionFrame bad = make_frame(1, 1, {600}, 0x22);
+  bad.region = staging.region_count();  // one past the last region
+  bad.gfns = {bad.region * common::kPagesPerRegion - 1};  // in the VM
+  expect_frame_refused(staging, bad);
+}
+
+TEST(ReplicaStagingEdge, FramePageBeyondVmRefused) {
+  // 2032 pages: the last region (3) is partial, so a gfn can sit inside
+  // region 3's span yet past the end of the image.
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, (8ULL << 20) - (64ULL << 10)),
+                         1);
+  ASSERT_EQ(staging.spec().pages, 2032u);
+  expect_frame_refused(staging, make_frame(1, 1, {2000, 2040}, 0x22));
+}
+
+TEST(ReplicaStagingEdge, FramePageOutsideItsRegionRefused) {
+  ReplicaStaging staging(small_spec(), 1);
+  wire::RegionFrame bad = make_frame(1, 1, {1200}, 0x22);  // region 2
+  bad.gfns = {1200, 600};  // 600 lives in region 1
+  bad.bytes.assign(2 * common::kPageSize, 0x22);
+  expect_frame_refused(staging, bad);
+  EXPECT_EQ(staging.memory().page(600)[0], 0x00);
 }
 
 }  // namespace
