@@ -6,6 +6,7 @@
 
 #include "common/crc32c.h"
 #include "hv/guest_memory.h"
+#include "replication/encoder.h"
 #include "replication/staging.h"
 
 namespace here::rep {
@@ -154,13 +155,6 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
   return r.ok;
 }
 
-bool page_is_zero(std::span<const std::uint8_t> page) {
-  for (const std::uint8_t b : page) {
-    if (b != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
@@ -186,7 +180,7 @@ void DurableStore::write_snapshot(std::uint64_t epoch,
   std::uint64_t stored = 0;
   for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
     const std::span<const std::uint8_t> page = memory.page(common::Gfn{gfn});
-    if (page_is_zero(page)) continue;  // fresh frames are zeroed at recovery
+    if (is_zero_page(page)) continue;  // fresh frames are zeroed at recovery
     put_u64(payload, gfn);
     put_bytes(payload, page);
     ++stored;
@@ -336,11 +330,6 @@ DurableStore::Log DurableStore::read_log() const {
 DurableStore::Stats DurableStore::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
-}
-
-std::uint64_t DurableStore::wal_bytes() const {
-  std::lock_guard lock(mu_);
-  return wal_seg_.size();
 }
 
 std::uint64_t DurableStore::snapshot_bytes() const {

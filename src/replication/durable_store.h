@@ -127,7 +127,6 @@ class DurableStore {
   [[nodiscard]] Log read_log() const;
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::uint64_t wal_bytes() const;
   [[nodiscard]] std::uint64_t snapshot_bytes() const;
   [[nodiscard]] std::uint64_t wal_record_count() const;
 

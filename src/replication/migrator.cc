@@ -3,8 +3,6 @@
 #include <stdexcept>
 
 #include "common/log.h"
-#include "replication/encoder.h"
-#include "xlate/translator.h"
 
 namespace here::rep {
 
@@ -48,40 +46,22 @@ void Migrator::migrate(hv::Vm& vm, DoneFn done) {
 }
 
 void Migrator::activate_on_destination() {
-  std::unique_ptr<hv::SavedMachineState> saved =
-      source_.hypervisor().save_machine_state(*vm_);
-  const std::uint64_t wire_bytes = saved->wire_bytes();
+  // Stop-and-copy: the source is paused and the staged memory is complete.
+  // Machine state crosses (translated for a foreign destination); the disk
+  // image and program travel with it, free in modelled time as for a seed.
+  sim::Duration state_cost{};
+  state_ = stage_machine_state(model_, source_.hypervisor(), *vm_,
+                               destination_.hypervisor(), state_cost);
+  result_.translated =
+      destination_.hypervisor().kind() != source_.hypervisor().kind();
+  staging_->seed_disk(source_.hypervisor().disk(*vm_));
+  if (hv::GuestProgram* program = vm_->program()) program_ = program->clone();
 
-  std::unique_ptr<hv::SavedMachineState> to_load;
-  sim::Duration translate_cost{};
-  if (destination_.hypervisor().kind() != source_.hypervisor().kind()) {
-    to_load =
-        xlate::translate_machine_state(*saved, destination_.hypervisor());
-    translate_cost = model_.config().state_translate_per_vcpu *
-                     static_cast<std::int64_t>(vm_->cpus().size());
-    result_.translated = true;
-  } else {
-    to_load = std::move(saved);
-  }
-
-  const hv::HvCostProfile& cost = destination_.hypervisor().cost_profile();
-  const sim::Duration d = model_.wire_time(wire_bytes) +
-                          translate_cost + cost.create_vm_base +
-                          cost.per_device_setup * 3 + cost.state_load +
-                          cost.vm_resume;
-
-  sim_.schedule_after(d, [this, to_load = std::shared_ptr<hv::SavedMachineState>(
-                                    std::move(to_load))] {
-    hv::Vm& dest = destination_.hypervisor().create_vm(staging_->spec());
-    for (common::Gfn g = 0; g < staging_->memory().pages(); ++g) {
-      // A fresh VM's memory is already zeroed; installing an all-zero page
-      // would be a no-op, so elide it (same trick as the wire encoder's
-      // zero-page elision, applied to the activation memcpy loop).
-      const auto page = staging_->memory().page(g);
-      if (is_zero_page(page)) continue;
-      dest.memory().install_page(g, page);
-    }
-    destination_.hypervisor().load_machine_state(dest, *to_load);
+  const sim::Duration d =
+      state_cost + destination_.hypervisor().cost_profile().activation();
+  sim_.schedule_after(d, [this] {
+    hv::Vm& dest = activate_staged_image(destination_.hypervisor(), *staging_,
+                                         *state_, std::move(program_));
     destination_.hypervisor().start(dest);
     dest_vm_ = &dest;
 

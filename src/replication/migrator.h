@@ -2,7 +2,9 @@
 // machinery as replication, but instead of entering the continuous
 // checkpoint phase, the VM is activated on the destination host — possibly
 // under a different hypervisor, in which case the machine state is run
-// through the cross-hypervisor translator.
+// through the cross-hypervisor translator. State staging and activation are
+// the ones failover uses (staging.h), so the destination carries the
+// source's memory, disk, machine state and program.
 #pragma once
 
 #include <functional>
@@ -50,6 +52,8 @@ class Migrator {
   hv::Vm* vm_ = nullptr;
   hv::Vm* dest_vm_ = nullptr;
   std::unique_ptr<ReplicaStaging> staging_;
+  std::unique_ptr<hv::SavedMachineState> state_;  // staged at stop-and-copy
+  std::unique_ptr<hv::GuestProgram> program_;
   std::unique_ptr<Seeder> seeder_;
   DoneFn done_;
   sim::TimePoint started_at_{};

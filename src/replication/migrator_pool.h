@@ -91,9 +91,6 @@ class MigratorPool {
   // The underlying real pool, for one-time work that is not a checkpoint
   // burst (the seeding phase drives this directly).
   [[nodiscard]] common::ThreadPool& workers() { return pool_; }
-  [[nodiscard]] std::uint32_t worker_count() const {
-    return static_cast<std::uint32_t>(pool_.size());
-  }
 
   struct ClientStats {
     std::string tag;

@@ -10,7 +10,6 @@
 #include "common/fnv.h"
 #include "common/log.h"
 #include "common/units.h"
-#include "xlate/translator.h"
 
 namespace here::rep {
 
@@ -48,12 +47,6 @@ Status validate_replication_config(const ReplicationConfig& config) {
     return Status::invalid_argument(
         "ReplicationConfig: ft.seed_retry_backoff must be positive when "
         "seeding retries are enabled");
-  }
-  if (ft.probe_on_heartbeat_loss &&
-      ft.probe_timeout <= sim::Duration::zero()) {
-    return Status::invalid_argument(
-        "ReplicationConfig: ft.probe_timeout must be positive when "
-        "probe_on_heartbeat_loss is set");
   }
   if (!(config.flow_weight > 0.0)) {
     return Status::invalid_argument(
@@ -438,15 +431,12 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
   // the full disk image, machine state and program snapshot, then enter the
   // continuous phase.
   staging_->seed_disk(primary_.hypervisor().disk(*vm_));
-  epoch_disk_writes_.clear();  // already contained in the full disk image
-  staging_->begin_epoch(0);
-  const sim::Duration state_cost = snapshot_state_and_program();
   // Epoch 0 commits without an armed expectation (the seed path byte-copied
   // the image directly), so a refusal here means staging itself is broken —
   // treat it like any other failed seeding attempt rather than ignoring it.
-  if (const Expected<std::uint64_t> committed = staging_->commit();
-      !committed.ok()) {
-    schedule_seed_retry(committed.status().message().c_str());
+  const Expected<sim::Duration> state_cost = commit_seed_epoch(0);
+  if (!state_cost.ok()) {
+    schedule_seed_retry(state_cost.status().message().c_str());
     return;
   }
 
@@ -455,8 +445,20 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
   // reference from epoch 1 on.
   baseline_references();
 
-  sim_.schedule_after(state_cost, [this] { commit_initial_checkpoint(); },
+  sim_.schedule_after(*state_cost, [this] { commit_initial_checkpoint(); },
                       "seed-state");
+}
+
+Expected<sim::Duration> ReplicationEngine::commit_seed_epoch(
+    std::uint64_t epoch) {
+  epoch_disk_writes_.clear();  // contained in the just-mirrored disk image
+  staging_->begin_epoch(epoch);
+  const sim::Duration state_cost = snapshot_state_and_program();
+  if (const Expected<std::uint64_t> committed = staging_->commit();
+      !committed.ok()) {
+    return committed.status();
+  }
+  return state_cost;
 }
 
 void ReplicationEngine::commit_initial_checkpoint() {
@@ -472,7 +474,6 @@ void ReplicationEngine::commit_initial_checkpoint() {
   // recovered epoch E, committed E+1, and runs from E+2 — older generations'
   // WAL records stay strictly below anything this generation appends.
   current_epoch_ = staging_->committed_epoch() + 1;
-  last_checkpoint_done_ = sim_.now();
 
   // Continuous phase tracks dirtying through the shared bitmap (§7.2(2));
   // PML rings were the seeding mechanism (never enabled by a delta seed).
@@ -481,8 +482,7 @@ void ReplicationEngine::commit_initial_checkpoint() {
   }
 
   primary_.hypervisor().resume(*vm_);
-  schedule_checkpoint();
-  schedule_scrub();
+  restart_checkpointing();
 
   // Deliberately not an "epoch.commit": epoch 0 has no pause/period split,
   // so a degradation value would be 0/0.
@@ -528,14 +528,12 @@ bool ReplicationEngine::try_delta_seed() {
   }
   const std::uint64_t divergent = diff.pages.size();
   const std::uint64_t divergent_sectors = resync_disk();
-  epoch_disk_writes_.clear();  // contained in the just-mirrored disk image
 
   // Commit the reconciled image as a fresh epoch above everything the store
   // already holds, then re-attach the store and snapshot.
-  staging_->begin_epoch(staging_->committed_epoch() + 1);
-  const sim::Duration state_cost = snapshot_state_and_program();
-  if (const Expected<std::uint64_t> committed = staging_->commit();
-      !committed.ok()) {
+  const Expected<sim::Duration> state_cost =
+      commit_seed_epoch(staging_->committed_epoch() + 1);
+  if (!state_cost.ok()) {
     reset_staging();
     if (was_running) resume_guest();
     return false;
@@ -557,8 +555,8 @@ bool ReplicationEngine::try_delta_seed() {
   stats_.seed.iterations = 1;
   stats_.seed.pages_sent = divergent;
   stats_.seed.bytes_sent = common::pages_to_bytes(divergent);
-  stats_.seed.total_time = cost + state_cost;
-  stats_.seed.stop_copy_time = cost + state_cost;
+  stats_.seed.total_time = cost + *state_cost;
+  stats_.seed.stop_copy_time = cost + *state_cost;
 
   delta_seeded_ = true;
   if (config_.tracer != nullptr) {
@@ -574,7 +572,7 @@ bool ReplicationEngine::try_delta_seed() {
            static_cast<unsigned long long>(recovered.recovered_epoch),
            static_cast<unsigned long long>(divergent),
            static_cast<unsigned long long>(divergent_sectors));
-  sim_.schedule_after(cost + state_cost,
+  sim_.schedule_after(cost + *state_cost,
                       [this] { commit_initial_checkpoint(); }, "seed-delta");
   return true;
 }
@@ -672,27 +670,22 @@ void ReplicationEngine::baseline_references() {
 }
 
 sim::Duration ReplicationEngine::snapshot_state_and_program() {
-  std::unique_ptr<hv::SavedMachineState> saved =
-      primary_.hypervisor().save_machine_state(*vm_);
-  sim::Duration cost = model_.wire_time(saved->wire_bytes());
-
-  if (heterogeneous()) {
-    // Translate on receive so the committed state is already in the
-    // replica's native format — failover needs no translation step.
-    staging_->set_pending_state(
-        xlate::translate_machine_state(*saved, secondary_.hypervisor()));
-    cost += model_.config().state_translate_per_vcpu *
-            static_cast<std::int64_t>(vm_->cpus().size());
-  } else {
-    staging_->set_pending_state(std::move(saved));
-  }
-
+  sim::Duration cost{};
+  staging_->set_pending_state(stage_machine_state(
+      model_, primary_.hypervisor(), *vm_, secondary_.hypervisor(), cost));
   if (hv::GuestProgram* program = vm_->program()) {
     staging_->set_pending_program(program->clone());
   }
   // Checkpoint ACK round trip on the interconnect.
-  cost += sim::from_micros(10);
-  return cost;
+  return cost + sim::from_micros(10);
+}
+
+void ReplicationEngine::restart_checkpointing() {
+  sim_.cancel(checkpoint_event_);
+  sim_.cancel(scrub_event_);
+  last_checkpoint_done_ = sim_.now();
+  schedule_checkpoint();
+  schedule_scrub();
 }
 
 void ReplicationEngine::schedule_checkpoint() {
@@ -725,8 +718,6 @@ void ReplicationEngine::run_scrub() {
   // region by marking every one of its pages dirty on the primary — the next
   // epoch ships the authoritative copy and refreshes the reference.
   std::uint64_t repaired = 0;
-  common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
-  const std::uint64_t pages = vm_->memory().pages();
   for (std::uint32_t r = 0; r < staging_->region_count(); ++r) {
     const std::uint64_t reference = staging_->committed_region_digest(r);
     if (reference == 0) continue;  // nothing committed for this region yet
@@ -734,16 +725,10 @@ void ReplicationEngine::run_scrub() {
     ++repaired;
     bump(&EngineStats::scrub_repairs);
     // The region's committed bytes rotted after commit, so the primary's
-    // encoder references no longer describe the replica's image: drop them
-    // and the repair epoch ships the region raw. (Without this, a delta
-    // against the rotten base would be refused every retry, forever.)
-    if (encoder_ != nullptr) encoder_->invalidate_region(r);
-    if (bm != nullptr) {
-      const common::Gfn first = std::uint64_t{r} * kPagesPerRegion;
-      const common::Gfn last =
-          std::min<common::Gfn>(first + kPagesPerRegion, pages);
-      for (common::Gfn g = first; g < last; ++g) bm->set(g);
-    }
+    // encoder references no longer describe the replica's image: the repair
+    // epoch ships the region raw. (Without this, a delta against the rotten
+    // base would be refused every retry, forever.)
+    resend_region(r);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "scrub.repair", "ckpt",
                               {{"region", r}});
@@ -760,6 +745,16 @@ void ReplicationEngine::run_scrub() {
                         " divergent region(s); full re-send scheduled");
   }
   schedule_scrub();
+}
+
+void ReplicationEngine::resend_region(std::uint32_t r) {
+  if (encoder_ != nullptr) encoder_->invalidate_region(r);
+  common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
+  if (bm == nullptr) return;
+  const common::Gfn first = std::uint64_t{r} * kPagesPerRegion;
+  const common::Gfn last =
+      std::min<common::Gfn>(first + kPagesPerRegion, vm_->memory().pages());
+  for (common::Gfn g = first; g < last; ++g) bm->set(g);
 }
 
 void ReplicationEngine::fold_back_epoch() {
@@ -807,10 +802,8 @@ void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
   }
   notify_degraded(DegradedKind::kEpochAborted, reason);
   const std::uint32_t shift = std::min<std::uint32_t>(abort_streak_ - 1, 6);
-  sim::Duration backoff =
-      config_.ft.checkpoint_retry_backoff * (std::int64_t{1} << shift);
-  backoff = std::min(backoff, config_.period.t_max);
-  if (backoff <= sim::Duration::zero()) backoff = config_.heartbeat_interval;
+  const sim::Duration backoff = std::min(
+      kCheckpointRetryBackoff * (std::int64_t{1} << shift), config_.period.t_max);
   HERE_LOG(kWarn, "epoch %llu aborted (%s); retrying in %s",
            static_cast<unsigned long long>(current_epoch_), reason,
            sim::format_duration(backoff).c_str());
@@ -864,17 +857,14 @@ void ReplicationEngine::run_checkpoint() {
 
   staging_->begin_epoch(current_epoch_);
   std::vector<std::uint64_t> per_worker_pages(p, 0);
-  std::vector<std::vector<common::Gfn>> found(p);
   std::vector<std::vector<common::Gfn>> region_gfns(regions);
   pool_->run_shards(pool_client_, p, [&](std::uint32_t w) {
     for (std::uint64_t r = w; r < regions; r += p) {
       const common::Gfn first = r * kPagesPerRegion;
       const common::Gfn last = std::min<common::Gfn>(first + kPagesPerRegion, pages);
       scratch.collect(first, last, region_gfns[r]);
-      found[w].insert(found[w].end(), region_gfns[r].begin(),
-                      region_gfns[r].end());
+      per_worker_pages[w] += region_gfns[r].size();
     }
-    per_worker_pages[w] = found[w].size();
   });
 
   std::uint64_t captured = 0;
@@ -888,8 +878,8 @@ void ReplicationEngine::run_checkpoint() {
   // fenced failover) folds it back into the running epoch so the retry
   // re-ships it.
   last_epoch_gfns_.clear();
-  for (const auto& w : found) {
-    last_epoch_gfns_.insert(last_epoch_gfns_.end(), w.begin(), w.end());
+  for (const auto& gfns : region_gfns) {
+    last_epoch_gfns_.insert(last_epoch_gfns_.end(), gfns.begin(), gfns.end());
   }
   last_epoch_disk_writes_ = epoch_disk_writes_;
 
@@ -1048,7 +1038,7 @@ void ReplicationEngine::run_checkpoint() {
     state_cost += model_.durable_append(wire_bytes);
   }
   const sim::Duration constants =
-      model_.config().checkpoint_setup +
+      TimeModel::kCheckpointSetup +
       primary_.hypervisor().cost_profile().vm_pause +
       primary_.hypervisor().cost_profile().vm_resume;
   sim::Duration pause;
@@ -1126,13 +1116,13 @@ void ReplicationEngine::run_checkpoint() {
   // The encoder's cycles are work too — every worker's, not just the
   // critical path's. Only the raw pages did the full stream copy; collapsed
   // pages' cycles are in encode_cpu_total.
-  const double copy_eff = TimeModel::efficiency(model_.config().copy_eff, p);
+  const double copy_eff = TimeModel::efficiency(TimeModel::kCopyEff, p);
   const sim::Duration cpu_work =
       sim::Duration{static_cast<std::int64_t>(
-          static_cast<double>(model_.config().per_page_copy.count()) *
+          static_cast<double>(TimeModel::kPerPageCopy.count()) *
           static_cast<double>(raw_pages_total * scale) / copy_eff)} +
       scan_cost * static_cast<std::int64_t>(p) +
-      model_.config().checkpoint_setup + encode_cpu_total;
+      TimeModel::kCheckpointSetup + encode_cpu_total;
   stats_.replication_cpu += cpu_work;
   primary_.account_replication_cpu(cpu_work);
   primary_.account_replication_memory(staging_->peak_buffered_bytes() * scale);
@@ -1345,7 +1335,6 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
                        (sim::to_seconds(pause) + sim::to_seconds(period_used));
   stats_.checkpoints.push_back(record);
   stats_.total_pause += pause;
-  stats_.degradation_series.record(sim_.now(), record.degradation * 100.0);
 
   // The commit event precedes the release of the epoch's buffered output:
   // in stream order no "io.release" tagged with epoch N may appear before
@@ -1456,11 +1445,10 @@ void ReplicationEngine::on_heartbeat_lost() {
                    kProbeRequestKind);
       if (config_.tracer != nullptr) {
         config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
-                                {{"timeout_ns", config_.ft.probe_timeout.count()}});
+                                {{"timeout_ns", kProbeTimeout.count()}});
       }
       probe_event_ = sim_.schedule_after(
-          config_.ft.probe_timeout, [this] { finish_probe(); },
-          "watchdog-probe");
+          kProbeTimeout, [this] { finish_probe(); }, "watchdog-probe");
       return;
     }
     // Both networks unreachable: indistinguishable from a dead machine.
@@ -1525,14 +1513,8 @@ void ReplicationEngine::begin_failover(const std::string& reason,
   HERE_LOG(kInfo, "failover: %s; activating replica on %s", reason.c_str(),
            secondary_.name().c_str());
 
-  // kvmtool builds the VM around the already-resident replica memory:
-  // process setup + device plumbing + state load. No memory copy — which is
-  // why resumption time is flat in VM size (Fig. 7).
-  const hv::HvCostProfile& cost = secondary_.hypervisor().cost_profile();
-  const auto n_devices =
-      static_cast<std::int64_t>(staging_->committed_state() != nullptr ? 3 : 0);
-  sim::Duration d = cost.create_vm_base + cost.per_device_setup * n_devices +
-                    cost.state_load + cost.vm_resume;
+  // kvmtool builds the VM around the already-resident replica memory.
+  sim::Duration d = secondary_.hypervisor().cost_profile().activation();
   // Scheduler/IRQ-routing jitter observed on real activations (Fig. 7 shows
   // a 1-6 ms scatter that does not correlate with VM size).
   d += sim::from_micros(
@@ -1572,8 +1554,7 @@ void ReplicationEngine::fence_failover() {
   // so the next commit releases it and clients see a gapless stream.
   fold_back_epoch();
   resume_guest();
-  last_checkpoint_done_ = sim_.now();
-  schedule_checkpoint();
+  restart_checkpointing();
   watchdog_check();
   HERE_LOG(kInfo,
            "failover fenced: primary heartbeats resumed; replication resumes");
@@ -1591,27 +1572,13 @@ void ReplicationEngine::activate_replica() {
         {{"dropped", stats_.packets_dropped_at_failover}});
   }
 
+  // The committed image: memory, the disk mirror (applied up to the last
+  // committed epoch), machine state already in the target's format and the
+  // program snapshot.
   hv::Hypervisor& target = secondary_.hypervisor();
-  hv::Vm& replica = target.create_vm(staging_->spec());
-
-  // Install the committed memory image (already resident in staging). A
-  // fresh VM's frames are zeroed, so all-zero pages need no install at all —
-  // the activation loop gets the same content-aware elision as the wire.
-  for (common::Gfn g = 0; g < staging_->memory().pages(); ++g) {
-    const auto page = staging_->memory().page(g);
-    if (is_zero_page(page)) continue;
-    replica.memory().install_page(g, page);
-  }
-  // The replica's disk is the committed mirror (already applied up to the
-  // last committed epoch).
-  target.disk(replica) = staging_->disk();
-  // Committed machine state is already in the target's format (translation
-  // happened on checkpoint receive).
-  target.load_machine_state(replica, *staging_->committed_state());
-
-  if (auto program = staging_->take_committed_program()) {
-    replica.attach_program(std::move(program));
-  }
+  hv::Vm& replica =
+      activate_staged_image(target, *staging_, *staging_->committed_state(),
+                            staging_->take_committed_program());
 
   // Direct egress from now on: the replica runs unprotected (re-protection
   // in the opposite direction is future work, as in the paper).
@@ -1769,12 +1736,7 @@ void ReplicationEngine::on_secondary_rebooted() {
     // full-reseed-equivalent baseline bench/rejoin_resync compares against.
     ++stats_.full_resyncs;
     resync = regions;
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      if (encoder_ != nullptr) encoder_->invalidate_region(r);
-    }
-    if (bm != nullptr) {
-      for (common::Gfn g = 0; g < vm_->memory().pages(); ++g) bm->set(g);
-    }
+    for (std::uint32_t r = 0; r < regions; ++r) resend_region(r);
   }
 
   // Disk resync: the primary's mirror is authoritative. Sectors whose
@@ -1815,9 +1777,7 @@ void ReplicationEngine::on_secondary_rebooted() {
         if (vm_ == nullptr || stats_.failed_over || failover_in_progress_) {
           return;
         }
-        last_checkpoint_done_ = sim_.now();
-        schedule_checkpoint();
-        schedule_scrub();
+        restart_checkpointing();
       },
       "rejoin-resume");
 }
@@ -1875,11 +1835,8 @@ void ReplicationEngine::send_resume_probe() {
   send_control(primary_.ic_node(), secondary_.ic_node(), kResumeProbeKind,
                probe_token_);
   // Keep probing (partition, drop, hung secondary) until a verdict arrives.
-  const sim::Duration retry = config_.ft.probe_timeout > sim::Duration::zero()
-                                  ? config_.ft.probe_timeout
-                                  : config_.heartbeat_interval;
   resume_probe_event_ = sim_.schedule_after(
-      retry, [this] { send_resume_probe(); }, "resume-probe");
+      kProbeTimeout, [this] { send_resume_probe(); }, "resume-probe");
 }
 
 void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
@@ -1922,11 +1879,7 @@ void ReplicationEngine::on_resume_grant() {
   // buffered output was never dropped, only activation drops).
   fold_back_epoch();
   resume_guest();
-  if (staging_ && !secondary_down_ && seeded_) {
-    sim_.cancel(checkpoint_event_);
-    last_checkpoint_done_ = sim_.now();
-    schedule_checkpoint();
-  }
+  if (staging_ && !secondary_down_ && seeded_) restart_checkpointing();
   HERE_LOG(kInfo,
            "recovered primary won arbitration; output commit resumes");
 }

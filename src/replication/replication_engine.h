@@ -71,6 +71,13 @@ inline constexpr std::uint32_t kResumeProbeKind = 0xbef2;
 inline constexpr std::uint32_t kResumeGrantKind = 0xbef3;
 inline constexpr std::uint32_t kResumeDenyKind = 0xbef4;
 
+// Backoff before re-attempting an aborted checkpoint (same exponential rule
+// as seeding, capped at the period ceiling t_max).
+inline constexpr sim::Duration kCheckpointRetryBackoff = sim::from_millis(100);
+// How long the watchdog waits for a management-network probe reply, and the
+// resend interval of a recovered primary's resume probe.
+inline constexpr sim::Duration kProbeTimeout = sim::from_millis(50);
+
 // Engine-hardening knobs. Zero-valued durations disable the corresponding
 // mechanism; the defaults reproduce the original fail-stop engine exactly.
 struct FaultToleranceConfig {
@@ -86,14 +93,10 @@ struct FaultToleranceConfig {
   // Abort a checkpoint whose projected pause + background transfer exceeds
   // this; 0 disables. The epoch's state folds back into the running epoch.
   sim::Duration checkpoint_timeout{};
-  // Backoff before re-attempting an aborted checkpoint (same exponential
-  // rule as seeding, capped at the period ceiling t_max).
-  sim::Duration checkpoint_retry_backoff = sim::from_millis(100);
   // On heartbeat loss, ping the primary over the *management* network to
   // distinguish an interconnect partition from a host crash before failing
   // over (stats().failure_classification records the verdict).
   bool probe_on_heartbeat_loss = false;
-  sim::Duration probe_timeout = sim::from_millis(50);
   // Split-brain fencing: delay replica activation after a heartbeat-loss
   // failover by this window; if primary heartbeats resume within it, the
   // failover is cancelled ("fenced") and checkpointing restarts, so at most
@@ -190,7 +193,6 @@ struct EngineStats {
   sim::TimePoint protected_at{};  // epoch 0 committed
   std::vector<CheckpointRecord> checkpoints;
   sim::TimeSeries period_series{"period_s"};
-  sim::TimeSeries degradation_series{"degradation_pct"};
   std::uint64_t epochs_committed = 0;
   std::uint64_t dirty_pages_total = 0;  // model pages over committed epochs
   std::uint64_t bytes_total = 0;        // model bytes over committed epochs
@@ -423,9 +425,15 @@ class ReplicationEngine {
   void schedule_seed_retry(const char* why);
   void on_seed_attempt_timeout();
   void on_seeded(const SeedResult& result);
+  // Commits the seeded (fresh or delta) image as `epoch`, with machine state
+  // and program. Returns the modelled state cost, or the commit's refusal.
+  [[nodiscard]] Expected<sim::Duration> commit_seed_epoch(std::uint64_t epoch);
   void commit_initial_checkpoint();
 
   // --- Continuous checkpointing ---------------------------------------------
+  // Enters (or re-enters) the continuous phase now: cancels any pending
+  // checkpoint and re-arms the checkpoint and scrub loops.
+  void restart_checkpointing();
   void schedule_checkpoint();
   void run_checkpoint();
   // Pushes the epoch's frames through the interconnect data plane, NACKing
@@ -437,6 +445,9 @@ class ReplicationEngine {
       const std::vector<wire::RegionFrame>& frames, bool& exhausted);
   void schedule_scrub();
   void run_scrub();
+  // Schedules a full re-send of region `r`: drops its encoder references
+  // (the next epoch ships it raw) and marks all of its pages dirty.
+  void resend_region(std::uint32_t r);
   void finish_checkpoint(std::uint64_t epoch, std::uint64_t captured_real,
                          sim::Duration period_used, sim::Duration pause);
   // Saves + (if heterogeneous) translates machine state and program snapshot

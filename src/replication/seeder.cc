@@ -78,7 +78,7 @@ void Seeder::run_full_pass() {
   sim::Duration d =
       model_.seed_copy((n_model + p - 1) / p, n_model, p);
   if (config_.mode == SeedMode::kHereMultithreaded) {
-    d += model_.config().seed_setup;
+    d += TimeModel::kSeedSetup;
   }
   HERE_LOG(kDebug, "seed: full pass of %llu pages in %s",
            static_cast<unsigned long long>(n_model),
@@ -145,7 +145,7 @@ void Seeder::run_iteration() {
   const std::uint64_t captured = capture_dirty(per_worker, scan_cost);
 
   if (captured < config_.threshold_pages ||
-      iteration_ >= config_.max_iterations) {
+      iteration_ >= kSeedMaxIterations) {
     // Converged (or gave up): go to stop-and-copy. The captured set still
     // needs transferring; fold it into the final paused copy by re-marking.
     for (const auto& w : per_worker) {

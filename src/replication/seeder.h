@@ -31,9 +31,11 @@ namespace here::rep {
 
 enum class SeedMode : std::uint8_t { kXenDefault, kHereMultithreaded };
 
+// Xen's pre-copy cap: live rounds before the stop-and-copy is forced.
+inline constexpr std::uint32_t kSeedMaxIterations = 5;
+
 struct SeedConfig {
   SeedMode mode = SeedMode::kHereMultithreaded;
-  std::uint32_t max_iterations = 5;  // Xen's pre-copy cap
   // Stop iterating once the dirty set falls below this many (real) pages.
   std::uint64_t threshold_pages = 64;
 };

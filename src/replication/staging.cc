@@ -5,6 +5,7 @@
 #include "common/fnv.h"
 #include "replication/durable_store.h"
 #include "replication/encoder.h"
+#include "xlate/translator.h"
 
 namespace here::rep {
 
@@ -278,6 +279,33 @@ void ReplicaStaging::adopt_recovered(std::uint64_t epoch) {
   // Baseline every region off the just-installed image so scrub comparisons
   // and WAL-replay digest checks have references to verify against.
   baseline_region_digests();
+}
+
+std::unique_ptr<hv::SavedMachineState> stage_machine_state(
+    const TimeModel& model, const hv::Hypervisor& source, const hv::Vm& vm,
+    const hv::Hypervisor& target, sim::Duration& cost) {
+  std::unique_ptr<hv::SavedMachineState> saved = source.save_machine_state(vm);
+  cost = model.wire_time(saved->wire_bytes());
+  if (source.kind() == target.kind()) return saved;
+  cost += TimeModel::kStateTranslatePerVcpu *
+          static_cast<std::int64_t>(vm.cpus().size());
+  return xlate::translate_machine_state(*saved, target);
+}
+
+hv::Vm& activate_staged_image(hv::Hypervisor& target,
+                              const ReplicaStaging& staging,
+                              const hv::SavedMachineState& state,
+                              std::unique_ptr<hv::GuestProgram> program) {
+  hv::Vm& vm = target.create_vm(staging.spec());
+  for (common::Gfn g = 0; g < staging.memory().pages(); ++g) {
+    const auto page = staging.memory().page(g);
+    if (is_zero_page(page)) continue;
+    vm.memory().install_page(g, page);
+  }
+  target.disk(vm) = staging.disk();
+  target.load_machine_state(vm, state);
+  if (program != nullptr) vm.attach_program(std::move(program));
+  return vm;
 }
 
 }  // namespace here::rep

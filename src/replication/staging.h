@@ -23,6 +23,7 @@
 #include "hv/guest_program.h"
 #include "hv/hypervisor.h"
 #include "hv/types.h"
+#include "replication/time_model.h"
 #include "replication/wire.h"
 
 namespace here::rep {
@@ -215,5 +216,24 @@ class ReplicaStaging {
   std::vector<std::uint64_t> page_digests_;
   std::vector<std::uint8_t> page_digest_valid_;
 };
+
+// --- Shared by failover and live migration ----------------------------------
+
+// Saves `vm`'s machine state on `source` for a VM to be built on `target`,
+// translated into `target`'s native format when the hypervisor kinds differ
+// (translate on receive: activation needs no translation step). `cost`
+// receives the modelled time: the saved state's bytes on the wire plus the
+// per-vCPU translation.
+[[nodiscard]] std::unique_ptr<hv::SavedMachineState> stage_machine_state(
+    const TimeModel& model, const hv::Hypervisor& source, const hv::Vm& vm,
+    const hv::Hypervisor& target, sim::Duration& cost);
+
+// Builds a VM on `target` from a staged image: created from the staged spec,
+// with the image's non-zero pages (a fresh VM's frames are already zeroed),
+// its disk, `state` and `program` (may be null). The VM is not started.
+hv::Vm& activate_staged_image(hv::Hypervisor& target,
+                              const ReplicaStaging& staging,
+                              const hv::SavedMachineState& state,
+                              std::unique_ptr<hv::GuestProgram> program);
 
 }  // namespace here::rep

@@ -36,33 +36,33 @@ sim::Duration TimeModel::checkpoint_copy(sim::Duration max_worker_cpu,
 sim::Duration TimeModel::shard_cpu(std::uint64_t raw_pages,
                                    std::uint32_t threads,
                                    sim::Duration encode_cpu) const {
-  const double eff = efficiency(config_.copy_eff, threads);
-  return scale_per_page(config_.per_page_copy, raw_pages, 1.0 / eff) +
+  const double eff = efficiency(kCopyEff, threads);
+  return scale_per_page(kPerPageCopy, raw_pages, 1.0 / eff) +
          encode_cpu;
 }
 
 sim::Duration TimeModel::encode_cpu(std::uint64_t zero_scans,
                                     std::uint64_t hashes,
                                     std::uint64_t delta_pages) const {
-  return scale_per_page(config_.encode_zero_scan_per_page, zero_scans, 1.0) +
-         scale_per_page(config_.encode_page_hash_per_page, hashes, 1.0) +
-         scale_per_page(config_.encode_delta_per_page, delta_pages, 1.0);
+  return scale_per_page(kEncodeZeroScanPerPage, zero_scans, 1.0) +
+         scale_per_page(kEncodePageHashPerPage, hashes, 1.0) +
+         scale_per_page(kEncodeDeltaPerPage, delta_pages, 1.0);
 }
 
 sim::Duration TimeModel::seed_copy(std::uint64_t max_worker_pages,
                                    std::uint64_t total_pages,
                                    std::uint32_t threads) const {
-  const double eff = efficiency(config_.seed_eff, threads);
+  const double eff = efficiency(kSeedEff, threads);
   const sim::Duration cpu =
-      scale_per_page(config_.per_page_copy, max_worker_pages, 1.0 / eff);
+      scale_per_page(kPerPageCopy, max_worker_pages, 1.0 / eff);
   return std::max(cpu, wire_time(common::pages_to_bytes(total_pages)));
 }
 
 sim::Duration TimeModel::scan(std::uint64_t pages_scanned,
                               std::uint32_t threads) const {
-  if (threads <= 1) return scale_per_page(config_.per_page_scan, pages_scanned, 1.0);
-  const double speedup = static_cast<double>(threads) * config_.scan_eff;
-  return scale_per_page(config_.per_page_scan, pages_scanned, 1.0 / speedup);
+  if (threads <= 1) return scale_per_page(kPerPageScan, pages_scanned, 1.0);
+  const double speedup = static_cast<double>(threads) * kScanEff;
+  return scale_per_page(kPerPageScan, pages_scanned, 1.0 / speedup);
 }
 
 sim::Duration TimeModel::cow_snapshot(std::uint64_t max_worker_pages,
@@ -70,11 +70,11 @@ sim::Duration TimeModel::cow_snapshot(std::uint64_t max_worker_pages,
   // Plain local memcpy parallelizes nearly linearly (memory-bandwidth bound
   // only far beyond our thread counts); charge a mild 10% contention tax.
   const double eff = threads <= 1 ? 1.0 : 0.9;
-  return scale_per_page(config_.per_page_cow, max_worker_pages, 1.0 / eff);
+  return scale_per_page(kPerPageCow, max_worker_pages, 1.0 / eff);
 }
 
 sim::Duration TimeModel::pml_drain(std::uint64_t entries) const {
-  return scale_per_page(config_.per_pml_entry, entries, 1.0);
+  return scale_per_page(kPerPmlEntry, entries, 1.0);
 }
 
 sim::Duration TimeModel::wire_time(std::uint64_t bytes) const {
@@ -83,17 +83,17 @@ sim::Duration TimeModel::wire_time(std::uint64_t bytes) const {
 }
 
 sim::Duration TimeModel::durable_append(std::uint64_t bytes) const {
-  return config_.durable_append_setup +
+  return kDurableAppendSetup +
          sim::from_seconds(static_cast<double>(bytes) /
-                           config_.durable_bytes_per_second);
+                           kDurableBytesPerSecond);
 }
 
 sim::Duration TimeModel::durable_replay(std::uint64_t bytes,
                                         std::uint64_t records) const {
-  sim::Duration setup{config_.durable_replay_setup.count() *
+  sim::Duration setup{kDurableReplaySetup.count() *
                       static_cast<std::int64_t>(records)};
   return setup + sim::from_seconds(static_cast<double>(bytes) /
-                                   config_.durable_bytes_per_second);
+                                   kDurableBytesPerSecond);
 }
 
 }  // namespace here::rep

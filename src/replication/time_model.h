@@ -2,15 +2,17 @@
 //
 // The data plane (page copies) runs for real on worker threads; the
 // *reported* durations come from this model, calibrated against the paper's
-// testbed (Table 3: Xeon Gold 6130, Omni-Path 100 Gbit/s):
+// testbed (Table 3: Xeon Gold 6130, Omni-Path 100 Gbit/s). The calibration
+// is a set of constants; only the wire rate is configurable (the encoder
+// ablation sweeps it):
 //
-//   * per_page_copy (~5.5 us) — single-threaded userspace cost to map a
+//   * kPerPageCopy (~5.5 us) — single-threaded userspace cost to map a
 //     foreign page, memcpy it and push it into the migration stream. This
 //     reproduces Xen's ~29 s idle 20 GB migration (Fig. 6) and Remus's ~4 s
 //     checkpoint transfers under 30 % load (Fig. 8b). The wire itself is
 //     ~0.33 us/page at 100 Gbit/s, so replication is CPU-bound — which is
 //     exactly why HERE's multithreading pays off (§7.2).
-//   * per_page_scan (~8 ns) — log-dirty bitmap scan per *scanned* (not
+//   * kPerPageScan (~8 ns) — log-dirty bitmap scan per *scanned* (not
 //     dirty) page; scanning 20 GB costs ~40 ms, the dominant term for idle
 //     VMs (Fig. 8a).
 //   * thread efficiency curves — sub-linear scaling from shared-bitmap and
@@ -27,25 +29,28 @@
 namespace here::rep {
 
 struct TimeModelConfig {
-  sim::Duration per_page_copy = sim::Duration{5500};   // 5.5 us
-  sim::Duration per_page_scan = sim::Duration{8};      // 8 ns
-  sim::Duration per_pml_entry = sim::Duration{60};     // PML ring drain
-  sim::Duration checkpoint_setup = sim::from_micros(200);
-  sim::Duration state_translate_per_vcpu = sim::from_micros(50);
-  // One-time cost to spin up per-vCPU migrator threads + PML (HERE seeding).
-  sim::Duration seed_setup = sim::from_millis(400);
-
-  // Per-thread efficiency at P = 1/2/4/8 (geometric interpolation between).
-  double copy_eff[4] = {1.0, 0.85, 0.55, 0.40};
-  double seed_eff[4] = {1.0, 0.50, 0.33, 0.25};
-  double scan_eff = 0.85;
-
   // Interconnect (Omni-Path HFI 100).
   double wire_bytes_per_second = 12.5e9;
+};
+
+class TimeModel {
+ public:
+  static constexpr sim::Duration kPerPageCopy{5500};   // 5.5 us
+  static constexpr sim::Duration kPerPageScan{8};      // 8 ns
+  static constexpr sim::Duration kPerPmlEntry{60};     // PML ring drain
+  static constexpr sim::Duration kCheckpointSetup = sim::from_micros(200);
+  static constexpr sim::Duration kStateTranslatePerVcpu = sim::from_micros(50);
+  // One-time cost to spin up per-vCPU migrator threads + PML (HERE seeding).
+  static constexpr sim::Duration kSeedSetup = sim::from_millis(400);
+
+  // Per-thread efficiency at P = 1/2/4/8 (geometric interpolation between).
+  static constexpr double kCopyEff[4] = {1.0, 0.85, 0.55, 0.40};
+  static constexpr double kSeedEff[4] = {1.0, 0.50, 0.33, 0.25};
+  static constexpr double kScanEff = 0.85;
 
   // Local CoW page duplication (speculative checkpointing): a plain local
   // memcpy, ~6 GB/s per thread.
-  sim::Duration per_page_cow = sim::Duration{700};  // 0.7 us
+  static constexpr sim::Duration kPerPageCow{700};  // 0.7 us
 
   // Content-aware encoder stage (src/replication/encoder.h) cycle costs.
   // Each encoder declares its per-page CPU here so the engine reports the
@@ -53,24 +58,19 @@ struct TimeModelConfig {
   //   * zero_scan: read 4 KiB and compare against zero (~25 GB/s);
   //   * page_hash: byte-wise FNV-1a over the page;
   //   * delta_encode: XOR against the shadow + RLE emit.
-  sim::Duration encode_zero_scan_per_page = sim::Duration{160};   // 0.16 us
-  sim::Duration encode_page_hash_per_page = sim::Duration{400};   // 0.4 us
-  sim::Duration encode_delta_per_page = sim::Duration{1100};      // 1.1 us
+  static constexpr sim::Duration kEncodeZeroScanPerPage{160};   // 0.16 us
+  static constexpr sim::Duration kEncodePageHashPerPage{400};   // 0.4 us
+  static constexpr sim::Duration kEncodeDeltaPerPage{1100};     // 1.1 us
 
   // Durable replica store (src/replication/durable_store.h): sequential
   // append/replay bandwidth of the secondary's local NVMe plus per-record
   // overheads. Appends overlap the network transfer on the secondary, so a
   // WAL append only shows up in the pause when it outlasts the wire.
-  double durable_bytes_per_second = 2.0e9;
-  sim::Duration durable_append_setup = sim::from_micros(20);   // per record
-  sim::Duration durable_replay_setup = sim::from_micros(50);   // per record
-};
+  static constexpr double kDurableBytesPerSecond = 2.0e9;
+  static constexpr sim::Duration kDurableAppendSetup = sim::from_micros(20);
+  static constexpr sim::Duration kDurableReplaySetup = sim::from_micros(50);
 
-class TimeModel {
- public:
   explicit TimeModel(TimeModelConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] const TimeModelConfig& config() const { return config_; }
 
   // Continuous-replication checkpoint copy: `max_worker_cpu` is the slowest
   // worker's shard cost (the critical path, priced with shard_cpu) and the

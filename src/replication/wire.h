@@ -70,10 +70,6 @@ struct RegionFrame {
   std::uint32_t crc = 0;  // CRC32C as emitted by the primary (see seal_frame)
 
   [[nodiscard]] std::uint64_t payload_bytes() const { return bytes.size(); }
-  // Bytes of page content this frame reconstructs to on the replica.
-  [[nodiscard]] std::uint64_t decoded_bytes() const {
-    return gfns.size() * common::kPageSize;
-  }
 };
 
 // Epoch header, sent ahead of the frames. The digest commits the primary to

@@ -282,13 +282,13 @@ TEST(ReplicaStaging, ProgramSnapshotHandover) {
 // --- TimeModel -------------------------------------------------------------------------
 
 TEST(TimeModel, EfficiencyAnchorsAndInterpolation) {
-  TimeModelConfig config;
-  EXPECT_DOUBLE_EQ(TimeModel::efficiency(config.copy_eff, 1), 1.0);
-  EXPECT_DOUBLE_EQ(TimeModel::efficiency(config.copy_eff, 2), 0.85);
-  EXPECT_DOUBLE_EQ(TimeModel::efficiency(config.copy_eff, 4), 0.55);
-  EXPECT_DOUBLE_EQ(TimeModel::efficiency(config.copy_eff, 8), 0.40);
-  EXPECT_DOUBLE_EQ(TimeModel::efficiency(config.copy_eff, 16), 0.40);
-  const double e3 = TimeModel::efficiency(config.copy_eff, 3);
+  constexpr const double* kEff = TimeModel::kCopyEff;
+  EXPECT_DOUBLE_EQ(TimeModel::efficiency(kEff, 1), 1.0);
+  EXPECT_DOUBLE_EQ(TimeModel::efficiency(kEff, 2), 0.85);
+  EXPECT_DOUBLE_EQ(TimeModel::efficiency(kEff, 4), 0.55);
+  EXPECT_DOUBLE_EQ(TimeModel::efficiency(kEff, 8), 0.40);
+  EXPECT_DOUBLE_EQ(TimeModel::efficiency(kEff, 16), 0.40);
+  const double e3 = TimeModel::efficiency(kEff, 3);
   EXPECT_GT(e3, 0.55);
   EXPECT_LT(e3, 0.85);
 }
@@ -321,11 +321,13 @@ TEST(TimeModel, ParallelismHelpsButSubLinearly) {
 
 TEST(TimeModel, WireBoundsLargeTransfers) {
   TimeModelConfig config;
-  config.per_page_copy = sim::Duration{1};  // near-free CPU
+  config.wire_bytes_per_second = 125e6;  // 1 GbE: slower than the CPU
   TimeModel model(config);
   const auto t = even_copy(model, 1 << 20, 4);
-  // 4 GiB at 12.5 GB/s ~ 0.34 s: wire-dominated.
-  EXPECT_GT(sim::to_seconds(t), 0.3);
+  // 4 GiB at 125 MB/s ~ 34.4 s, far above the ~2.6 s CPU term: the copy
+  // is exactly the wire time.
+  EXPECT_EQ(t, model.wire_time(common::pages_to_bytes(1 << 20)));
+  EXPECT_GT(sim::to_seconds(t), 34.0);
 }
 
 // Exact nanoseconds of the un-encoded checkpoint copy under the default
@@ -350,6 +352,60 @@ TEST(TimeModel, CheckpointCopyGoldenGrid) {
     EXPECT_EQ(even_copy(model, row.pages, row.threads).count(), row.ns)
         << "threads " << row.threads << ", pages " << row.pages;
   }
+}
+
+// Exact nanoseconds of every other pricing function under the default
+// model, recorded before the calibration became TimeModel constants. Pins
+// each formula's truncation so a refactor cannot move a modelled time.
+TEST(TimeModel, PricingGoldenGrid) {
+  const TimeModel m;
+  struct Row {
+    const char* call;
+    sim::Duration got;
+    std::int64_t ns;
+  };
+  const Row kGrid[] = {
+      {"scan(1, 1)", m.scan(1, 1), 8},
+      {"scan(1, 3)", m.scan(1, 3), 3},
+      {"scan(1, 4)", m.scan(1, 4), 2},
+      {"scan(1, 8)", m.scan(1, 8), 1},
+      {"scan(1000, 1)", m.scan(1000, 1), 8000},
+      {"scan(1000, 3)", m.scan(1000, 3), 3137},
+      {"scan(1000, 4)", m.scan(1000, 4), 2352},
+      {"scan(1000, 8)", m.scan(1000, 8), 1176},
+      {"scan(5000000, 1)", m.scan(5000000, 1), 40000000},
+      {"scan(5000000, 3)", m.scan(5000000, 3), 15686274},
+      {"scan(5000000, 4)", m.scan(5000000, 4), 11764705},
+      {"scan(5000000, 8)", m.scan(5000000, 8), 5882352},
+      {"seed_copy(1, 1, 1)", m.seed_copy(1, 1, 1), 5500},
+      {"seed_copy(1000, 1000, 1)", m.seed_copy(1000, 1000, 1), 5500000},
+      {"seed_copy(250, 1000, 4)", m.seed_copy(250, 1000, 4), 4166666},
+      {"seed_copy(100000, 400000, 4)", m.seed_copy(100000, 400000, 4), 1666666666},
+      {"seed_copy(87382, 262144, 3)", m.seed_copy(87382, 262144, 3), 1225673218},
+      {"seed_copy(32768, 262144, 8)", m.seed_copy(32768, 262144, 8), 720896000},
+      {"pml_drain(1)", m.pml_drain(1), 60},
+      {"pml_drain(1000)", m.pml_drain(1000), 60000},
+      {"pml_drain(262144)", m.pml_drain(262144), 15728640},
+      {"cow_snapshot(1, 1)", m.cow_snapshot(1, 1), 700},
+      {"cow_snapshot(1000, 1)", m.cow_snapshot(1000, 1), 700000},
+      {"cow_snapshot(1000, 4)", m.cow_snapshot(1000, 4), 777777},
+      {"cow_snapshot(262144, 8)", m.cow_snapshot(262144, 8), 203889777},
+      {"encode_cpu(1, 0, 0)", m.encode_cpu(1, 0, 0), 160},
+      {"encode_cpu(0, 1, 0)", m.encode_cpu(0, 1, 0), 400},
+      {"encode_cpu(0, 0, 1)", m.encode_cpu(0, 0, 1), 1100},
+      {"encode_cpu(1000, 500, 250)", m.encode_cpu(1000, 500, 250), 635000},
+      {"wire_time(1)", m.wire_time(1), 0},
+      {"wire_time(4096)", m.wire_time(4096), 327},
+      {"wire_time(1ULL << 30)", m.wire_time(1ULL << 30), 85899345},
+      {"wire_time(20ULL << 30)", m.wire_time(20ULL << 30), 1717986918},
+      {"durable_append(0)", m.durable_append(0), 20000},
+      {"durable_append(4096)", m.durable_append(4096), 22048},
+      {"durable_append(1ULL << 30)", m.durable_append(1ULL << 30), 536890912},
+      {"durable_replay(0, 0)", m.durable_replay(0, 0), 0},
+      {"durable_replay(4096, 1)", m.durable_replay(4096, 1), 52048},
+      {"durable_replay(1ULL << 30, 100)", m.durable_replay(1ULL << 30, 100), 541870912},
+  };
+  for (const Row& row : kGrid) EXPECT_EQ(row.got.count(), row.ns) << row.call;
 }
 
 TEST(TimeModel, ScanScalesWithThreads) {

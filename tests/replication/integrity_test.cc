@@ -6,7 +6,8 @@
 //   * an exhausted retransmit budget falls back to PR 2's abort-and-retry,
 //     with output commit preserved across the aborts;
 //   * background scrubbing detects and repairs post-commit divergence, even
-//     when a later epoch re-referenced the rotted region first;
+//     when a later epoch re-referenced the rotted region first, and keeps
+//     auditing after a fenced failover;
 //   * the whole corruption pipeline is byte-identical across same-seed runs.
 #include <gtest/gtest.h>
 
@@ -245,6 +246,49 @@ TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
 
   // The repair is a full re-send of the diverged region: within a couple of
   // epochs the live image converges back onto the committed reference.
+  EXPECT_TRUE(bed.run_until(
+      [&] {
+        return staging->committed_region_digest(region) ==
+               staging->live_region_digest(region);
+      },
+      sim::from_seconds(5)));
+  EXPECT_FALSE(bed.engine().failed_over());
+}
+
+// The scrub loop parks while a failover is in progress; a fenced failover
+// re-enters the continuous phase, scrubbing included.
+TEST(StreamIntegrity, ScrubResumesAfterFencedFailover) {
+  TestbedConfig config = integrity_config();
+  config.engine.ft.scrub_interval = sim::from_millis(250);
+  config.engine.ft.fencing_window = sim::from_seconds(2);
+  Testbed bed(config);
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(1));
+
+  // Heartbeat loss healed inside the fencing window: the failover is fenced.
+  const net::NodeId ic_a = bed.primary().ic_node();
+  const net::NodeId ic_b = bed.secondary().ic_node();
+  bed.fabric().set_link_down(ic_a, ic_b, true);
+  bed.simulation().run_for(sim::from_millis(600));
+  bed.fabric().set_link_down(ic_a, ic_b, false);
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().failovers_fenced == 1; },
+      sim::from_seconds(3)));
+
+  const std::uint64_t runs_at_fence = bed.engine().stats().scrub_runs;
+  bed.simulation().run_for(sim::from_seconds(2));
+  EXPECT_GE(bed.engine().stats().scrub_runs, runs_at_fence + 7);
+
+  // Rot after the fence is still found and repaired.
+  ReplicaStaging* staging = bed.engine().staging();
+  const std::uint32_t region = staging->region_count() - 1;
+  staging->memory().page_mut(vm.memory().pages() - 1)[0] ^= 0xff;
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().scrub_repairs > 0; },
+      sim::from_seconds(5)));
   EXPECT_TRUE(bed.run_until(
       [&] {
         return staging->committed_region_digest(region) ==

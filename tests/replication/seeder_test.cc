@@ -158,6 +158,10 @@ TEST(Migrator, XenToXenMigrationMovesTheVm) {
   bed.run_until([&] { return done; }, sim::from_seconds(3600));
 
   ASSERT_TRUE(done);
+  // Exact modelled times, recorded before migration shared failover's state
+  // staging and activation.
+  EXPECT_EQ(result.total_time.count(), 411638422);
+  EXPECT_EQ(result.downtime.count(), 366582422);
   EXPECT_FALSE(result.translated);
   EXPECT_TRUE(bed.primary().hypervisor().vms().empty());  // source retired
   hv::Vm* dest = migrator.destination_vm();
@@ -193,6 +197,8 @@ TEST(Migrator, XenToKvmMigrationTranslatesState) {
   bed.run_until([&] { return done; }, sim::from_seconds(3600));
 
   ASSERT_TRUE(done);
+  EXPECT_EQ(result.total_time.count(), 450009936);
+  EXPECT_EQ(result.downtime.count(), 4953936);
   EXPECT_TRUE(result.translated);
   hv::Vm* dest = migrator.destination_vm();
   ASSERT_NE(dest, nullptr);
@@ -201,6 +207,63 @@ TEST(Migrator, XenToKvmMigrationTranslatesState) {
   // CPUID was reconciled before capture: loadable and within KVM's policy.
   EXPECT_TRUE(dest->platform().cpuid.subset_of(
       bed.secondary().hypervisor().default_cpuid()));
+}
+
+// A guest that journals one sector per tick while dirtying memory.
+class JournalingProgram final : public hv::GuestProgram {
+ public:
+  void start(hv::GuestEnv& env) override { inner_.start(env); }
+  void tick(hv::GuestEnv& env, sim::Duration dt) override {
+    inner_.tick(env, dt);
+    env.disk_write(writes_, 1, 0xD15C0000 + writes_);
+    ++writes_;
+  }
+  [[nodiscard]] std::unique_ptr<GuestProgram> clone() const override {
+    return std::make_unique<JournalingProgram>(*this);
+  }
+
+  std::uint64_t writes_ = 0;
+
+ private:
+  wl::SyntheticProgram inner_{wl::memory_microbench(10)};
+};
+
+TEST(Migrator, CarriesDiskAndProgram) {
+  TestbedConfig config;
+  config.vm_spec = hv::make_vm_spec("mig", 2, 32ULL << 20);
+  config.engine.mode = EngineMode::kHere;  // secondary is KVM
+  Testbed bed(config);
+  hv::Vm& vm = bed.create_vm(std::make_unique<JournalingProgram>());
+  bed.simulation().run_for(sim::from_millis(200));
+
+  common::ThreadPool pool(2);
+  TimeModel model;
+  SeedConfig seed_config;
+  seed_config.mode = SeedMode::kHereMultithreaded;
+  Migrator migrator(bed.simulation(), model, pool, bed.primary(),
+                    bed.secondary(), seed_config);
+  bool done = false;
+  migrator.migrate(vm, [&](const MigrationResult&) { done = true; });
+  bed.run_until([&] { return done; }, sim::from_seconds(3600));
+  ASSERT_TRUE(done);
+
+  // Disk and program were captured at the same paused instant: the program
+  // resumes with exactly the journal the disk holds.
+  hv::Vm* dest = migrator.destination_vm();
+  ASSERT_NE(dest, nullptr);
+  auto* program = dynamic_cast<JournalingProgram*>(dest->program());
+  ASSERT_NE(program, nullptr);
+  ASSERT_GT(program->writes_, 0u);
+  const hv::VirtualDisk& disk = bed.secondary().hypervisor().disk(*dest);
+  EXPECT_EQ(disk.sectors_written(), program->writes_);
+  EXPECT_EQ(disk.read_stamp(program->writes_ - 1),
+            0xD15C0000 + program->writes_ - 1);
+
+  // ...and keeps journaling on the destination.
+  const std::uint64_t at_activation = program->writes_;
+  bed.simulation().run_for(sim::from_millis(100));
+  EXPECT_GT(program->writes_, at_activation);
+  EXPECT_GT(disk.sectors_written(), at_activation);
 }
 
 }  // namespace
