@@ -58,30 +58,27 @@ void ReplicationEngine::watchdog_check() {
 }
 
 void ReplicationEngine::on_heartbeat_lost() {
-  if (config_.ft.probe_on_heartbeat_loss) {
-    if (fabric_.connected(secondary_.eth_node(), primary_.eth_node())) {
-      // Ask the primary over the management network. A partitioned-but-live
-      // host answers; a crashed or hung one cannot.
-      probe_in_flight_ = true;
-      probe_reply_received_ = false;
-      send_control(secondary_.eth_node(), primary_.eth_node(),
-                   kProbeRequestKind);
-      if (config_.tracer != nullptr) {
-        config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
-                                {{"timeout_ns", kProbeTimeout.count()}});
-      }
-      probe_event_ = sim_.schedule_after(
-          kProbeTimeout, [this] { finish_probe(); }, "watchdog-probe");
-      return;
-    }
-    // Both networks unreachable: indistinguishable from a dead machine.
-    stats_.failure_classification = "crash-suspected";
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "watchdog.classify", "fo",
-                              {{"classification", "crash-suspected"}});
-    }
+  if (!config_.ft.probe_on_heartbeat_loss) {
+    begin_failover("heartbeat timeout", /*fence_on_heartbeat=*/true);
+    return;
   }
-  begin_failover("heartbeat timeout", /*fence_on_heartbeat=*/true);
+  probe_reply_received_ = false;
+  if (!fabric_.connected(secondary_.eth_node(), primary_.eth_node())) {
+    // Both networks unreachable: indistinguishable from a dead machine, so
+    // the verdict is that of a probe nobody answered.
+    finish_probe();
+    return;
+  }
+  // Ask the primary over the management network. A partitioned-but-live
+  // host answers; a crashed or hung one cannot.
+  probe_in_flight_ = true;
+  send_control(secondary_.eth_node(), primary_.eth_node(), kProbeRequestKind);
+  if (config_.tracer != nullptr) {
+    config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
+                            {{"timeout_ns", kProbeTimeout.count()}});
+  }
+  probe_event_ = sim_.schedule_after(
+      kProbeTimeout, [this] { finish_probe(); }, "watchdog-probe");
 }
 
 void ReplicationEngine::finish_probe() {

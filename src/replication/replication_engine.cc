@@ -558,17 +558,13 @@ void ReplicationEngine::on_service_packet(const net::Packet& packet) {
 }
 
 hv::Vm* ReplicationEngine::active_vm() {
-  hv::Vm* vm = stats_.failed_over ? replica_vm_ : vm_;
   // An older generation's replica twin may have been destroyed by a newer
-  // generation demoting it (cascaded re-protection): validate the borrowed
-  // pointer against the owning hypervisor before anyone dereferences it.
-  // The engine stays routable — its service node lives on — but delivers
-  // nothing once the twin is gone.
-  if (vm != nullptr) {
-    hv::Host& host = stats_.failed_over ? secondary_ : primary_;
-    if (!host.hypervisor().owns(*vm)) return nullptr;
-  }
-  return vm;
+  // generation demoting it (cascaded re-protection): replica_vm() validates
+  // the borrowed pointer against the owning hypervisor. The engine stays
+  // routable — its service node lives on — but delivers nothing once the
+  // twin is gone.
+  if (stats_.failed_over) return replica_vm();
+  return vm_ != nullptr && primary_.hypervisor().owns(*vm_) ? vm_ : nullptr;
 }
 
 bool ReplicationEngine::service_available() {

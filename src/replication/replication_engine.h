@@ -25,6 +25,11 @@
 // unchanged. Lifecycle consumers implement EngineObserver
 // (engine_observer.h); the legacy protect() shim and its ad-hoc callback
 // were removed (docs/api_migration.md).
+//
+// The class is implemented in four files, one per lifecycle seam:
+// replication_engine.cc (construction, seeding, drain, packet paths),
+// engine_checkpoint.cc, engine_failover.cc and engine_rejoin.cc
+// (docs/ARCHITECTURE.md, "Engine source map").
 #pragma once
 
 #include <memory>
