@@ -437,7 +437,7 @@ class ReplicationEngine {
 
   // --- Continuous checkpointing ---------------------------------------------
   // Enters (or re-enters) the continuous phase now: cancels any pending
-  // checkpoint and re-arms the checkpoint and scrub loops.
+  // checkpoint or scrub and re-arms both loops, so neither ever runs twice.
   void restart_checkpointing();
   void schedule_checkpoint();
   void run_checkpoint();

@@ -67,6 +67,7 @@ class TimeModel {
   // overheads. Appends overlap the network transfer on the secondary, so a
   // WAL append only shows up in the pause when it outlasts the wire.
   static constexpr double kDurableBytesPerSecond = 2.0e9;
+  // Per-record overheads of a WAL append and of a replayed record.
   static constexpr sim::Duration kDurableAppendSetup = sim::from_micros(20);
   static constexpr sim::Duration kDurableReplaySetup = sim::from_micros(50);
 
