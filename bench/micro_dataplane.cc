@@ -1,9 +1,9 @@
 // Data-plane microbenchmarks (google-benchmark): the real-work primitives
 // under the simulation's virtual-time shell — page copies, CRC32C, page
-// digests, replica commits, dirty-bitmap scans, PML ring operations and the
-// cross-hypervisor state translation. Anything that runs on worker threads
-// or is compared against them is timed in real time, not the calling
-// thread's CPU time.
+// digests, the zero-page test, replica commits, dirty-bitmap scans, PML ring
+// operations and the cross-hypervisor state translation. Anything that runs
+// on worker threads or is compared against them is timed in real time, not
+// the calling thread's CPU time.
 #include <benchmark/benchmark.h>
 
 #include <stdexcept>
@@ -15,6 +15,7 @@
 #include "hv/guest_memory.h"
 #include "hv/pml_ring.h"
 #include "kvmsim/kvm_state.h"
+#include "replication/encoder.h"
 #include "replication/staging.h"
 #include "replication/wire.h"
 #include "sim/rng.h"
@@ -111,7 +112,8 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Arg(1)->Arg(0)->UseRealTime();
 
-// The FNV-1a page digest behind region references and the scrub audit.
+// The XXH64 page digest (hv::page_digest) behind region references, the
+// encoder references and the scrub audit.
 void BM_PageDigest(benchmark::State& state) {
   const std::uint64_t pages = 1024;
   hv::GuestMemory mem(pages, 1);
@@ -125,6 +127,23 @@ void BM_PageDigest(benchmark::State& state) {
                           static_cast<std::int64_t>(pages * common::kPageSize));
 }
 BENCHMARK(BM_PageDigest)->UseRealTime();
+
+// The zero-page test behind zero elision, the durable snapshot and
+// activation, over all-zero pages: the case that reads every byte.
+void BM_ZeroPageScan(benchmark::State& state) {
+  const std::uint64_t pages = 1024;
+  const hv::GuestMemory mem(pages, 1);
+  for (auto _ : state) {
+    std::uint64_t zero = 0;
+    for (common::Gfn g = 0; g < pages; ++g) {
+      zero += rep::is_zero_page(mem.page(g)) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(zero);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pages * common::kPageSize));
+}
+BENCHMARK(BM_ZeroPageScan)->UseRealTime();
 
 // A verified replica commit of one dirty page in each of 19 regions:
 // receive (CRC verify + buffer) and commit (apply + region references).

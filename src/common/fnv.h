@@ -1,7 +1,8 @@
-// 64-bit FNV-1a, the one hash family behind every content digest and
-// deterministic identity in the tree: page digests, encoder content hashes,
-// the checkpoint stream's rolling digest and region references, the
-// resume-probe token and placement keys.
+// 64-bit FNV-1a, the hash behind the tree's pinned small-input identities:
+// the checkpoint stream's rolling digest, the fold of page digests into
+// region references, the resume-probe token and placement keys. Page
+// contents are digested with XXH64 instead (common/xxh64.h, behind
+// hv::page_digest); FNV-1a folds those digests but never reads page bytes.
 //
 // Two offset bases are in use. kFnvOffset is the standard one. The
 // replication stream (wire digest, staging region references, probe tokens)

@@ -3,7 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/fnv.h"
+#include "common/xxh64.h"
 
 namespace here::hv {
 
@@ -61,13 +61,12 @@ void GuestMemory::install_page(common::Gfn gfn,
   std::memcpy(frames_.data() + gfn * kPageSize, data.data(), kPageSize);
 }
 
-// The byte-serial FNV-1a loop dominates replication wall time, and its speed
-// on x86 moves by ~10 % with where the loop lands in a cache line. Pinning
-// the function to a cache line keeps that from depending on how much code
-// the linker happens to place before it.
-[[gnu::aligned(64)]] std::uint64_t GuestMemory::page_digest(
-    common::Gfn gfn) const {
-  return common::fnv1a(page(gfn));
+std::uint64_t page_digest(std::span<const std::uint8_t> page) {
+  return common::xxh64(page);
+}
+
+std::uint64_t GuestMemory::page_digest(common::Gfn gfn) const {
+  return hv::page_digest(page(gfn));
 }
 
 std::uint64_t GuestMemory::full_digest() const {

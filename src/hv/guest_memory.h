@@ -19,6 +19,12 @@
 
 namespace here::hv {
 
+// The page-content digest: XXH64 (seed 0) over the page's bytes. It is the
+// one function behind every page reference, so the primary's encoder
+// references and the replica's committed digests compare directly. Digests
+// are only compared for equality, never priced.
+[[nodiscard]] std::uint64_t page_digest(std::span<const std::uint8_t> page);
+
 class GuestMemory {
  public:
   // Allocates `pages` zeroed frames for a VM with `vcpus` virtual CPUs.
@@ -53,7 +59,8 @@ class GuestMemory {
   // activity).
   void install_page(common::Gfn gfn, std::span<const std::uint8_t> data);
 
-  // FNV-1a digest of one page / of all memory; used by consistency tests.
+  // hv::page_digest of one page; full_digest folds every page's digest, in
+  // gfn order, into one value for all memory.
   [[nodiscard]] std::uint64_t page_digest(common::Gfn gfn) const;
   [[nodiscard]] std::uint64_t full_digest() const;
 

@@ -5,21 +5,26 @@
 #include <iterator>
 #include <string>
 
-#include "common/fnv.h"
-
 namespace here::rep {
 
 using common::kPageSize;
 
 bool is_zero_page(std::span<const std::uint8_t> page) {
-  for (const std::uint8_t b : page) {
-    if (b != 0) return false;
+  // OR-reduce one 64-byte block of words at a time, then the byte tail.
+  constexpr std::size_t kBlock = 64;
+  const std::uint8_t* p = page.data();
+  const std::size_t blocked = page.size() - page.size() % kBlock;
+  for (std::size_t off = 0; off < blocked; off += kBlock) {
+    std::uint64_t w[kBlock / 8];
+    std::memcpy(w, p + off, kBlock);
+    if ((w[0] | w[1] | w[2] | w[3] | w[4] | w[5] | w[6] | w[7]) != 0) {
+      return false;
+    }
+  }
+  for (std::size_t i = blocked; i < page.size(); ++i) {
+    if (p[i] != 0) return false;
   }
   return true;
-}
-
-std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page) {
-  return common::fnv1a(page);
 }
 
 namespace {
@@ -193,7 +198,7 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
       }
     }
     if (!encoded && track_refs && has_ref_[gfn] != 0) {
-      hash = page_bytes_digest(page);
+      hash = hv::page_digest(page);
       hashed = true;
       ++work.hashes;
       if (config_.hash_skip && hash == committed_hash_[gfn]) {
@@ -232,7 +237,7 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
       // encoded; kSkip keeps the old reference, everything else re-hashes.
       p.hash = meta.enc == wire::PageEncoding::kSkip ? committed_hash_[gfn]
                : hashed                              ? hash
-                                                     : page_bytes_digest(page);
+                                                     : hv::page_digest(page);
       if (!hashed && meta.enc != wire::PageEncoding::kSkip) ++work.hashes;
       if (config_.delta) p.content.assign(page.begin(), page.end());
       staged.push_back(std::move(p));

@@ -78,11 +78,6 @@ struct EncodeWork {
 // True when every byte of `page` is zero.
 [[nodiscard]] bool is_zero_page(std::span<const std::uint8_t> page);
 
-// FNV-1a over the page bytes — the same digest family as
-// hv::GuestMemory::page_digest, so primary-side references compare directly
-// against the replica's committed image.
-[[nodiscard]] std::uint64_t page_bytes_digest(std::span<const std::uint8_t> page);
-
 // XOR+RLE delta transform. Encode XORs `page` against `base` and emits
 // [u16 zero-run][u16 literal-len][literal bytes] records (little-endian);
 // trailing zeros are implicit. Returns an encoding of size >= kPageSize when

@@ -209,10 +209,10 @@ class ReplicaStaging {
   std::set<std::uint32_t> corrupt_regions_;
   std::vector<std::uint64_t> committed_region_digests_;
   // Per-page digest cache behind the region references: each entry is the
-  // FNV digest of the page as a verified commit (or a baseline) installed
-  // it. Installs clear the valid flag; refresh_region_digest rehashes only
-  // invalid entries, so a commit costs the pages it changed, not the 512 of
-  // every region it touched.
+  // hv::page_digest of the page as a verified commit (or a baseline)
+  // installed it. Installs clear the valid flag; refresh_region_digest
+  // rehashes only invalid entries, so a commit costs the pages it changed,
+  // not the 512 of every region it touched.
   std::vector<std::uint64_t> page_digests_;
   std::vector<std::uint8_t> page_digest_valid_;
 };

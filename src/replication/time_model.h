@@ -56,7 +56,8 @@ class TimeModel {
   // Each encoder declares its per-page CPU here so the engine reports the
   // *real* copy cost of the encoded stream to PeriodManager/Algorithm 1:
   //   * zero_scan: read 4 KiB and compare against zero (~25 GB/s);
-  //   * page_hash: byte-wise FNV-1a over the page;
+  //   * page_hash: one page-content digest, costed as on the calibrated
+  //     host, whatever hv::page_digest's real speed;
   //   * delta_encode: XOR against the shadow + RLE emit.
   static constexpr sim::Duration kEncodeZeroScanPerPage{160};   // 0.16 us
   static constexpr sim::Duration kEncodePageHashPerPage{400};   // 0.4 us

@@ -1,5 +1,5 @@
-// Unit and property tests for common utilities: units, CRC32C, the
-// concurrent dirty bitmap, and the thread pool.
+// Unit and property tests for common utilities: units, FNV-1a, XXH64 and
+// the page digest, CRC32C, the concurrent dirty bitmap, and the thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,8 @@
 #include "common/fnv.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
+#include "common/xxh64.h"
+#include "hv/guest_memory.h"
 #include "sim/rng.h"
 
 namespace here::common {
@@ -79,6 +81,70 @@ TEST(Fnv1a, U64FoldIsTheLittleEndianByteFold) {
               common::fnv1a(std::span<const std::uint8_t>(le), seed));
   }
   EXPECT_NE(common::kFnvStreamOffset, common::kFnvOffset);
+}
+
+std::uint64_t xxh64_text(std::string_view text) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
+  return xxh64(std::span<const std::uint8_t>(bytes, text.size()));
+}
+
+std::vector<std::uint8_t> patterned_page() {
+  std::vector<std::uint8_t> page(kPageSize);
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return page;
+}
+
+// Published XXH64 vectors (seed 0). The 39-byte sentence covers the
+// four-lane stripe loop and the 8-, 4- and 1-byte tails.
+TEST(Xxh64, KnownVectors) {
+  EXPECT_EQ(xxh64_text(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64_text("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(xxh64_text("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(xxh64_text("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+}
+
+// Two pinned 4 KiB pages: the page digest is XXH64 of the page bytes.
+TEST(PageDigest, PinnedPages) {
+  const std::vector<std::uint8_t> zero(kPageSize, 0);
+  EXPECT_EQ(hv::page_digest(zero), 0xac869b6f32d8bbdbULL);
+  EXPECT_EQ(hv::page_digest(patterned_page()), 0xe21174be82dc78d9ULL);
+}
+
+TEST(PageDigest, GuestMemoryDigestsThePageBytes) {
+  hv::GuestMemory mem(4, 1);
+  const std::vector<std::uint8_t> page = patterned_page();
+  mem.install_page(2, page);
+  mem.write_u64(0, 3, 128, 0x0123456789abcdefULL);
+  for (Gfn g = 0; g < mem.pages(); ++g) {
+    EXPECT_EQ(mem.page_digest(g), hv::page_digest(mem.page(g))) << g;
+  }
+  EXPECT_EQ(mem.page_digest(2), 0xe21174be82dc78d9ULL);
+}
+
+// Any single-bit flip at the page's first and last byte, and the top bit of
+// every 64-bit word, changes the digest.
+TEST(PageDigest, SingleBitFlipsChangeTheDigest) {
+  std::vector<std::uint8_t> page = patterned_page();
+  const std::uint64_t base = hv::page_digest(page);
+  const auto flips = [&](std::size_t byte, std::uint8_t mask) {
+    page[byte] ^= mask;
+    const std::uint64_t flipped = hv::page_digest(page);
+    page[byte] ^= mask;
+    return flipped != base;
+  };
+  for (int bit = 0; bit < 8; ++bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << bit);
+    EXPECT_TRUE(flips(0, mask)) << "byte 0 bit " << bit;
+    EXPECT_TRUE(flips(kPageSize - 1, mask)) << "byte 4095 bit " << bit;
+  }
+  for (std::size_t word = 0; word < kPageSize / 8; ++word) {
+    // Bit 63 of a little-endian word is the top bit of its last byte.
+    EXPECT_TRUE(flips(word * 8 + 7, 0x80)) << "word " << word;
+  }
+  EXPECT_EQ(hv::page_digest(page), base);
 }
 
 TEST(Crc32c, KnownVectors) {

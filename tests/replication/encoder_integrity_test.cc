@@ -302,7 +302,7 @@ TEST(EncodedStreamIntegrity, StaleDeltaBaseRefusedBeforeApply) {
   f.gfns = {5};
   f.pages = {{wire::PageEncoding::kDelta,
               static_cast<std::uint32_t>(delta.size()),
-              page_bytes_digest(stale_base)}};
+              hv::page_digest(stale_base)}};
   f.bytes = delta;
   wire::seal_frame(f);
   ASSERT_TRUE(wire::frame_intact(f));
@@ -337,7 +337,7 @@ TEST(EncodedStreamIntegrity, StaleSkipBaseRefusedBeforeApply) {
   f.version = wire::kWireVersionEncoded;
   f.gfns = {5};
   f.pages = {{wire::PageEncoding::kSkip, 0,
-              page_bytes_digest(patterned_page(0xd4))}};
+              hv::page_digest(patterned_page(0xd4))}};
   wire::seal_frame(f);
   ASSERT_TRUE(wire::frame_intact(f));
 

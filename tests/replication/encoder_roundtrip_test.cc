@@ -5,6 +5,7 @@
 //     unencoded content, for every encoder alone and all stacked;
 //   * per-class savings: the right encoder collapses the right content, and
 //     nothing ever inflates (bytes_out <= bytes_in by construction);
+//   * the zero test sees one non-zero byte at any offset of a page;
 //   * encoding is deterministic: same content, same frames, bit for bit;
 //   * the version-0 wire stays byte-identical to the PR 3 framing (golden
 //     recompute of the seal and the rolling digest);
@@ -200,6 +201,21 @@ TEST(EncoderRoundtrip, ZeroElisionCollapsesAllZeroContent) {
   const TrialResult r = run_roundtrip(4, ContentClass::kAllZero, kZeroOnly);
   EXPECT_EQ(r.stats.pages_zero, r.dirty_pages);
   EXPECT_EQ(r.stats.bytes_out, 0u);  // zero pages ship no payload at all
+}
+
+// The word-wise zero test sees a single set bit anywhere in the page, low
+// or high, and accepts the all-zero page.
+TEST(EncoderRoundtrip, ZeroTestSeesOneNonZeroByteAtEveryOffset) {
+  std::vector<std::uint8_t> page(kPageSize, 0);
+  EXPECT_TRUE(is_zero_page(page));
+  for (std::size_t offset = 0; offset < page.size(); ++offset) {
+    for (const std::uint8_t value : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      page[offset] = value;
+      ASSERT_FALSE(is_zero_page(page)) << "offset " << offset;
+      page[offset] = 0;
+    }
+  }
+  EXPECT_TRUE(is_zero_page(page));
 }
 
 TEST(EncoderRoundtrip, HashSkipCollapsesRedirtiedIdenticalContent) {

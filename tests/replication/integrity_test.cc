@@ -216,7 +216,10 @@ TEST(StreamIntegrity, ExhaustedRetransmitBudgetFallsBackToAbortAndRetry) {
 
 // --- Background scrubbing: post-commit divergence repaired --------------------
 
-TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
+// Rots one byte of the last replica page after commit (bit rot the primary
+// never sees; only the scrubber's reference digests can catch it) and checks
+// that the scrub detects the divergence and the region re-send repairs it.
+void expect_scrub_repairs_rot_at(std::size_t byte, std::uint8_t mask) {
   TestbedConfig config = integrity_config();
   config.engine.ft.scrub_interval = sim::from_millis(250);
   Testbed bed(config);
@@ -233,9 +236,7 @@ TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
   ASSERT_EQ(staging->committed_region_digest(region),
             staging->live_region_digest(region));
 
-  // Flip a byte in the replica image *after* commit — bit rot the primary
-  // never sees. Only the scrubber's reference digests can catch this.
-  staging->memory().page_mut(gfn)[0] ^= 0xff;
+  staging->memory().page_mut(gfn)[byte] ^= mask;
   ASSERT_NE(staging->committed_region_digest(region),
             staging->live_region_digest(region));
 
@@ -253,6 +254,15 @@ TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
       },
       sim::from_seconds(5)));
   EXPECT_FALSE(bed.engine().failed_over());
+}
+
+TEST(StreamIntegrity, ScrubDetectsAndRepairsPostCommitDivergence) {
+  expect_scrub_repairs_rot_at(0, 0xff);
+}
+
+// The audit hashes every byte of the page, through to the last one.
+TEST(StreamIntegrity, ScrubRepairsRotInLastByteOfPage) {
+  expect_scrub_repairs_rot_at(common::kPageSize - 1, 0x80);
 }
 
 // The scrub loop parks while a failover is in progress; a fenced failover
