@@ -36,6 +36,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "hv/guest_memory.h"
+#include "replication/time_model.h"
 #include "replication/wire.h"
 
 namespace here::rep {
@@ -62,17 +63,6 @@ struct EncodeStats {
   std::uint64_t pages_skipped = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-};
-
-// Per-worker cycle-cost inputs for one epoch's encode shards (real page
-// counts; the engine multiplies by model_scale before pricing them with
-// TimeModel::encode_cpu).
-struct EncodeWork {
-  std::uint64_t zero_scans = 0;   // pages checked for all-zero content
-  std::uint64_t hashes = 0;       // page content hashes computed
-  std::uint64_t delta_pages = 0;  // pages XOR+RLE transformed
-  std::uint64_t raw_pages = 0;    // fell back to raw: full stream copy
-  std::uint64_t bytes_out = 0;    // encoded payload bytes produced
 };
 
 // True when every byte of `page` is zero.

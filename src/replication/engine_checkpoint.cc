@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/log.h"
 #include "common/units.h"
@@ -12,15 +13,6 @@ namespace here::rep {
 
 using common::kPagesPerRegion;
 
-namespace {
-
-sim::Duration scaled(sim::Duration d, double factor) {
-  return sim::Duration{
-      static_cast<std::int64_t>(static_cast<double>(d.count()) * factor)};
-}
-
-}  // namespace
-
 sim::Duration ReplicationEngine::snapshot_state_and_program() {
   sim::Duration cost{};
   staging_->set_pending_state(stage_machine_state(
@@ -28,8 +20,7 @@ sim::Duration ReplicationEngine::snapshot_state_and_program() {
   if (hv::GuestProgram* program = vm_->program()) {
     staging_->set_pending_program(program->clone());
   }
-  // Checkpoint ACK round trip on the interconnect.
-  return cost + sim::from_micros(10);
+  return cost;
 }
 
 void ReplicationEngine::restart_checkpointing() {
@@ -91,11 +82,6 @@ void ReplicationEngine::run_scrub() {
                             {{"regions", staging_->region_count()},
                              {"repairs", repaired}});
   }
-  if (repaired > 0) {
-    notify_degraded(DegradedKind::kScrubRepair,
-                    "scrub found " + std::to_string(repaired) +
-                        " divergent region(s); full re-send scheduled");
-  }
   schedule_scrub();
 }
 
@@ -152,7 +138,6 @@ void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
                              {"reason", reason},
                              {"streak", abort_streak_}});
   }
-  notify_degraded(DegradedKind::kEpochAborted, reason);
   const std::uint32_t shift = std::min<std::uint32_t>(abort_streak_ - 1, 6);
   const sim::Duration backoff = std::min(
       kCheckpointRetryBackoff * (std::int64_t{1} << shift), config_.period.t_max);
@@ -178,16 +163,129 @@ void ReplicationEngine::run_checkpoint() {
     return;
   }
 
-  const sim::Duration period_used = sim_.now() - last_checkpoint_done_;
-  const std::uint64_t epoch = current_epoch_;
-
   // (1) Pause the VM.
   const bool was_running = vm_->state() == hv::VmState::kRunning;
   if (was_running) primary_.hypervisor().pause(*vm_);
 
-  // (2) Capture this epoch's dirty set and copy it into staging.
-  //     HERE: disjoint 2 MiB regions round-robin across migrator threads;
-  //     Remus: one thread walks the whole bitmap.
+  // (2) Capture the dirty set, frame it (raw copy or encode), seal it and
+  //     push it through the interconnect data plane.
+  EpochWork work;
+  EpochCapture capture = capture_epoch(work);
+  frame_epoch(capture, work);
+  seal_epoch(capture);
+  bool retransmits_exhausted = false;
+  work.retransmit_bytes =
+      transmit_epoch_frames(capture.frames, retransmits_exhausted);
+
+  // (3) The epoch's mirrored disk writes travel with the checkpoint.
+  for (const auto& w : epoch_disk_writes_) work.disk_bytes += w.sectors * 512ULL;
+  staging_->buffer_disk_writes(std::move(epoch_disk_writes_));
+  epoch_disk_writes_.clear();
+
+  // (4) vCPU + device states, translated when heterogeneous.
+  work.state = snapshot_state_and_program();
+
+  // (5) Price the epoch. An epoch that may still abort on its timeout only
+  //     projects its shared-link grant; the bytes are reserved once it goes
+  //     ahead.
+  work.vm_pause = primary_.hypervisor().cost_profile().vm_pause;
+  work.vm_resume = primary_.hypervisor().cost_profile().vm_resume;
+  work.link_loss = link.loss;
+  work.bandwidth_factor = link.bandwidth_factor;
+  work.disk_slowdown = primary_.hypervisor().disk(*vm_).slowdown();
+  work.durable = env_.durable_store != nullptr;
+  work.speculative_cow = config_.speculative_cow;
+  work.stall = std::exchange(pending_stall_, {});
+  const bool may_time_out =
+      config_.ft.checkpoint_timeout > sim::Duration::zero() &&
+      !retransmits_exhausted;
+  work.arbitration = link_stretch(work.wire_bytes(), !may_time_out);
+  const PauseLedger ledger = model_.price_epoch(work);
+
+  // (6) Commit or abort.
+  // Abort-and-retry: a transfer that cannot land within the deadline would
+  // stretch the pause unboundedly (exactly the wedge HERE's watchdog would
+  // misread as a dead primary). Give up on this epoch before any byte is
+  // reserved or snapshotted, resume the guest after the scan it already
+  // paid for, and retry with backoff.
+  if (may_time_out &&
+      ledger.pause() + ledger.background() > config_.ft.checkpoint_timeout) {
+    pool_->commit_burst(pool_client_, ledger.before_transfer());
+    abort_epoch("projected transfer exceeds checkpoint_timeout", was_running,
+                ledger.before_transfer());
+    return;
+  }
+  if (may_time_out) link_stretch(work.wire_bytes(), /*reserve=*/true);
+  // The CoW buffer doubles the epoch's resident footprint on the primary.
+  const std::uint64_t dirty_pages = capture.pages * work.model_scale;
+  if (config_.speculative_cow) {
+    primary_.account_replication_memory(common::pages_to_bytes(dirty_pages));
+  }
+
+  // Integrity fallback: retransmission rounds exhausted with regions still
+  // failing verification — this epoch can never commit. Fold it back into
+  // the running epoch and retry with backoff (output commit holds: the
+  // epoch's buffered output is released only by a later successful commit).
+  if (retransmits_exhausted) {
+    pool_->commit_burst(pool_client_, ledger.pause());
+    abort_epoch("retransmit budget exhausted with corrupt regions",
+                was_running, ledger.pause());
+    return;
+  }
+
+  // The burst's busy window covers the whole epoch transfer — pause plus any
+  // speculative background push — so overlapping engines see the contention.
+  pool_->commit_burst(pool_client_, ledger.pause() + ledger.background());
+  trace_epoch(capture, work, ledger);
+  const sim::Duration cpu_work = model_.replication_cpu(work, ledger);
+  stats_.replication_cpu += cpu_work;
+  primary_.account_replication_cpu(cpu_work);
+  primary_.account_replication_memory(staging_->peak_buffered_bytes() *
+                                      work.model_scale);
+
+  const CheckpointRecord record{
+      .epoch = current_epoch_,
+      .period_used = sim_.now() - last_checkpoint_done_,
+      .pause = ledger.pause(),
+      .dirty_pages_model = dirty_pages,
+      .bytes_model = common::pages_to_bytes(dirty_pages),
+      .ledger = ledger};
+  checkpoint_finish_event_ = sim_.schedule_after(
+      ledger.pause(),
+      [this, record, was_running] {
+        // A link that died while the epoch was being pushed aborts it before
+        // the new execution epoch opens, keeping buffered output in the
+        // current one.
+        if (epoch_lost("interconnect down at commit", was_running)) return;
+        // A new execution epoch starts the moment the VM resumes; output
+        // produced from here on must wait for the *next* commit.
+        ++current_epoch_;
+        if (!record.ledger.speculative_cow) {
+          finish_checkpoint(record);
+          if (was_running) primary_.hypervisor().resume(*vm_);
+          return;
+        }
+        // Speculative CoW: resume now; commit (and release epoch N's
+        // output) only when the background transfer lands.
+        if (was_running) primary_.hypervisor().resume(*vm_);
+        checkpoint_finish_event_ = sim_.schedule_after(
+            record.ledger.background(),
+            [this, record] {
+              if (epoch_lost("interconnect down in background transfer",
+                             /*was_running=*/false)) {
+                return;
+              }
+              finish_checkpoint(record);
+            },
+            "checkpoint-commit");
+      },
+      "checkpoint-done");
+}
+
+ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch(
+    EpochWork& work) {
+  // HERE: disjoint 2 MiB regions round-robin across migrator threads;
+  // Remus: one thread walks the whole bitmap.
   common::DirtyBitmap& scratch = primary_.hypervisor().scratch_bitmap(*vm_);
   primary_.hypervisor().dirty_bitmap(*vm_)->exchange_into(scratch);
 
@@ -197,33 +295,32 @@ void ReplicationEngine::run_checkpoint() {
   // therefore its copy/scan cost), which Algorithm 1 then feeds back into
   // the VM's period.
   const MigratorPool::Grant grant = pool_->begin_burst(pool_client_);
-  const std::uint32_t p = std::min(threads(), grant.threads);
+  EpochCapture c;
+  const std::uint32_t p = work.threads = std::min(threads(), grant.threads);
   if (env_.migrator_pool != nullptr && config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "pool.grant", "ckpt",
                             {{"epoch", current_epoch_},
                              {"threads", p},
                              {"contending", grant.contending}});
   }
-  const std::uint64_t pages = vm_->memory().pages();
+  const std::uint64_t pages = work.pages = vm_->memory().pages();
+  work.model_scale = vm_->spec().model_scale;
   const std::uint64_t regions = (pages + kPagesPerRegion - 1) / kPagesPerRegion;
 
   staging_->begin_epoch(current_epoch_);
-  std::vector<std::uint64_t> per_worker_pages(p, 0);
+  c.worker_pages.assign(p, 0);
   std::vector<std::vector<common::Gfn>> region_gfns(regions);
   pool_->run_shards(pool_client_, p, [&](std::uint32_t w) {
     for (std::uint64_t r = w; r < regions; r += p) {
       const common::Gfn first = r * kPagesPerRegion;
       const common::Gfn last = std::min<common::Gfn>(first + kPagesPerRegion, pages);
       scratch.collect(first, last, region_gfns[r]);
-      per_worker_pages[w] += region_gfns[r].size();
+      c.worker_pages[w] += region_gfns[r].size();
     }
   });
-
-  std::uint64_t captured = 0;
-  std::uint64_t max_worker = 0;
-  for (const std::uint64_t n : per_worker_pages) {
-    captured += n;
-    max_worker = std::max(max_worker, n);
+  for (const std::uint64_t n : c.worker_pages) {
+    c.pages += n;
+    work.max_worker_pages = std::max(work.max_worker_pages, n);
   }
 
   // Keep the captured epoch restorable until it commits: an abort (or a
@@ -235,280 +332,122 @@ void ReplicationEngine::run_checkpoint() {
   }
   last_epoch_disk_writes_ = epoch_disk_writes_;
 
-  // Frame the epoch for the wire: one frame per dirty 2 MiB region, sequence
-  // numbers in ascending region order, each sealed with a CRC32C over its
-  // (possibly encoded) payload, the whole set committed to by the epoch
-  // header's rolling digest. The replica verifies each frame on arrival and
-  // will refuse the commit unless everything checks out. With encoders the
-  // stream runs at the negotiated version — the primary proposes
-  // min(capability, the replica's advertised maximum); without, version 0 is
-  // bit-identical to the un-encoded wire.
-  const std::uint64_t scale = vm_->spec().model_scale;
-  const std::uint16_t wire_version =
-      encoder_ != nullptr
-          ? std::min<std::uint16_t>(wire::kWireVersionEncoded,
-                                    staging_->advertised_wire_version())
-          : wire::kWireVersionRaw;
-  std::vector<wire::RegionFrame> frames;
+  // One frame per dirty 2 MiB region, sequence numbers in ascending region
+  // order. With encoders the stream runs at the negotiated version — the
+  // primary proposes min(capability, the replica's advertised maximum);
+  // without, version 0 is bit-identical to the un-encoded wire.
+  c.wire_version = encoder_ != nullptr
+                       ? std::min<std::uint16_t>(
+                             wire::kWireVersionEncoded,
+                             staging_->advertised_wire_version())
+                       : wire::kWireVersionRaw;
   for (std::uint64_t r = 0; r < regions; ++r) {
     if (region_gfns[r].empty()) continue;
     wire::RegionFrame f;
     f.epoch = current_epoch_;
-    f.seq = frames.size();
+    f.seq = c.frames.size();
     f.region = static_cast<std::uint32_t>(r);
-    f.version = wire_version;
+    f.version = c.wire_version;
     f.gfns = std::move(region_gfns[r]);
-    frames.push_back(std::move(f));
+    c.frames.push_back(std::move(f));
   }
-  std::uint64_t payload_bytes = 0;      // sealed payload, real bytes
-  std::uint64_t raw_pages_total = 0;    // pages that took the full copy
-  sim::Duration worker_cpu_critical{};  // slowest shard: raw copies + encode
-  sim::Duration encode_cpu_total{};     // all workers' encode cycles
+  return c;
+}
+
+void ReplicationEngine::frame_epoch(EpochCapture& c, EpochWork& work) {
   if (encoder_ == nullptr) {
-    for (wire::RegionFrame& f : frames) {
+    for (wire::RegionFrame& f : c.frames) {
       f.bytes.reserve(f.gfns.size() * common::kPageSize);
       for (const common::Gfn g : f.gfns) {
         const auto page = vm_->memory().page(g);
         f.bytes.insert(f.bytes.end(), page.begin(), page.end());
       }
-      payload_bytes += f.bytes.size();
+      work.payload_bytes += f.bytes.size();
     }
-    worker_cpu_critical = model_.shard_cpu(max_worker * scale, p, {});
-    raw_pages_total = captured;
-  } else {
-    // Encode shards: worker w owns frames w, w+p, ... (disjoint), granted
-    // pool work tagged kEncode so fleet accounting sees the stage. The
-    // critical path is the slowest worker; the total is the §8.7 CPU work.
-    const EncodeStats enc_before = encoder_->stats();
-    std::vector<EncodeWork> enc_work(p);
-    pool_->run_shards(
-        pool_client_, p,
-        [&](std::uint32_t w) {
-          for (std::size_t i = w; i < frames.size(); i += p) {
-            encoder_->encode_region(vm_->memory(), frames[i], enc_work[w]);
-          }
-        },
-        MigratorPool::WorkKind::kEncode);
-    for (const EncodeWork& w : enc_work) {
-      const sim::Duration enc_cost = model_.encode_cpu(
-          w.zero_scans * scale, w.hashes * scale, w.delta_pages * scale);
-      worker_cpu_critical =
-          std::max(worker_cpu_critical,
-                   model_.shard_cpu(w.raw_pages * scale, p, enc_cost));
-      encode_cpu_total += enc_cost;
-      raw_pages_total += w.raw_pages;
-      payload_bytes += w.bytes_out;
+    for (const std::uint64_t n : c.worker_pages) {
+      work.shards.push_back({.raw_pages = n});
     }
-    const EncodeStats enc_now = encoder_->stats();
-    if (config_.tracer != nullptr && captured > 0) {
-      config_.tracer->instant(
-          sim_.now(), "epoch.encode", "ckpt",
-          {{"epoch", current_epoch_},
-           {"pages_in", enc_now.pages_in - enc_before.pages_in},
-           {"pages_raw", enc_now.pages_raw - enc_before.pages_raw},
-           {"pages_zero", enc_now.pages_zero - enc_before.pages_zero},
-           {"pages_delta", enc_now.pages_delta - enc_before.pages_delta},
-           {"pages_skipped",
-            enc_now.pages_skipped - enc_before.pages_skipped},
-           {"bytes_in", enc_now.bytes_in - enc_before.bytes_in},
-           {"bytes_out", enc_now.bytes_out - enc_before.bytes_out}});
-    }
+    return;
   }
-  // Seal and fold serially, in seq order (the rolling digest is
-  // order-sensitive by design).
+  // Encode shards: worker w owns frames w, w+p, ... (disjoint), granted
+  // pool work tagged kEncode so fleet accounting sees the stage.
+  const std::uint32_t p = work.threads;
+  const EncodeStats enc_before = encoder_->stats();
+  work.shards.assign(p, {});
+  pool_->run_shards(
+      pool_client_, p,
+      [&](std::uint32_t w) {
+        for (std::size_t i = w; i < c.frames.size(); i += p) {
+          encoder_->encode_region(vm_->memory(), c.frames[i], work.shards[w]);
+        }
+      },
+      MigratorPool::WorkKind::kEncode);
+  for (const EncodeWork& w : work.shards) work.payload_bytes += w.bytes_out;
+  const EncodeStats enc_now = encoder_->stats();
+  if (config_.tracer != nullptr && c.pages > 0) {
+    config_.tracer->instant(
+        sim_.now(), "epoch.encode", "ckpt",
+        {{"epoch", current_epoch_},
+         {"pages_in", enc_now.pages_in - enc_before.pages_in},
+         {"pages_raw", enc_now.pages_raw - enc_before.pages_raw},
+         {"pages_zero", enc_now.pages_zero - enc_before.pages_zero},
+         {"pages_delta", enc_now.pages_delta - enc_before.pages_delta},
+         {"pages_skipped", enc_now.pages_skipped - enc_before.pages_skipped},
+         {"bytes_in", enc_now.bytes_in - enc_before.bytes_in},
+         {"bytes_out", enc_now.bytes_out - enc_before.bytes_out}});
+  }
+}
+
+void ReplicationEngine::seal_epoch(EpochCapture& c) {
+  // Each frame is sealed with a CRC32C over its (possibly encoded) payload
+  // and the whole set committed to by the epoch header's rolling digest,
+  // folded serially in seq order (it is order-sensitive by design). The
+  // replica verifies each frame on arrival and will refuse the commit
+  // unless everything checks out.
   std::uint64_t digest = wire::digest_init();
-  for (wire::RegionFrame& f : frames) {
+  for (wire::RegionFrame& f : c.frames) {
     wire::seal_frame(f);
     digest = wire::digest_fold(digest, f);
   }
   staging_->expect_epoch({current_epoch_,
-                          static_cast<std::uint64_t>(frames.size()), digest,
-                          wire_version});
+                          static_cast<std::uint64_t>(c.frames.size()), digest,
+                          c.wire_version});
+}
 
-  bool retransmits_exhausted = false;
-  const std::uint64_t retransmit_bytes =
-      transmit_epoch_frames(frames, retransmits_exhausted);
+sim::Duration ReplicationEngine::link_stretch(std::uint64_t wire_bytes,
+                                              bool reserve) {
+  if (env_.link_arbiter == nullptr) return {};
+  return (reserve ? env_.link_arbiter->request(arb_flow_, wire_bytes)
+                  : env_.link_arbiter->estimate(arb_flow_, wire_bytes))
+      .queueing();
+}
 
-  // (3) The epoch's mirrored disk writes travel with the checkpoint.
-  std::uint64_t disk_bytes = 0;
-  for (const auto& w : epoch_disk_writes_) disk_bytes += w.sectors * 512ULL;
-  staging_->buffer_disk_writes(std::move(epoch_disk_writes_));
-  epoch_disk_writes_.clear();
-
-  // (4) vCPU + device states, translated when heterogeneous. Disk-mirror
-  // bytes ride along; note they are *not* multiplied by model_scale — guest
-  // programs issue disk writes at their modelled op rates, so the volume is
-  // already in model units (unlike page counts, which are real and scaled).
-  // A slowed-down primary disk (injected fault) stretches the mirror read.
-  sim::Duration disk_cost = model_.wire_time(disk_bytes);
-  const double disk_slow = primary_.hypervisor().disk(*vm_).slowdown();
-  if (disk_slow > 1.0) disk_cost = scaled(disk_cost, disk_slow);
-  sim::Duration state_cost = snapshot_state_and_program() + disk_cost;
-
-  // Pause duration t = f(N)/P + C (Eq. 3/4). Under speculative CoW the
-  // dirty set is only duplicated locally during the pause; the network push
-  // runs in the background after the VM resumes. With encoders the wire term
-  // serializes the *encoded* bytes and the CPU term pays the encode cycles —
-  // the observed pause is the real cost of the cheaper stream, which is what
-  // PeriodManager/Algorithm 1 re-optimise T and P against.
-  const sim::Duration scan_cost = model_.scan(pages * scale, p);
-  sim::Duration copy_cost =
-      model_.checkpoint_copy(worker_cpu_critical, payload_bytes * scale);
-  // Selective retransmissions re-ship their regions' payloads (as sealed,
-  // i.e. encoded when encoders are on): the repair happens inside the
-  // epoch's transfer window, inflating it.
-  if (retransmit_bytes > 0) {
-    copy_cost += model_.wire_time(retransmit_bytes * scale);
+void ReplicationEngine::trace_epoch(const EpochCapture& c,
+                                    const EpochWork& work,
+                                    const PauseLedger& ledger) {
+  if (config_.tracer == nullptr) return;
+  const sim::TimePoint pause_begin = sim_.now();
+  config_.tracer->complete(pause_begin, ledger.pause(), "ckpt.pause", "ckpt",
+                           0,
+                           {{"epoch", current_epoch_},
+                            {"dirty_pages", c.pages * work.model_scale},
+                            {"threads", work.threads}});
+  // One span per migrator thread, on its own tid (tid 0 is the
+  // coordinator). Worker w's share of the copy is proportional to its page
+  // count, so the span never outlasts the aggregate transfer — which keeps
+  // spans on one tid disjoint across epochs.
+  const sim::TimePoint copy_begin = pause_begin + ledger.vm_pause + ledger.scan;
+  for (std::uint32_t w = 0; w < work.threads; ++w) {
+    if (c.worker_pages[w] == 0) continue;  // also covers max_worker == 0
+    const auto share = static_cast<std::int64_t>(
+        static_cast<double>(ledger.transfer().count()) *
+        static_cast<double>(c.worker_pages[w]) /
+        static_cast<double>(work.max_worker_pages));
+    config_.tracer->complete(copy_begin, sim::Duration{share},
+                             "migrator.copy", "ckpt", w + 1,
+                             {{"epoch", current_epoch_},
+                              {"pages", c.worker_pages[w] * work.model_scale}});
   }
-  // Impaired interconnect: lost checkpoint packets retransmit (1/(1-loss))
-  // and a throttled link stretches serialization (1/bandwidth_factor). The
-  // guard keeps fault-free runs bit-identical to the unimpaired engine.
-  double net_penalty = 1.0;
-  if (link.loss > 0.0) net_penalty /= (1.0 - link.loss);
-  if (link.bandwidth_factor < 1.0) net_penalty /= link.bandwidth_factor;
-  if (net_penalty > 1.0) {
-    copy_cost = scaled(copy_cost, net_penalty);
-    state_cost = scaled(state_cost, net_penalty);
-  }
-  // Shared-link arbitration: reserve this epoch's wire bytes on the
-  // secondary's ingest link. Contention shows up as actual > ideal; the
-  // difference stretches the transfer exactly like a slower dedicated wire
-  // would, so it folds into copy_cost (and from there into the pause or the
-  // background push). Uncontended grants have actual == ideal: zero stretch,
-  // byte-identical to the dedicated-wire model.
-  const std::uint64_t wire_bytes = payload_bytes * scale + disk_bytes;
-  if (env_.link_arbiter != nullptr) {
-    const net::LinkArbiter::Reservation res =
-        env_.link_arbiter->request(arb_flow_, wire_bytes);
-    if (res.actual > res.ideal) copy_cost += res.actual - res.ideal;
-  }
-  // Durable ack path: the replica WAL-appends the epoch (the same bytes)
-  // before acking, so the local NVMe append rides the commit's critical
-  // path. Local to the secondary — deliberately outside the net_penalty
-  // scaling above.
-  if (env_.durable_store != nullptr) {
-    state_cost += model_.durable_append(wire_bytes);
-  }
-  const sim::Duration constants =
-      TimeModel::kCheckpointSetup +
-      primary_.hypervisor().cost_profile().vm_pause +
-      primary_.hypervisor().cost_profile().vm_resume;
-  sim::Duration pause;
-  sim::Duration background{};
-  if (config_.speculative_cow) {
-    pause = constants + scan_cost + model_.cow_snapshot(max_worker * scale, p);
-    background = copy_cost + state_cost;
-    // The CoW buffer doubles the epoch's resident footprint on the primary.
-    primary_.account_replication_memory(
-        common::pages_to_bytes(captured * scale));
-  } else {
-    pause = constants + scan_cost + copy_cost + state_cost;
-  }
-  // An injected migrator stall holds the VM paused for its duration.
-  if (pending_stall_ > sim::Duration::zero()) {
-    pause += pending_stall_;
-    pending_stall_ = {};
-  }
-
-  // Integrity fallback: retransmission rounds exhausted with regions still
-  // failing verification — this epoch can never commit. Fold it back into
-  // the running epoch and retry with backoff (output commit holds: the
-  // epoch's buffered output is released only by a later successful commit).
-  if (retransmits_exhausted) {
-    pool_->commit_burst(pool_client_, pause);
-    abort_epoch("retransmit budget exhausted with corrupt regions",
-                was_running, pause);
-    return;
-  }
-
-  // Abort-and-retry: a transfer that cannot land within the deadline would
-  // stretch the pause unboundedly (exactly the wedge HERE's watchdog would
-  // misread as a dead primary). Give up on this epoch, resume the guest
-  // after the scan it already paid for, and retry with backoff.
-  if (config_.ft.checkpoint_timeout > sim::Duration::zero() &&
-      pause + background > config_.ft.checkpoint_timeout) {
-    const sim::Duration abort_pause = constants + scan_cost;
-    pool_->commit_burst(pool_client_, abort_pause);
-    abort_epoch("projected transfer exceeds checkpoint_timeout", was_running,
-                abort_pause);
-    return;
-  }
-
-  // The burst's busy window covers the whole epoch transfer — pause plus any
-  // speculative background push — so overlapping engines see the contention.
-  pool_->commit_burst(pool_client_, pause + background);
-
-  if (config_.tracer != nullptr) {
-    const sim::TimePoint pause_begin = sim_.now();
-    config_.tracer->complete(pause_begin, pause, "ckpt.pause", "ckpt", 0,
-                             {{"epoch", epoch},
-                              {"dirty_pages", captured * scale},
-                              {"threads", p}});
-    // One span per migrator thread, on its own tid (tid 0 is the
-    // coordinator). Worker w's share of the copy is proportional to its
-    // page count, so the span never outlasts the aggregate copy cost —
-    // which keeps spans on one tid disjoint across epochs.
-    const sim::TimePoint copy_begin =
-        pause_begin + primary_.hypervisor().cost_profile().vm_pause +
-        scan_cost;
-    for (std::uint32_t w = 0; w < p; ++w) {
-      if (per_worker_pages[w] == 0 || max_worker == 0) continue;
-      const auto share = static_cast<std::int64_t>(
-          static_cast<double>(copy_cost.count()) *
-          static_cast<double>(per_worker_pages[w]) /
-          static_cast<double>(max_worker));
-      config_.tracer->complete(copy_begin, sim::Duration{share},
-                               "migrator.copy", "ckpt", w + 1,
-                               {{"epoch", epoch},
-                                {"pages", per_worker_pages[w] * scale}});
-    }
-  }
-
-  // §8.7: CPU-seconds burnt by the replication threads (work, not makespan).
-  // The encoder's cycles are work too — every worker's, not just the
-  // critical path's. Only the raw pages did the full stream copy; collapsed
-  // pages' cycles are in encode_cpu_total.
-  const double copy_eff = TimeModel::efficiency(TimeModel::kCopyEff, p);
-  const sim::Duration cpu_work =
-      sim::Duration{static_cast<std::int64_t>(
-          static_cast<double>(TimeModel::kPerPageCopy.count()) *
-          static_cast<double>(raw_pages_total * scale) / copy_eff)} +
-      scan_cost * static_cast<std::int64_t>(p) +
-      TimeModel::kCheckpointSetup + encode_cpu_total;
-  stats_.replication_cpu += cpu_work;
-  primary_.account_replication_cpu(cpu_work);
-  primary_.account_replication_memory(staging_->peak_buffered_bytes() * scale);
-
-  checkpoint_finish_event_ = sim_.schedule_after(
-      pause,
-      [this, epoch, captured, period_used, pause, was_running, background] {
-        // A link that died while the epoch was being pushed aborts it before
-        // the new execution epoch opens, keeping buffered output in the
-        // current one.
-        if (epoch_lost("interconnect down at commit", was_running)) return;
-        // A new execution epoch starts the moment the VM resumes; output
-        // produced from here on must wait for the *next* commit.
-        ++current_epoch_;
-        if (background == sim::Duration{}) {
-          finish_checkpoint(epoch, captured, period_used, pause);
-          if (was_running) primary_.hypervisor().resume(*vm_);
-          return;
-        }
-        // Speculative CoW: resume now; commit (and release epoch N's
-        // output) only when the background transfer lands.
-        if (was_running) primary_.hypervisor().resume(*vm_);
-        checkpoint_finish_event_ = sim_.schedule_after(
-            background,
-            [this, epoch, captured, period_used, pause] {
-              if (epoch_lost("interconnect down in background transfer",
-                             /*was_running=*/false)) {
-                return;
-              }
-              finish_checkpoint(epoch, captured, period_used, pause);
-            },
-            "checkpoint-commit");
-      },
-      "checkpoint-done");
 }
 
 bool ReplicationEngine::epoch_lost(const char* link_reason,
@@ -529,15 +468,12 @@ bool ReplicationEngine::epoch_lost(const char* link_reason,
 
 std::uint64_t ReplicationEngine::transmit_epoch_frames(
     const std::vector<wire::RegionFrame>& frames, bool& exhausted) {
-  exhausted = false;
   std::uint64_t retransmit_bytes = 0;
-  bool saw_corruption = false;
   const net::NodeId src = primary_.ic_node();
   const net::NodeId dst = secondary_.ic_node();
 
   auto offer = [&](const wire::RegionFrame& rx, bool count) {
     if (staging_->receive_frame(rx) == FrameVerdict::kCorrupt && count) {
-      saw_corruption = true;
       bump(&EngineStats::regions_corrupted);
     }
   };
@@ -606,25 +542,10 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
     }
   }
   exhausted = !staging_->corrupt_regions().empty();
-
-  if (saw_corruption) {
-    ++corruption_streak_;
-    if (corruption_streak_ >= 3) {
-      notify_degraded(DegradedKind::kDataCorruption,
-                      "checkpoint frames failed verification in " +
-                          std::to_string(corruption_streak_) +
-                          " consecutive epochs");
-    }
-  } else {
-    corruption_streak_ = 0;
-  }
   return retransmit_bytes;
 }
 
-void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
-                                          std::uint64_t captured_real,
-                                          sim::Duration period_used,
-                                          sim::Duration pause) {
+void ReplicationEngine::finish_checkpoint(CheckpointRecord record) {
   const Expected<std::uint64_t> committed = staging_->commit();
   if (!committed.ok()) {
     // The replica refused the epoch: its verification state says the image
@@ -634,7 +555,7 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     bump(&EngineStats::commits_rejected);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "epoch.commit_rejected", "ckpt",
-                              {{"epoch", epoch},
+                              {{"epoch", record.epoch},
                                {"status", committed.status().to_string()}});
     }
     abort_epoch("replica refused commit: integrity verification failed",
@@ -667,7 +588,7 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
     }
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "rejoin.protected", "fo",
-                              {{"epoch", epoch},
+                              {{"epoch", record.epoch},
                                {"rejoin_ns",
                                 stats_.last_rejoin_time.count()}});
     }
@@ -675,18 +596,12 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
              sim::format_duration(stats_.last_rejoin_time).c_str());
   }
 
-  const std::uint64_t scale = vm_->spec().model_scale;
-  CheckpointRecord record;
-  record.epoch = epoch;
   record.completed_at = sim_.now();
-  record.period_used = period_used;
-  record.pause = pause;
-  record.dirty_pages_model = captured_real * scale;
-  record.bytes_model = common::pages_to_bytes(record.dirty_pages_model);
-  record.degradation = sim::to_seconds(pause) /
-                       (sim::to_seconds(pause) + sim::to_seconds(period_used));
+  record.degradation =
+      sim::to_seconds(record.pause) /
+      (sim::to_seconds(record.pause) + sim::to_seconds(record.period_used));
   stats_.checkpoints.push_back(record);
-  stats_.total_pause += pause;
+  stats_.total_pause += record.pause;
 
   // The commit event precedes the release of the epoch's buffered output:
   // in stream order no "io.release" tagged with epoch N may appear before
@@ -704,18 +619,17 @@ void ReplicationEngine::finish_checkpoint(std::uint64_t epoch,
   bump(&EngineStats::dirty_pages_total, record.dirty_pages_model);
   bump(&EngineStats::bytes_total, record.bytes_model);
   if (m_pause_ms_ != nullptr) {
-    m_pause_ms_->add(sim::to_seconds(pause) * 1e3);
+    m_pause_ms_->add(sim::to_seconds(record.pause) * 1e3);
     m_degradation_pct_->add(record.degradation * 100.0);
   }
-  for (EngineObserver* o : observers_) o->on_checkpoint_committed(record);
 
   // Output commit: packets of the epoch that just committed are released.
-  outbound_.release_up_to(epoch, sim_.now());
+  outbound_.release_up_to(record.epoch, sim_.now());
 
   // Period policy input: measured pause, plus whether the epoch carried
   // guest I/O (the Adaptive Remus baseline's trigger).
   const std::uint64_t captured_now = outbound_.captured_total();
-  period_.observe_epoch(pause, captured_now > epoch_start_captured_);
+  period_.observe_epoch(record.pause, captured_now > epoch_start_captured_);
   epoch_start_captured_ = captured_now;
   if (config_.tracer != nullptr) {
     // Algorithm 1's decision with its inputs (t, N, P) and output (next T).

@@ -88,18 +88,12 @@ void ReplicationEngine::finish_probe() {
     watchdog_check();  // heartbeats recovered while probing; resume the loop
     return;
   }
-  const bool partition = probe_reply_received_;
   stats_.failure_classification =
-      partition ? "partition-suspected" : "crash-suspected";
+      probe_reply_received_ ? "partition-suspected" : "crash-suspected";
   if (config_.tracer != nullptr) {
     config_.tracer->instant(
         sim_.now(), "watchdog.classify", "fo",
         {{"classification", stats_.failure_classification}});
-  }
-  if (partition) {
-    notify_degraded(
-        DegradedKind::kPartitionSuspected,
-        "management network reachable while interconnect heartbeats lost");
   }
   begin_failover("heartbeat timeout", /*fence_on_heartbeat=*/true);
 }
@@ -128,7 +122,6 @@ void ReplicationEngine::begin_failover(const std::string& reason,
     config_.tracer->instant(sim_.now(), "failover.begin", "fo",
                             {{"reason", reason}});
   }
-  for (EngineObserver* o : observers_) o->on_failover_started(reason);
 
   HERE_LOG(kInfo, "failover: %s; activating replica on %s", reason.c_str(),
            secondary_.name().c_str());
@@ -147,8 +140,7 @@ void ReplicationEngine::begin_failover(const std::string& reason,
                           "failover-activate");
 }
 
-void ReplicationEngine::stand_down_failover(bool by_probe,
-                                            const char* detail) {
+void ReplicationEngine::stand_down_failover(bool by_probe) {
   sim_.cancel(failover_activate_event_);
   sim_.cancel(checkpoint_finish_event_);
   failover_in_progress_ = false;
@@ -162,13 +154,12 @@ void ReplicationEngine::stand_down_failover(bool by_probe,
     config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
                             {{"fenced_total", stats_.failovers_fenced}});
   }
-  notify_degraded(DegradedKind::kFailoverFenced, detail);
 }
 
 void ReplicationEngine::fence_failover() {
   if (!failover_in_progress_ || stats_.failed_over) return;
-  stand_down_failover(/*by_probe=*/false,
-                      "primary heartbeats resumed within the fencing window");
+  // Primary heartbeats resumed within the fencing window.
+  stand_down_failover(/*by_probe=*/false);
   // The epoch aborted at failover start folds back into the running epoch;
   // its buffered output was never dropped (that happens only at activation),
   // so the next commit releases it and clients see a gapless stream.
@@ -235,7 +226,6 @@ void ReplicationEngine::activate_replica() {
          {"resumption_ns", stats_.resumption_time.count()},
          {"packets_dropped", stats_.packets_dropped_at_failover}});
   }
-  for (EngineObserver* o : observers_) o->on_replica_active(replica);
 
   HERE_LOG(kInfo, "replica active on %s after %s (epoch %llu)",
            secondary_.name().c_str(),
@@ -313,8 +303,8 @@ void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
   if (!deny) {
     last_heartbeat_rx_ = sim_.now();
     if (failover_in_progress_) {
-      stand_down_failover(/*by_probe=*/true,
-                          "recovered primary probed before replica activation");
+      // The recovered primary probed before replica activation.
+      stand_down_failover(/*by_probe=*/true);
       watchdog_check();  // the loop parked when the failover began
     }
   }
@@ -371,8 +361,6 @@ void ReplicationEngine::demote_primary(const char* reason) {
       primary_.hypervisor().destroy_vm(*stale);
     }
   }
-  notify_degraded(DegradedKind::kPrimaryDemoted,
-                  std::string("recovered primary lost arbitration: ") + reason);
   HERE_LOG(kInfo, "recovered primary demoted (%s); re-seed candidate", reason);
 }
 

@@ -204,9 +204,6 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
                             {{"reboot_after_ns", reboot_after.count()},
                              {"durable", env_.durable_store != nullptr}});
   }
-  notify_degraded(DegradedKind::kSecondaryCrash,
-                  "secondary crashed; replica staging lost — protection "
-                  "suspended until rejoin");
   secondary_reboot_event_ = sim_.schedule_after(
       reboot_after, [this] { on_secondary_rebooted(); }, "secondary-reboot");
 }
@@ -278,13 +275,6 @@ void ReplicationEngine::on_secondary_rebooted() {
                              {"divergent_sectors", divergent_sectors},
                              {"recovery_ns", recovery_cost.count()}});
   }
-  notify_degraded(
-      DegradedKind::kSecondaryRejoined,
-      (recovered ? "secondary recovered from snapshot+WAL; resyncing " +
-                       std::to_string(resync) + " of " +
-                       std::to_string(regions) + " region(s) by delta"
-                 : "secondary rebooted without recoverable state; full "
-                   "resync of " + std::to_string(regions) + " region(s)"));
 
   // Checkpointing resumes once the local replay has (in modelled time)
   // finished; the first epoch then carries the resync set.

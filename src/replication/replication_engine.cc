@@ -196,10 +196,6 @@ void ReplicationEngine::resume_guest() {
   }
 }
 
-void ReplicationEngine::add_observer(EngineObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
-}
-
 Status ReplicationEngine::start_protection(hv::Vm& vm) {
   if (vm_ != nullptr) {
     return Status::failed_precondition("engine already protecting a VM");
@@ -392,7 +388,6 @@ void ReplicationEngine::schedule_seed_retry(const char* why) {
       config_.tracer->instant(sim_.now(), "seed.abandoned", "seed",
                               {{"attempts", stats_.seed_attempts}});
     }
-    notify_degraded(DegradedKind::kSeedAbandoned, why);
     return;
   }
   const std::uint32_t shift =
@@ -405,7 +400,6 @@ void ReplicationEngine::schedule_seed_retry(const char* why) {
                             {{"attempt", stats_.seed_attempts},
                              {"backoff_ns", backoff.count()}});
   }
-  notify_degraded(DegradedKind::kSeedRetry, why);
   HERE_LOG(kWarn, "seeding attempt %u failed (%s); retrying in %s",
            stats_.seed_attempts, why, sim::format_duration(backoff).c_str());
   seed_retry_event_ = sim_.schedule_after(
@@ -441,7 +435,8 @@ Expected<sim::Duration> ReplicationEngine::commit_seed_epoch(
     std::uint64_t epoch) {
   epoch_disk_writes_.clear();  // contained in the just-mirrored disk image
   staging_->begin_epoch(epoch);
-  const sim::Duration state_cost = snapshot_state_and_program();
+  const sim::Duration state_cost =
+      snapshot_state_and_program() + TimeModel::kCheckpointAck;
   if (const Expected<std::uint64_t> committed = staging_->commit();
       !committed.ok()) {
     return committed.status();
@@ -484,10 +479,9 @@ void ReplicationEngine::commit_initial_checkpoint() {
            vm_->spec().name.c_str(), primary_.name().c_str(),
            secondary_.name().c_str(),
            sim::format_duration(stats_.seed.total_time).c_str());
-  for (EngineObserver* o : observers_) o->on_protected(*vm_);
 }
 
-// --- Fault hooks / observers ---------------------------------------------------
+// --- Fault hooks ----------------------------------------------------------------
 
 void ReplicationEngine::inject_migrator_stall(sim::Duration stall) {
   if (stall <= sim::Duration::zero()) return;
@@ -496,8 +490,6 @@ void ReplicationEngine::inject_migrator_stall(sim::Duration stall) {
     config_.tracer->instant(sim_.now(), "fault.migrator_stall", "ckpt",
                             {{"stall_ns", stall.count()}});
   }
-  notify_degraded(DegradedKind::kMigratorStall,
-                  "migrator threads stalled by fault injection");
 }
 
 void ReplicationEngine::drain(const std::string& reason) {
@@ -524,15 +516,6 @@ void ReplicationEngine::drain(const std::string& reason) {
                             {{"reason", reason}});
   }
   HERE_LOG(kInfo, "engine: generation drained (%s)", reason.c_str());
-}
-
-void ReplicationEngine::notify_degraded(DegradedKind kind, std::string detail) {
-  if (observers_.empty()) return;
-  DegradedEvent event;
-  event.kind = kind;
-  event.at = sim_.now();
-  event.detail = std::move(detail);
-  for (EngineObserver* o : observers_) o->on_degraded(event);
 }
 
 // --- Packet paths ---------------------------------------------------------------

@@ -22,9 +22,8 @@
 //
 // Hardening knobs live in FaultToleranceConfig; every default preserves the
 // original fail-stop behaviour bit-for-bit, so fault-free runs are
-// unchanged. Lifecycle consumers implement EngineObserver
-// (engine_observer.h); the legacy protect() shim and its ad-hoc callback
-// were removed (docs/api_migration.md).
+// unchanged. Lifecycle consumers read stats() (every checkpoint's
+// CheckpointRecord, with its PauseLedger), the rep.* metrics and the trace.
 //
 // The class is implemented in four files, one per lifecycle seam:
 // replication_engine.cc (construction, seeding, drain, packet paths),
@@ -46,7 +45,6 @@
 #include "replication/detectors.h"
 #include "replication/durable_store.h"
 #include "replication/encoder.h"
-#include "replication/engine_observer.h"
 #include "replication/io_buffer.h"
 #include "replication/migrator_pool.h"
 #include "replication/period_manager.h"
@@ -193,6 +191,18 @@ struct ReplicationConfig {
 // the Status instead of catching.
 [[nodiscard]] Status validate_replication_config(const ReplicationConfig& config);
 
+// One continuous-phase checkpoint, as recorded in EngineStats.
+struct CheckpointRecord {
+  std::uint64_t epoch = 0;
+  sim::TimePoint completed_at{};
+  sim::Duration period_used{};  // T for the epoch that just ended
+  sim::Duration pause{};        // t: VM paused duration (ledger.pause())
+  std::uint64_t dirty_pages_model = 0;
+  std::uint64_t bytes_model = 0;
+  double degradation = 0.0;     // t / (t + T)
+  PauseLedger ledger;           // t, term by term
+};
+
 struct EngineStats {
   SeedResult seed;
   sim::TimePoint protected_at{};  // epoch 0 committed
@@ -313,13 +323,8 @@ class ReplicationEngine {
   // running). Reconciles the VM's CPUID policy across both hypervisors,
   // interposes the outbound buffer, seeds the replica, then checkpoints
   // continuously. Returns kFailedPrecondition if the engine is already
-  // protecting a VM or `vm` is not running. Lifecycle notifications
-  // (protection established, checkpoints, failover) go to registered
-  // EngineObservers.
+  // protecting a VM or `vm` is not running.
   [[nodiscard]] Status start_protection(hv::Vm& vm);
-
-  // Registers a lifecycle observer (borrowed; must outlive the engine).
-  void add_observer(EngineObserver* observer);
 
   // External clients address the protected service through this node; the
   // engine re-points it at the replica on failover (IP takeover).
@@ -440,7 +445,33 @@ class ReplicationEngine {
   // checkpoint or scrub and re-arms both loops, so neither ever runs twice.
   void restart_checkpointing();
   void schedule_checkpoint();
+  // One epoch: capture -> frame -> seal -> transmit -> price -> commit or
+  // abort. TimeModel::price_epoch owns the pause; the stages below only
+  // count what they did into an EpochWork.
   void run_checkpoint();
+  struct EpochCapture {
+    std::vector<std::uint64_t> worker_pages;  // captured pages per worker
+    std::uint64_t pages = 0;                  // captured, real pages
+    std::uint16_t wire_version = wire::kWireVersionRaw;
+    std::vector<wire::RegionFrame> frames;    // one per dirty region
+  };
+  // Collects the dirty set across the granted workers (counting the grant
+  // and the pages into `work`), keeps it restorable until commit and splits
+  // it into one unsealed frame per dirty region.
+  EpochCapture capture_epoch(EpochWork& work);
+  // Fills the frames' payloads — raw page copies, or the encoder's output —
+  // and counts each worker's pages and the payload bytes into `work`.
+  void frame_epoch(EpochCapture& c, EpochWork& work);
+  // CRCs each frame, folds the rolling digest and arms the replica's
+  // expectation of the epoch.
+  void seal_epoch(EpochCapture& c);
+  // Shared-link arbitration stretch of `wire_bytes` (zero without an
+  // arbiter): reserves them on the secondary's ingest link, or only
+  // projects the grant when `reserve` is false.
+  sim::Duration link_stretch(std::uint64_t wire_bytes, bool reserve);
+  // The epoch's ckpt.pause span and one migrator.copy span per worker.
+  void trace_epoch(const EpochCapture& c, const EpochWork& work,
+                   const PauseLedger& ledger);
   // Pushes the epoch's frames through the interconnect data plane, NACKing
   // and selectively retransmitting corrupt regions up to ft.retransmit_budget
   // rounds. Retransmits re-ship the sealed (possibly encoded) frames as-is.
@@ -453,10 +484,11 @@ class ReplicationEngine {
   // Schedules a full re-send of region `r`: drops its encoder references
   // (the next epoch ships it raw) and marks all of its pages dirty.
   void resend_region(std::uint32_t r);
-  void finish_checkpoint(std::uint64_t epoch, std::uint64_t captured_real,
-                         sim::Duration period_used, sim::Duration pause);
+  // Commits `record`'s epoch on the replica (or aborts it when refused),
+  // books it and releases the epoch's output.
+  void finish_checkpoint(CheckpointRecord record);
   // Saves + (if heterogeneous) translates machine state and program snapshot
-  // into staging's pending slot. Returns the time cost.
+  // into staging's pending slot. Returns the time cost, without the ACK.
   sim::Duration snapshot_state_and_program();
   // The one abort-and-retry path: folds the epoch's capture (if any) back
   // into the running epoch, lets a guest the capture paused run again —
@@ -499,7 +531,7 @@ class ReplicationEngine {
   void fence_failover();
   // Cancels an armed-but-unfired failover: the primary proved alive (its
   // heartbeats, or its resume probe) before the replica activated.
-  void stand_down_failover(bool by_probe, const char* detail);
+  void stand_down_failover(bool by_probe);
   void activate_replica();
 
   // --- Secondary crash / rejoin ----------------------------------------------
@@ -564,8 +596,6 @@ class ReplicationEngine {
   void on_guest_tx(const net::Packet& packet);
   void on_service_packet(const net::Packet& packet);
 
-  void notify_degraded(DegradedKind kind, std::string detail);
-
   sim::Simulation& sim_;
   net::Fabric& fabric_;
   hv::Host& primary_;
@@ -592,7 +622,6 @@ class ReplicationEngine {
   std::unique_ptr<EncoderPipeline> encoder_;
   std::unique_ptr<Seeder> seeder_;
   std::vector<std::unique_ptr<FailureDetector>> detectors_;
-  std::vector<EngineObserver*> observers_;
 
   bool seeded_ = false;
   bool failover_in_progress_ = false;
@@ -600,7 +629,6 @@ class ReplicationEngine {
   bool probe_in_flight_ = false;
   bool probe_reply_received_ = false;
   std::uint32_t abort_streak_ = 0;   // consecutive aborted checkpoints
-  std::uint32_t corruption_streak_ = 0;  // consecutive epochs with bad frames
   sim::Duration pending_stall_{};    // injected migrator stall, not yet paid
   std::uint64_t current_epoch_ = 0;  // execution epoch being buffered
   std::uint64_t epoch_start_captured_ = 0;  // outbound count at epoch start

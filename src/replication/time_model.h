@@ -20,9 +20,14 @@
 //     49 % loaded improvement); seeding scales ~1.3x (25 % idle improvement,
 //     Fig. 6) because PML draining and problematic-page tracking add
 //     per-page work.
+//
+// price_epoch() is the one owner of the checkpoint pause t = αN/P + C: the
+// engine hands it the epoch's plain counts (EpochWork) and gets back every
+// term of the pause (PauseLedger).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -33,12 +38,98 @@ struct TimeModelConfig {
   double wire_bytes_per_second = 12.5e9;
 };
 
+// One migrator worker's share of an epoch (real page counts): the pages
+// that took the full stream copy plus the encoder's work. Without encoders
+// only raw_pages is set.
+struct EncodeWork {
+  std::uint64_t zero_scans = 0;   // pages checked for all-zero content
+  std::uint64_t hashes = 0;       // page content hashes computed
+  std::uint64_t delta_pages = 0;  // pages XOR+RLE transformed
+  std::uint64_t raw_pages = 0;    // fell back to raw: full stream copy
+  std::uint64_t bytes_out = 0;    // encoded payload bytes produced
+};
+
+// What one checkpoint epoch did, as the data-plane stages counted it: real
+// page and payload counts, which pricing multiplies by model_scale. Disk
+// bytes are already in model units — guest programs issue disk writes at
+// their modelled op rates.
+struct EpochWork {
+  std::uint64_t pages = 0;        // VM pages: the dirty-bitmap slots walked
+  std::uint64_t model_scale = 1;
+  std::uint32_t threads = 1;      // migrator threads granted
+  std::vector<EncodeWork> shards;  // one per worker
+  std::uint64_t max_worker_pages = 0;  // busiest worker's captured pages
+  std::uint64_t payload_bytes = 0;     // sealed frame payloads
+  std::uint64_t retransmit_bytes = 0;  // NACKed payloads re-shipped
+  std::uint64_t disk_bytes = 0;        // mirrored disk writes (model units)
+  sim::Duration state{};  // machine-state save + translation
+  double link_loss = 0.0;
+  double bandwidth_factor = 1.0;
+  sim::Duration arbitration{};  // shared-link queueing: actual - ideal
+  double disk_slowdown = 1.0;
+  bool durable = false;          // replica WAL-appends before its ack
+  bool speculative_cow = false;  // transfer runs after the guest resumes
+  sim::Duration stall{};         // injected migrator stall
+  sim::Duration vm_pause{};
+  sim::Duration vm_resume{};
+
+  // Model bytes that cross the replication link: payload plus disk mirror.
+  [[nodiscard]] std::uint64_t wire_bytes() const {
+    return payload_bytes * model_scale + disk_bytes;
+  }
+};
+
+// The checkpoint pause, term by term. Each stretch term is the difference
+// the stretch adds, so the terms sum exactly to the pause.
+struct PauseLedger {
+  sim::Duration setup{};
+  sim::Duration vm_pause{};
+  sim::Duration vm_resume{};
+  sim::Duration scan{};
+  sim::Duration copy{};  // slowest shard's CPU vs the payload's wire time
+  sim::Duration retransmit{};
+  sim::Duration net_penalty_copy{};   // lossy/throttled link: copy+retransmit
+  sim::Duration arbitration{};
+  sim::Duration state{};  // machine state, translation and checkpoint ACK
+  sim::Duration disk{};   // disk mirror on the wire, stretched by slowdown
+  sim::Duration net_penalty_state{};  // lossy/throttled link: state+disk
+  sim::Duration durable_append{};
+  sim::Duration cow_snapshot{};
+  sim::Duration stall{};
+  bool speculative_cow = false;
+
+  // Everything paid before any byte moves: the constants C and the scan.
+  [[nodiscard]] sim::Duration before_transfer() const {
+    return setup + vm_pause + vm_resume + scan;
+  }
+  // The migrators' push of the payload: its span on the worker lanes.
+  [[nodiscard]] sim::Duration transfer() const {
+    return copy + retransmit + net_penalty_copy + arbitration;
+  }
+  // State, disk mirror and durable ack: the commit's tail.
+  [[nodiscard]] sim::Duration commit_tail() const {
+    return state + disk + net_penalty_state + durable_append;
+  }
+  // t: how long the guest stays paused.
+  [[nodiscard]] sim::Duration pause() const {
+    return before_transfer() +
+           (speculative_cow ? cow_snapshot : transfer() + commit_tail()) +
+           stall;
+  }
+  // Speculative CoW only: the transfer that runs after the guest resumes.
+  [[nodiscard]] sim::Duration background() const {
+    return speculative_cow ? transfer() + commit_tail() : sim::Duration{};
+  }
+};
+
 class TimeModel {
  public:
   static constexpr sim::Duration kPerPageCopy{5500};   // 5.5 us
   static constexpr sim::Duration kPerPageScan{8};      // 8 ns
   static constexpr sim::Duration kPerPmlEntry{60};     // PML ring drain
   static constexpr sim::Duration kCheckpointSetup = sim::from_micros(200);
+  // Checkpoint ACK round trip on the interconnect.
+  static constexpr sim::Duration kCheckpointAck = sim::from_micros(10);
   static constexpr sim::Duration kStateTranslatePerVcpu = sim::from_micros(50);
   // One-time cost to spin up per-vCPU migrator threads + PML (HERE seeding).
   static constexpr sim::Duration kSeedSetup = sim::from_millis(400);
@@ -73,6 +164,20 @@ class TimeModel {
   static constexpr sim::Duration kDurableReplaySetup = sim::from_micros(50);
 
   explicit TimeModel(TimeModelConfig config = {}) : config_(config) {}
+
+  // Prices one continuous-phase checkpoint epoch, t = f(N)/P + C (Eq. 3/4).
+  // Under speculative CoW the dirty set is only duplicated locally during
+  // the pause and the network push runs in the background. With encoders
+  // the wire term serializes the *encoded* bytes and the CPU term pays the
+  // encode cycles — the real cost of the cheaper stream, which is what
+  // PeriodManager/Algorithm 1 re-optimise T and P against.
+  [[nodiscard]] PauseLedger price_epoch(const EpochWork& work) const;
+
+  // §8.7: CPU time the epoch burns on the primary (work, not makespan):
+  // every raw page's stream copy, every worker's scan and encode cycles,
+  // and the setup.
+  [[nodiscard]] sim::Duration replication_cpu(const EpochWork& work,
+                                              const PauseLedger& ledger) const;
 
   // Continuous-replication checkpoint copy: `max_worker_cpu` is the slowest
   // worker's shard cost (the critical path, priced with shard_cpu) and the

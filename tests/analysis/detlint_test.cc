@@ -207,6 +207,23 @@ TEST(DetlintTest, LockOrderFixtureFires) {
             std::string::npos);
 }
 
+// A class split across TUs without sibling headers: members and receivers
+// resolve through the header that defines the class, so the owner's lock is
+// tracked and store_.fix_ch_put() edges into FixChStore only — one L1, at
+// the store's acquisition, reached from fix_ch_run and not fix_ch_quiet.
+TEST(DetlintTest, ClassHeaderMembersResolveInEveryTu) {
+  const auto result =
+      scan_targets({"tests/analysis/fixtures/class_header"});
+  EXPECT_TRUE(result.errors.empty());
+  ASSERT_EQ(result.findings.size(), 1u);
+  const Finding& f = result.findings[0];
+  EXPECT_EQ(f.rule, Rule::kLockOrder);
+  EXPECT_EQ(f.path, "tests/analysis/fixtures/class_header/fix_ch_store.cc");
+  EXPECT_EQ(f.line, 5);
+  EXPECT_NE(f.message.find("fix_ch_run"), std::string::npos) << f.message;
+  EXPECT_EQ(f.message.find("fix_ch_quiet"), std::string::npos) << f.message;
+}
+
 TEST(DetlintTest, RankTableFixtureFires) {
   const auto result =
       scan_targets({"tests/analysis/fixtures/l2_rank_table.cc"});

@@ -354,11 +354,60 @@ TEST(TimeModel, CheckpointCopyGoldenGrid) {
   }
 }
 
+// One checkpoint epoch of the pause-ledger matrix (pause_ledger_test.cc):
+// a 2 vCPU Xen -> KVM VM of 16384 real pages at model_scale 2 streaming
+// journal writes. The inputs are what that epoch counted.
+EpochWork recorded_epoch(std::vector<EncodeWork> shards,
+                         std::uint64_t max_worker, std::uint64_t payload_bytes,
+                         std::uint64_t disk_bytes = 1597440) {
+  EpochWork w;
+  w.pages = 16384;
+  w.model_scale = 2;
+  w.threads = static_cast<std::uint32_t>(shards.size());
+  w.shards = std::move(shards);
+  w.max_worker_pages = max_worker;
+  w.payload_bytes = payload_bytes;
+  w.disk_bytes = disk_bytes;
+  w.state = sim::Duration{100386};  // save + Xen -> KVM translation
+  w.vm_pause = sim::Duration{800000};
+  w.vm_resume = sim::Duration{700000};
+  return w;
+}
+
+EncodeWork raw(std::uint64_t pages) { return {.raw_pages = pages}; }
+
 // Exact nanoseconds of every other pricing function under the default
 // model, recorded before the calibration became TimeModel constants. Pins
-// each formula's truncation so a refactor cannot move a modelled time.
+// each formula's truncation so a refactor cannot move a modelled time. The
+// price_epoch rows, one per pricing branch, were recorded from the engine
+// before it handed pricing to price_epoch: the pause, CoW background and
+// §8.7 CPU it charged for exactly these inputs.
 TEST(TimeModel, PricingGoldenGrid) {
   const TimeModel m;
+  const EpochWork here = recorded_epoch({raw(37), raw(29), raw(32)}, 37, 401408);
+  const EpochWork encoded = recorded_epoch(
+      {{29, 29, 29, 0}, {32, 32, 32, 0}, {37, 37, 37, 0}}, 37, 1223);
+  EpochWork remus = recorded_epoch({raw(100)}, 100, 409600);
+  remus.state = sim::Duration{386};  // Xen -> Xen: save only
+  EpochWork cow = recorded_epoch({raw(35), raw(32), raw(32)}, 35, 405504, 1638400);
+  cow.speculative_cow = true;
+  EpochWork cow_encoded = recorded_epoch(
+      {{32, 32, 32, 0}, {32, 32, 32, 0}, {35, 35, 35, 0}}, 35, 1235, 1638400);
+  cow_encoded.speculative_cow = true;
+  EpochWork durable = here;
+  durable.durable = true;
+  EpochWork lossy = here;
+  lossy.link_loss = 0.002;
+  EpochWork throttled = here;
+  throttled.bandwidth_factor = 0.25;
+  EpochWork retransmit = recorded_epoch({raw(37), raw(26), raw(37)}, 37, 409600);
+  retransmit.retransmit_bytes = 294912;
+  EpochWork arbitrated = recorded_epoch({raw(36), raw(31), raw(29)}, 36, 393216);
+  arbitrated.arbitration = sim::Duration{66776};
+  EpochWork stalled = here;
+  stalled.stall = sim::from_millis(30);
+  EpochWork slow_disk = here;
+  slow_disk.disk_slowdown = 8.0;
   struct Row {
     const char* call;
     sim::Duration got;
@@ -404,7 +453,33 @@ TEST(TimeModel, PricingGoldenGrid) {
       {"durable_replay(0, 0)", m.durable_replay(0, 0), 0},
       {"durable_replay(4096, 1)", m.durable_replay(4096, 1), 52048},
       {"durable_replay(1ULL << 30, 100)", m.durable_replay(1ULL << 30, 100), 541870912},
+      {"here pause", m.price_epoch(here).pause(), 2658665},
+      {"here cpu", m.replication_cpu(here, m.price_epoch(here)), 2144430},
+      {"encoded pause", m.price_epoch(encoded).pause(), 2163822},
+      {"encoded cpu", m.replication_cpu(encoded, m.price_epoch(encoded)), 833763},
+      {"remus pause", m.price_epoch(remus).pause(), 3200325},
+      {"remus cpu", m.replication_cpu(remus, m.price_epoch(remus)), 1562144},
+      {"cow pause", m.price_epoch(cow).pause(), 1857245},
+      {"cow background", m.price_epoch(cow).background(), 825753},
+      {"cow cpu", m.replication_cpu(cow, m.price_epoch(cow)), 2161124},
+      {"cow_encoded pause", m.price_epoch(cow_encoded).pause(), 1857245},
+      {"cow_encoded background", m.price_epoch(cow_encoded).background(), 357658},
+      {"cow_encoded cpu", m.replication_cpu(cow_encoded, m.price_epoch(cow_encoded)), 837083},
+      {"durable pause", m.price_epoch(durable).pause(), 3878793},
+      {"lossy pause", m.price_epoch(lossy).pause(), 2660379},
+      {"throttled pause", m.price_epoch(throttled).pause(), 5226257},
+      {"retransmit pause", m.price_epoch(retransmit).pause(), 2705850},
+      {"retransmit cpu", m.replication_cpu(retransmit, m.price_epoch(retransmit)), 2177818},
+      {"arbitrated pause", m.price_epoch(arbitrated).pause(), 2708747},
+      {"stalled pause", m.price_epoch(stalled).pause(), 32658665},
+      {"slow_disk pause", m.price_epoch(slow_disk).pause(), 3553230},
   };
+  for (const EpochWork* w :
+       std::initializer_list<const EpochWork*>{
+           &here, &encoded, &remus, &durable, &lossy, &throttled, &retransmit,
+           &arbitrated, &stalled, &slow_disk}) {
+    EXPECT_EQ(m.price_epoch(*w).background(), sim::Duration::zero());
+  }
   for (const Row& row : kGrid) EXPECT_EQ(row.got.count(), row.ns) << row.call;
 }
 

@@ -37,20 +37,18 @@ TEST(EngineEdge, ProtectRequiresRunningVm) {
             StatusCode::kFailedPrecondition);  // never started
 }
 
-// start_protection() + EngineObserver is the supported surface (the
-// deprecated protect() shim is scheduled for removal; docs/api_migration.md).
-// A failed start reports its Status and fires no observer callbacks.
-TEST(EngineEdge, FailedStartProtectionFiresNoObserver) {
+// A failed start reports its Status and leaves the engine unprotected: no
+// VM adopted, no seeding, no checkpoints — even after time passes.
+TEST(EngineEdge, FailedStartProtectionLeavesEngineUnprotected) {
   Testbed bed(base_config());
   hv::Vm& vm = bed.primary().hypervisor().create_vm(bed.config().vm_spec);
-  struct Recorder : EngineObserver {
-    int protected_calls = 0;
-    void on_protected(hv::Vm&) override { ++protected_calls; }
-  } recorder;
-  bed.engine().add_observer(&recorder);
   EXPECT_EQ(bed.engine().start_protection(vm).code(),
             StatusCode::kFailedPrecondition);  // never started
-  EXPECT_EQ(recorder.protected_calls, 0);
+  bed.simulation().run_for(sim::from_seconds(2));
+  EXPECT_FALSE(bed.engine().protecting());
+  EXPECT_FALSE(bed.engine().seeded());
+  EXPECT_EQ(bed.engine().stats().seed_attempts, 0u);
+  EXPECT_TRUE(bed.engine().stats().checkpoints.empty());
 }
 
 TEST(EngineEdge, RemusWithHeterogeneousPairThrows) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "simnet/fabric.h"
+#include "simnet/link_arbiter.h"
 
 namespace here::net {
 namespace {
@@ -166,6 +167,31 @@ TEST(Fabric, ReadonlyFrameMatchesWritableOnCleanDirection) {
   EXPECT_THROW(
       (void)readonly.fabric.transmit_readonly_frame(readonly.a, readonly.b, payload),
       std::logic_error);
+}
+
+// estimate() is what request() would grant at the same instant — including
+// when expired reservations are still stored (request() prunes them first,
+// estimate() plans around them) — and it reserves nothing.
+TEST(LinkArbiter, EstimateMatchesRequestWithExpiredSegments) {
+  sim::Simulation sim;
+  LinkArbiter arbiter(sim, 1e9);  // 1 GB/s: 1 ms per MB
+  const LinkArbiter::FlowId a = arbiter.register_flow("a");
+  const LinkArbiter::FlowId b = arbiter.register_flow("b", 2.0);
+  (void)arbiter.request(a, 1'000'000);  // [0, 1 ms): expired by 5 ms
+  (void)arbiter.request(b, 500'000);
+  sim.run_for(sim::from_millis(3));
+  (void)arbiter.request(b, 20'000'000);  // active across 5 ms
+  sim.run_for(sim::from_millis(2));
+
+  const LinkArbiter::FlowStats before = arbiter.stats(a);
+  const LinkArbiter::Reservation e = arbiter.estimate(a, 4'000'000);
+  EXPECT_EQ(arbiter.stats(a).requests, before.requests);
+  EXPECT_EQ(arbiter.stats(a).bytes, before.bytes);
+  const LinkArbiter::Reservation r = arbiter.request(a, 4'000'000);
+  EXPECT_EQ(e.ideal, r.ideal);
+  EXPECT_EQ(e.actual, r.actual);
+  EXPECT_GT(r.actual, r.ideal);  // b's reservation contends
+  EXPECT_EQ(arbiter.stats(a).requests, before.requests + 1);
 }
 
 }  // namespace

@@ -496,6 +496,9 @@ FileFacts extract_facts(const std::string& display_path,
   // --- Scope tree & functions. ---
   std::vector<Block> blocks = build_blocks(code);
   for (Block& b : blocks) {
+    if (b.info.kind == Classified::kNamedScope) {
+      facts.classes.insert(b.info.name);
+    }
     if (b.info.kind != Classified::kFunction &&
         b.info.kind != Classified::kLambda) {
       continue;

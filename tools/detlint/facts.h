@@ -112,6 +112,8 @@ struct FileFacts {
   std::vector<EnumDef> enums;
   std::vector<SwitchSite> switches;
   std::vector<FunctionFact> functions;
+  // Names of the classes/structs/unions this file defines.
+  std::set<std::string> classes;
   // Declared variable -> type-name tokens (last :: component), e.g.
   // {"disk_" -> {"VirtualDisk"}}. Used to type call receivers so that
   // `entries_.clear()` (a vector) never resolves to `PmlRing::clear`.

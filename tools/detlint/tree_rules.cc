@@ -42,8 +42,8 @@ const std::vector<std::string>& staging_prefixes() {
 // enumerator is how the next wire kind silently falls through dispatch.
 const std::set<std::string>& protocol_enums() {
   static const std::set<std::string> kEnums = {
-      "FaultType",     "FaultKind",   "PageEncoding", "FrameVerdict",
-      "EngineMode",    "RecoveryState", "DegradedKind", "WireKind"};
+      "FaultType",  "FaultKind",     "PageEncoding",
+      "FrameVerdict", "EngineMode", "RecoveryState", "WireKind"};
   return kEnums;
 }
 
@@ -69,13 +69,16 @@ struct ResolvedMutex {
 
 struct Unit {
   FileUnit* file = nullptr;
-  int sibling = -1;  // unit index of the matching X.h for X.cc
+  // Headers whose declarations this unit sees: the matching X.h for X.cc,
+  // then — when every function here is a member of one class — the header
+  // defining that class (a class split across several TUs has one header).
+  std::vector<int> headers;
   std::string module;
   bool data_plane = false;
   bool staging = false;
   bool in_src = false;
   std::vector<ResolvedMutex> mutexes;  // own-file declarations
-  std::set<std::string> cv_vars;       // own + sibling
+  std::set<std::string> cv_vars;       // own declarations
 };
 
 struct FnRef {
@@ -162,7 +165,7 @@ class Analyzer {
         const std::size_t n = std::strlen(ext);
         if (path.size() > n && path.compare(path.size() - n, n, ext) == 0) {
           auto it = by_path.find(path.substr(0, path.size() - n) + ".h");
-          if (it != by_path.end()) u.sibling = it->second;
+          if (it != by_path.end()) u.headers.push_back(it->second);
         }
       }
       for (const std::string& cv : files_[i].facts.cv_vars) {
@@ -233,6 +236,44 @@ class Analyzer {
         enums_.emplace(e.name, e);  // first definition wins
       }
     }
+    link_class_headers();
+  }
+
+  // A TU whose functions are all members of one class also sees that
+  // class's header, so receivers and members declared there resolve in
+  // every TU of a class split across files, not only in its sibling X.cc.
+  void link_class_headers() {
+    std::map<std::string, int> class_header;  // first definition wins
+    for (std::size_t i = 0; i < files_.size(); ++i) {
+      const std::string& path = files_[i].path;
+      if (path.size() < 2 || path.compare(path.size() - 2, 2, ".h") != 0) {
+        continue;
+      }
+      for (const std::string& c : files_[i].facts.classes) {
+        class_header.emplace(c, static_cast<int>(i));
+      }
+    }
+    for (std::size_t i = 0; i < units_.size(); ++i) {
+      std::string owner;
+      bool one_class = true;
+      for (const FunctionFact& fn : files_[i].facts.functions) {
+        if (fn.is_lambda) continue;
+        const std::string cls = last_component(fn.qualifier);
+        if (fn.qualifier.empty() || (!owner.empty() && cls != owner)) {
+          one_class = false;
+          break;
+        }
+        owner = cls;
+      }
+      if (!one_class || owner.empty()) continue;
+      auto it = class_header.find(owner);
+      std::vector<int>& headers = units_[i].headers;
+      if (it != class_header.end() && it->second != static_cast<int>(i) &&
+          std::find(headers.begin(), headers.end(), it->second) ==
+              headers.end()) {
+        headers.push_back(it->second);
+      }
+    }
   }
 
   void check_rank_table() {
@@ -253,8 +294,8 @@ class Analyzer {
 
   // -------------------------------------------------------------------
   // Mutex variable resolution, scope-aware: a local declaration in the
-  // same function wins over file/class scope, which wins over the sibling
-  // header.
+  // same function wins over file/class scope, which wins over the unit's
+  // headers (sibling first).
   // -------------------------------------------------------------------
   const ResolvedMutex* resolve_mutex(int unit, const FunctionFact& fn,
                                      const std::string& var,
@@ -278,8 +319,8 @@ class Analyzer {
     }
     if (best_local != nullptr) return best_local;
     if (file_scope != nullptr) return file_scope;
-    if (u.sibling >= 0) {
-      for (const ResolvedMutex& r : units_[u.sibling].mutexes) {
+    for (const int h : u.headers) {
+      for (const ResolvedMutex& r : units_[h].mutexes) {
         if (r.decl->var == var && r.file_scope) return &r;
       }
     }
@@ -287,12 +328,14 @@ class Analyzer {
   }
 
   int unit_of_resolved(const ResolvedMutex* r, int home_unit) const {
-    // The resolved decl lives either in home_unit or its sibling.
+    // The resolved decl lives either in home_unit or one of its headers.
     const Unit& u = units_[home_unit];
-    for (const ResolvedMutex& m : u.mutexes) {
-      if (&m == r) return home_unit;
+    for (const int h : u.headers) {
+      for (const ResolvedMutex& m : units_[h].mutexes) {
+        if (&m == r) return h;
+      }
     }
-    return u.sibling;
+    return home_unit;
   }
 
   // -------------------------------------------------------------------
@@ -353,14 +396,13 @@ class Analyzer {
       const std::string var = call.arg.substr(2);
       std::set<std::string> types;
       const auto add_types = [&](int unit) {
-        if (unit < 0) return;
         auto vt = files_[unit].facts.var_types.find(var);
         if (vt != files_[unit].facts.var_types.end()) {
           types.insert(vt->second.begin(), vt->second.end());
         }
       };
       add_types(from_unit);
-      add_types(units_[from_unit].sibling);
+      for (const int h : units_[from_unit].headers) add_types(h);
       if (!types.empty()) {
         std::vector<FnRef> typed = with_qualifier(types);
         return typed.size() <= 8 ? typed : std::vector<FnRef>{};
@@ -375,9 +417,12 @@ class Analyzer {
     }
     std::vector<FnRef> same_file;
     std::vector<FnRef> same_module;
-    const int sibling = units_[from_unit].sibling;
+    const std::vector<int>& headers = units_[from_unit].headers;
     for (const FnRef& r : all) {
-      if (r.unit == from_unit || r.unit == sibling) same_file.push_back(r);
+      if (r.unit == from_unit ||
+          std::find(headers.begin(), headers.end(), r.unit) != headers.end()) {
+        same_file.push_back(r);
+      }
       if (units_[r.unit].module == units_[from_unit].module) {
         same_module.push_back(r);
       }
@@ -473,10 +518,10 @@ class Analyzer {
         }
         case EventKind::kWait: {
           const Unit& u = units_[s.fn.unit];
-          const bool ranked_cv =
-              u.cv_vars.count(e.name) != 0 ||
-              (u.sibling >= 0 &&
-               units_[u.sibling].cv_vars.count(e.name) != 0);
+          bool ranked_cv = u.cv_vars.count(e.name) != 0;
+          for (const int h : u.headers) {
+            ranked_cv = ranked_cv || units_[h].cv_vars.count(e.name) != 0;
+          }
           if (!ranked_cv) break;
           // The waited-on mutex: the guard variable passed to wait()
           // maps back to the mutex it guards, or is the mutex itself.

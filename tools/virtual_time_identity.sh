@@ -28,8 +28,10 @@ rejoin_resync|rejoin_resync|--obs
 chaos_failover|chaos_failover|--obs
 fleet_scale|fleet_scale|--obs
 fleet_scale_100|fleet_scale|--obs --vms=100
+corruption_sweep|corruption_sweep|--obs
 fig6_migration|fig6_migration|
-ablation_threads|ablation_threads|'
+ablation_threads|ablation_threads|
+ablation_cow|ablation_cow|'
 
 status=0
 for side in base head; do
