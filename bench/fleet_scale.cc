@@ -240,7 +240,7 @@ FailoverResult run_failover(std::size_t vm_count, ObsSession& obs) {
   harness.sim.run_for(sim::from_seconds(3));
   for (std::size_t i = 1; i < vm_count; ++i) {
     const rep::EngineStats& stats = engines[i]->stats();
-    if (!stats.failed_over &&
+    if (!engines[i]->failed_over() &&
         stats.checkpoints.size() > epochs_before[i]) {
       ++r.survivors_committing;
     }

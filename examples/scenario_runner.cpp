@@ -171,7 +171,7 @@ int run(const Scenario& scenario) {
               stats.checkpoints.empty()
                   ? 0.0
                   : stats.period_series.mean_in(t0, bed.simulation().now()));
-  if (stats.failed_over) {
+  if (bed.engine().failed_over()) {
     std::printf("failed over at t=%.2fs, resumption %s, image verified: %s\n",
                 stats.failure_detected_at.seconds(),
                 sim::format_duration(stats.resumption_time).c_str(),
@@ -182,7 +182,7 @@ int run(const Scenario& scenario) {
   }
   const bool up = bed.engine().service_available();
   std::printf("service: %s on %s\n", up ? "AVAILABLE" : "DOWN",
-              stats.failed_over ? bed.secondary().name().c_str()
+              bed.engine().failed_over() ? bed.secondary().name().c_str()
                                 : bed.primary().name().c_str());
   return up ? 0 : 1;
 }

@@ -24,6 +24,10 @@ sim::Duration ReplicationEngine::snapshot_state_and_program() {
 }
 
 void ReplicationEngine::restart_checkpointing() {
+  if (primary_phase_ != PrimaryPhase::kReplicating ||
+      replica_phase_ == ReplicaPhase::kDown || taking_over()) {
+    return;
+  }
   sim_.cancel(checkpoint_event_);
   sim_.cancel(scrub_event_);
   last_checkpoint_done_ = sim_.now();
@@ -46,10 +50,7 @@ void ReplicationEngine::schedule_scrub() {
 }
 
 void ReplicationEngine::run_scrub() {
-  // The audit only makes sense while both sides are live and replicating;
-  // after a failover the staged image became the running replica.
-  if (stats_.failed_over || failover_in_progress_) return;
-  if (!primary_.alive() || vm_ == nullptr || !staging_) {
+  if (!primary_.alive()) {
     schedule_scrub();
     return;
   }
@@ -123,9 +124,7 @@ void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
   if (resume_after.has_value()) {
     checkpoint_finish_event_ = sim_.schedule_after(
         *resume_after,
-        [this, was_running] {
-          if (was_running && !failover_in_progress_) resume_guest();
-        },
+        [this, was_running] { if (was_running) resume_guest(); },
         "checkpoint-abort");
   } else if (was_running) {
     resume_guest();
@@ -149,8 +148,7 @@ void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
 }
 
 void ReplicationEngine::run_checkpoint() {
-  if (!primary_.alive() || failover_in_progress_ || drained_) return;
-  if (vm_ == nullptr || vm_->state() == hv::VmState::kDestroyed) return;
+  if (!primary_.alive() || vm_->state() == hv::VmState::kDestroyed) return;
 
   // Partition check before pausing: with the interconnect down no byte of
   // this epoch could reach the replica, so don't stop the VM at all — abort
@@ -452,9 +450,9 @@ void ReplicationEngine::trace_epoch(const EpochCapture& c,
 
 bool ReplicationEngine::epoch_lost(const char* link_reason,
                                    bool was_running) {
-  if (!primary_.alive() || failover_in_progress_) {
+  if (!primary_.alive()) {
     // Host died while the checkpoint was in flight: the replica discards the
-    // partial epoch and will activate the previous one. (If this failover is
+    // partial epoch and will activate the previous one. (If the failover is
     // later fenced, fold_back_epoch restores the capture.)
     abort_staged_epoch();
     return true;
@@ -580,8 +578,8 @@ void ReplicationEngine::finish_checkpoint(CheckpointRecord record) {
   mirror_committed_digests();
   // First commit after a secondary rejoin: the resynced image is acked and
   // (if durable) persisted, so the VM survives a primary failure again.
-  if (rejoining_) {
-    rejoining_ = false;
+  if (replica_phase_ == ReplicaPhase::kRejoining) {
+    enter(ReplicaPhase::kStandby);
     stats_.last_rejoin_time = sim_.now() - secondary_crashed_at_;
     if (m_rejoin_ms_ != nullptr) {
       m_rejoin_ms_->add(sim::to_seconds(stats_.last_rejoin_time) * 1e3);

@@ -1,5 +1,7 @@
 #include "replication/replication_engine.h"
 
+#include <utility>
+
 #include "common/log.h"
 
 namespace here::rep {
@@ -8,11 +10,10 @@ namespace here::rep {
 
 void ReplicationEngine::send_heartbeat() {
   // Keep beating while a failover is merely *in progress*: a healed
-  // partition must be able to deliver the fencing signal. Only a completed
-  // failover (replica active) or a lost arbitration silences the primary
-  // for good.
-  if (stats_.failed_over || primary_demoted_ || drained_) return;
-  if (primary_.alive() && !resume_probe_pending_) {
+  // partition must be able to deliver the fencing signal. Only replica
+  // activation (which a lost arbitration implies) or a drain cancels the
+  // loop for good.
+  if (primary_.alive() && primary_phase_ != PrimaryPhase::kArbitrating) {
     // While the resume probe is pending the recovered primary stays silent:
     // a heartbeat would fence an in-progress failover *around* the
     // arbitration, pre-empting the secondary's grant-or-deny decision.
@@ -31,9 +32,10 @@ void ReplicationEngine::add_detector(std::unique_ptr<FailureDetector> detector) 
 }
 
 void ReplicationEngine::watchdog_check() {
-  if (stats_.failed_over || drained_) return;
-  if (secondary_.alive() && seeded_ && !failover_in_progress_ &&
-      !probe_in_flight_) {
+  // Only a standby replica watches: a down or rejoining one holds no
+  // committed image to fail over to.
+  if (replica_phase_ == ReplicaPhase::kStandby && secondary_.alive() &&
+      primary_phase_ != PrimaryPhase::kSeeding) {
     if (sim_.now() - last_heartbeat_rx_ > config_.heartbeat_timeout) {
       on_heartbeat_lost();
     } else {
@@ -49,8 +51,8 @@ void ReplicationEngine::watchdog_check() {
       }
     }
     // The watchdog loop parks while a failover or probe is pending; the
-    // fencing / probe-recovery paths restart it.
-    if (failover_in_progress_ || probe_in_flight_) return;
+    // stand-down / probe-recovery paths restart it.
+    if (replica_phase_ != ReplicaPhase::kStandby) return;
   }
   watchdog_event_ = sim_.schedule_after(config_.heartbeat_interval,
                                         [this] { watchdog_check(); },
@@ -62,7 +64,7 @@ void ReplicationEngine::on_heartbeat_lost() {
     begin_failover("heartbeat timeout", /*fence_on_heartbeat=*/true);
     return;
   }
-  probe_reply_received_ = false;
+  enter(ReplicaPhase::kProbing);
   if (!fabric_.connected(secondary_.eth_node(), primary_.eth_node())) {
     // Both networks unreachable: indistinguishable from a dead machine, so
     // the verdict is that of a probe nobody answered.
@@ -71,7 +73,6 @@ void ReplicationEngine::on_heartbeat_lost() {
   }
   // Ask the primary over the management network. A partitioned-but-live
   // host answers; a crashed or hung one cannot.
-  probe_in_flight_ = true;
   send_control(secondary_.eth_node(), primary_.eth_node(), kProbeRequestKind);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "watchdog.probe", "fo",
@@ -82,14 +83,14 @@ void ReplicationEngine::on_heartbeat_lost() {
 }
 
 void ReplicationEngine::finish_probe() {
-  probe_in_flight_ = false;
-  if (stats_.failed_over || failover_in_progress_) return;
+  const bool answered = replica_phase_ == ReplicaPhase::kProbeAnswered;
+  enter(ReplicaPhase::kStandby);
   if (sim_.now() - last_heartbeat_rx_ <= config_.heartbeat_timeout) {
     watchdog_check();  // heartbeats recovered while probing; resume the loop
     return;
   }
   stats_.failure_classification =
-      probe_reply_received_ ? "partition-suspected" : "crash-suspected";
+      answered ? "partition-suspected" : "crash-suspected";
   if (config_.tracer != nullptr) {
     config_.tracer->instant(
         sim_.now(), "watchdog.classify", "fo",
@@ -99,24 +100,21 @@ void ReplicationEngine::finish_probe() {
 }
 
 void ReplicationEngine::trigger_failover(const std::string& reason) {
-  if (!failover_in_progress_ && !stats_.failed_over && !drained_) {
-    begin_failover(reason, /*fence_on_heartbeat=*/false);
-  }
+  if (!taking_over()) begin_failover(reason, /*fence_on_heartbeat=*/false);
 }
 
 void ReplicationEngine::begin_failover(const std::string& reason,
                                        bool fence_on_heartbeat) {
-  if (drained_) return;
+  if (drained()) return;
   if (!staging_ || !staging_->has_committed()) {
     HERE_LOG(kWarn, "failover requested (%s) but no committed checkpoint",
              reason.c_str());
     return;
   }
-  failover_in_progress_ = true;
-  fencing_armed_ =
+  const bool fenced =
       fence_on_heartbeat && config_.ft.fencing_window > sim::Duration::zero();
+  enter(fenced ? ReplicaPhase::kFencing : ReplicaPhase::kFailingOver);
   stats_.failure_detected_at = sim_.now();
-  sim_.cancel(checkpoint_event_);
   abort_staged_epoch();
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "failover.begin", "fo",
@@ -134,17 +132,14 @@ void ReplicationEngine::begin_failover(const std::string& reason,
       secondary_.hypervisor().rng().uniform_real(-600.0, 1800.0));
   // Fenced failovers hold activation for the fencing window: if the primary
   // heartbeats again within it, the replica stands down (split-brain guard).
-  if (fencing_armed_) d += config_.ft.fencing_window;
+  if (fenced) d += config_.ft.fencing_window;
   failover_activate_event_ =
       sim_.schedule_after(d, [this] { activate_replica(); },
                           "failover-activate");
 }
 
 void ReplicationEngine::stand_down_failover(bool by_probe) {
-  sim_.cancel(failover_activate_event_);
-  sim_.cancel(checkpoint_finish_event_);
-  failover_in_progress_ = false;
-  fencing_armed_ = false;
+  enter(ReplicaPhase::kStandby);
   bump(&EngineStats::failovers_fenced);
   if (config_.tracer != nullptr && by_probe) {
     config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
@@ -154,25 +149,19 @@ void ReplicationEngine::stand_down_failover(bool by_probe) {
     config_.tracer->instant(sim_.now(), "failover.fenced", "fo",
                             {{"fenced_total", stats_.failovers_fenced}});
   }
-}
-
-void ReplicationEngine::fence_failover() {
-  if (!failover_in_progress_ || stats_.failed_over) return;
-  // Primary heartbeats resumed within the fencing window.
-  stand_down_failover(/*by_probe=*/false);
   // The epoch aborted at failover start folds back into the running epoch;
   // its buffered output was never dropped (that happens only at activation),
-  // so the next commit releases it and clients see a gapless stream.
+  // so the next commit releases it and clients see a gapless stream. An
+  // arbitrating primary keeps its guest held and restarts on its grant.
   fold_back_epoch();
   resume_guest();
   restart_checkpointing();
   watchdog_check();
-  HERE_LOG(kInfo,
-           "failover fenced: primary heartbeats resumed; replication resumes");
+  HERE_LOG(kInfo, "failover stood down: primary %s before activation",
+           by_probe ? "probed" : "heartbeat resumed");
 }
 
 void ReplicationEngine::activate_replica() {
-  fencing_armed_ = false;
   // Output commit: uncommitted output dies with the primary — dropped at
   // the moment the replica takes over the service address, not earlier (a
   // fenced failover must leave the buffer intact for the next commit).
@@ -191,8 +180,9 @@ void ReplicationEngine::activate_replica() {
       activate_staged_image(target, *staging_, *staging_->committed_state(),
                             staging_->take_committed_program());
 
-  // Direct egress from now on: the replica runs unprotected (re-protection
-  // in the opposite direction is future work, as in the paper).
+  // Direct egress from now on: the replica runs unprotected until the
+  // control plane re-protects it in the opposite direction with a fresh
+  // engine (ProtectionManager::enable_auto_reprotect).
   if (hv::NetDevice* dev = replica.net_device()) {
     dev->set_tx_hook([this](const net::Packet& p) {
       net::Packet out = p;
@@ -211,10 +201,9 @@ void ReplicationEngine::activate_replica() {
   // Guest agent: unplug-old/plug-new device notification (§7.3).
   replica.agent_notify_device_switch(sim_.now(), target.rng());
 
-  stats_.failed_over = true;
+  enter(ReplicaPhase::kActive);
   stats_.replica_active_at = sim_.now();
   stats_.resumption_time = sim_.now() - stats_.failure_detected_at;
-  failover_in_progress_ = false;
   if (m_mttr_ms_ != nullptr) {
     m_mttr_ms_->add(sim::to_seconds(stats_.resumption_time) * 1e3);
   }
@@ -236,27 +225,20 @@ void ReplicationEngine::activate_replica() {
 // --- Recovered-primary arbitration (ReHype microreboot race) -------------------
 
 void ReplicationEngine::on_primary_recovered() {
-  if (vm_ == nullptr || primary_demoted_ || resume_probe_pending_ ||
-      !seeded_ || drained_) {
-    return;
-  }
-  if (stats_.failed_over) {
+  if (primary_phase_ != PrimaryPhase::kReplicating) return;
+  if (failed_over()) {
     // The race is already over: the replica took the service address while
     // the primary was rebooting. Nothing to probe.
     demote_primary("replica already active at recovery");
     return;
   }
-  resume_probe_pending_ = true;
+  // Nothing scheduled before the crash may fire mid-arbitration; the grant
+  // path folds the aborted epoch back in and restarts the loop.
+  enter(PrimaryPhase::kArbitrating);
   // The microreboot resumed the preserved guests, but the protected VM must
   // not produce output until arbitration says this side still owns it (two
   // running instances of the service is exactly the split brain to prevent).
   if (vm_->state() == hv::VmState::kRunning) primary_.hypervisor().pause(*vm_);
-  // Nothing scheduled before the crash may fire mid-arbitration: a stale
-  // checkpoint-finish event would resume the VM (and commit a pre-crash
-  // epoch) behind the probe's back. The grant path folds the aborted epoch
-  // back in and restarts the loop.
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "recovery.arbitrate", "fo",
                             {{"vm", vm_->spec().name}});
@@ -265,11 +247,10 @@ void ReplicationEngine::on_primary_recovered() {
 }
 
 void ReplicationEngine::send_resume_probe() {
-  if (!resume_probe_pending_ || primary_demoted_) return;
   if (!primary_.alive()) {
     // Crashed again before winning: the arbitration attempt dies with the
-    // host; the next recovery starts a fresh one.
-    resume_probe_pending_ = false;
+    // host. The loops stay stopped; the next recovery starts a fresh one.
+    enter(PrimaryPhase::kReplicating);
     return;
   }
   bump(&EngineStats::resume_probes);
@@ -279,7 +260,7 @@ void ReplicationEngine::send_resume_probe() {
   }
   // A dead secondary cannot arbitrate — and cannot have activated either, so
   // the recovered primary is trivially authoritative (self-grant).
-  if (!secondary_.alive() && !failover_in_progress_ && !stats_.failed_over) {
+  if (!secondary_.alive() && !taking_over()) {
     on_resume_grant();
     return;
   }
@@ -291,35 +272,31 @@ void ReplicationEngine::send_resume_probe() {
 }
 
 void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
-  if (secondary_down_) return;  // replication process dead; probe retries
-  // A drained generation no longer speaks for this VM: the successor engine
-  // (same probe token) answers the arbitration instead.
-  if (drained_) return;
+  // A dead replication process cannot answer (the probe retries); a drained
+  // generation no longer speaks for this VM — the successor engine (same
+  // probe token) answers the arbitration instead.
+  if (replica_phase_ == ReplicaPhase::kDown || drained()) return;
   // Linearization point: this handler runs atomically on the event queue, so
   // the verdict below is consistent with any failover armed or completed.
   // Once activation happened the answer is deny — forever; before it, the
   // probe cancels an armed-but-unfired failover exactly like fencing does.
-  const bool deny = stats_.failed_over;
+  const bool deny = failed_over();
   if (!deny) {
     last_heartbeat_rx_ = sim_.now();
-    if (failover_in_progress_) {
-      // The recovered primary probed before replica activation.
-      stand_down_failover(/*by_probe=*/true);
-      watchdog_check();  // the loop parked when the failover began
-    }
+    // The recovered primary probed before replica activation.
+    if (failover_in_progress()) stand_down_failover(/*by_probe=*/true);
   }
   send_control(secondary_.ic_node(), packet.src,
                deny ? kResumeDenyKind : kResumeGrantKind, probe_token_);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), deny ? "resume.deny" : "resume.grant",
-                            "fo", {{"failed_over", stats_.failed_over}});
+                            "fo", {{"failed_over", deny}});
   }
 }
 
 void ReplicationEngine::on_resume_grant() {
-  if (!resume_probe_pending_ || primary_demoted_ || stats_.failed_over) return;
-  resume_probe_pending_ = false;
-  sim_.cancel(resume_probe_event_);
+  if (primary_phase_ != PrimaryPhase::kArbitrating || failed_over()) return;
+  enter(PrimaryPhase::kReplicating);
   ++stats_.resume_grants;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "resume.resumed", "fo",
@@ -330,18 +307,14 @@ void ReplicationEngine::on_resume_grant() {
   // buffered output was never dropped, only activation drops).
   fold_back_epoch();
   resume_guest();
-  if (staging_ && !secondary_down_ && seeded_) restart_checkpointing();
+  restart_checkpointing();
   HERE_LOG(kInfo,
            "recovered primary won arbitration; output commit resumes");
 }
 
 void ReplicationEngine::demote_primary(const char* reason) {
-  if (primary_demoted_) return;
-  primary_demoted_ = true;
-  resume_probe_pending_ = false;
-  sim_.cancel(resume_probe_event_);
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
+  if (primary_phase_ >= PrimaryPhase::kDemoted) return;  // terminal already
+  enter(PrimaryPhase::kDemoted);
   bump(&EngineStats::primary_demotions);
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "primary.demoted", "fo",
@@ -351,15 +324,10 @@ void ReplicationEngine::demote_primary(const char* reason) {
   // authoritative replica at the last committed epoch. Destroy it; the
   // control plane re-seeds protection for the activated replica, using this
   // host's surviving durable store for a delta seed where possible.
-  if (vm_ != nullptr) {
-    hv::Vm* stale = vm_;
-    vm_ = nullptr;
-    if (stale->state() == hv::VmState::kRunning) {
-      primary_.hypervisor().pause(*stale);
-    }
-    if (stale->state() != hv::VmState::kDestroyed) {
-      primary_.hypervisor().destroy_vm(*stale);
-    }
+  hv::Vm& stale = *std::exchange(vm_, nullptr);
+  if (stale.state() == hv::VmState::kRunning) primary_.hypervisor().pause(stale);
+  if (stale.state() != hv::VmState::kDestroyed) {
+    primary_.hypervisor().destroy_vm(stale);
   }
   HERE_LOG(kInfo, "recovered primary demoted (%s); re-seed candidate", reason);
 }

@@ -68,7 +68,6 @@ bool ReplicationEngine::try_delta_seed() {
   stats_.seed.total_time = cost + *state_cost;
   stats_.seed.stop_copy_time = cost + *state_cost;
 
-  delta_seeded_ = true;
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "seed.delta", "seed",
                             {{"recovered_epoch", recovered.recovered_epoch},
@@ -82,8 +81,9 @@ bool ReplicationEngine::try_delta_seed() {
            static_cast<unsigned long long>(recovered.recovered_epoch),
            static_cast<unsigned long long>(divergent),
            static_cast<unsigned long long>(divergent_sectors));
-  sim_.schedule_after(cost + *state_cost,
-                      [this] { commit_initial_checkpoint(); }, "seed-delta");
+  seed_event_ = sim_.schedule_after(
+      cost + *state_cost, [this] { commit_initial_checkpoint(); },
+      "seed-delta");
   return true;
 }
 
@@ -180,25 +180,21 @@ void ReplicationEngine::baseline_references() {
 }
 
 void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
-  if (vm_ == nullptr || !seeded_ || stats_.failed_over ||
-      failover_in_progress_ || secondary_down_ || drained_) {
+  if (!seeded() || drained() || (replica_phase_ != ReplicaPhase::kStandby &&
+                                 replica_phase_ != ReplicaPhase::kRejoining)) {
     return;
   }
   if (reboot_after < sim::Duration::zero()) reboot_after = sim::Duration{};
   ++stats_.secondary_crashes;
-  secondary_down_ = true;
-  rejoining_ = true;
   secondary_crashed_at_ = sim_.now();
   // The in-flight epoch (if any) dies with the replica's RAM: discard both
   // sides of the stream and fold the capture back into the running epoch so
   // the rejoin re-ships it. Output stays buffered — output commit holds
   // across the outage, released by the first post-rejoin commit.
-  sim_.cancel(checkpoint_event_);
-  sim_.cancel(checkpoint_finish_event_);
-  sim_.cancel(scrub_event_);
+  enter(ReplicaPhase::kDown);
   fold_back_epoch();
   staging_.reset();
-  resume_guest();
+  resume_guest();  // held paused instead while an arbitration is pending
   if (config_.tracer != nullptr) {
     config_.tracer->instant(sim_.now(), "fault.secondary_crash", "fo",
                             {{"reboot_after_ns", reboot_after.count()},
@@ -209,11 +205,7 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
 }
 
 void ReplicationEngine::on_secondary_rebooted() {
-  if (vm_ == nullptr || stats_.failed_over || failover_in_progress_ ||
-      drained_) {
-    return;
-  }
-  secondary_down_ = false;
+  enter(ReplicaPhase::kRejoining);
   reset_staging();
   common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
   const std::uint64_t scale = vm_->spec().model_scale;
@@ -277,16 +269,11 @@ void ReplicationEngine::on_secondary_rebooted() {
   }
 
   // Checkpointing resumes once the local replay has (in modelled time)
-  // finished; the first epoch then carries the resync set.
+  // finished; the first epoch then carries the resync set. A pending
+  // arbitration restarts it on its grant instead.
   secondary_reboot_event_ = sim_.schedule_after(
       recovery_cost,
-      [this] {
-        if (vm_ == nullptr || stats_.failed_over || failover_in_progress_) {
-          return;
-        }
-        restart_checkpointing();
-      },
-      "rejoin-resume");
+      [this] { restart_checkpointing(); }, "rejoin-resume");
 }
 
 void ReplicationEngine::inject_wal_torn_write(std::uint64_t bytes) {

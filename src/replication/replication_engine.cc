@@ -152,15 +152,57 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
   outbound_.attach_obs(config_.tracer, config_.metrics);
 }
 
-ReplicationEngine::~ReplicationEngine() { cancel_scheduled_events(); }
+// A destroyed engine retires like a drained one: nothing it scheduled may
+// call back into it.
+ReplicationEngine::~ReplicationEngine() { enter(PrimaryPhase::kDrained); }
 
-void ReplicationEngine::cancel_scheduled_events() {
-  for (const sim::EventId id :
-       {checkpoint_event_, checkpoint_finish_event_, heartbeat_event_,
-        watchdog_event_, seed_deadline_event_, seed_retry_event_, probe_event_,
-        failover_activate_event_, scrub_event_, secondary_reboot_event_,
-        resume_probe_event_}) {
-    sim_.cancel(id);
+void ReplicationEngine::cancel_events(std::initializer_list<sim::EventId> ids) {
+  for (const sim::EventId id : ids) sim_.cancel(id);
+}
+
+// --- Phases --------------------------------------------------------------------
+
+void ReplicationEngine::enter(PrimaryPhase next) {
+  primary_phase_ = next;
+  switch (next) {
+    case PrimaryPhase::kSeeding:
+      return;
+    case PrimaryPhase::kReplicating:
+      return cancel_events({seed_event_, resume_probe_event_});
+    case PrimaryPhase::kArbitrating:
+      // A stale checkpoint-finish event would resume the held VM (and commit
+      // a pre-crash epoch) behind the probe's back.
+      return cancel_events({checkpoint_event_, checkpoint_finish_event_});
+    case PrimaryPhase::kDemoted:
+    case PrimaryPhase::kDrained:
+      return cancel_events(
+          {checkpoint_event_, checkpoint_finish_event_, heartbeat_event_,
+           watchdog_event_, seed_event_, probe_event_,
+           failover_activate_event_, scrub_event_, secondary_reboot_event_,
+           resume_probe_event_});
+  }
+}
+
+void ReplicationEngine::enter(ReplicaPhase next) {
+  replica_phase_ = next;
+  switch (next) {
+    case ReplicaPhase::kStandby:
+      return cancel_events(
+          {failover_activate_event_, secondary_reboot_event_, probe_event_});
+    case ReplicaPhase::kProbing:
+    case ReplicaPhase::kProbeAnswered:
+    case ReplicaPhase::kRejoining:
+      return;
+    case ReplicaPhase::kDown:
+      return cancel_events({checkpoint_event_, checkpoint_finish_event_,
+                            scrub_event_, secondary_reboot_event_});
+    case ReplicaPhase::kFailingOver:
+    case ReplicaPhase::kFencing:
+      // The watchdog parks until a stand-down restarts it.
+      return cancel_events({checkpoint_event_, checkpoint_finish_event_,
+                            scrub_event_, probe_event_, watchdog_event_});
+    case ReplicaPhase::kActive:
+      return cancel_events({heartbeat_event_});
   }
 }
 
@@ -190,8 +232,8 @@ void ReplicationEngine::sync_encode_stats() {
 }
 
 void ReplicationEngine::resume_guest() {
-  if (vm_ != nullptr && primary_.alive() &&
-      vm_->state() == hv::VmState::kPaused) {
+  if (primary_phase_ != PrimaryPhase::kArbitrating && vm_ != nullptr &&
+      primary_.alive() && vm_->state() == hv::VmState::kPaused) {
     primary_.hypervisor().resume(*vm_);
   }
 }
@@ -258,20 +300,19 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // fenced failover is pending means the primary is back: cancel it. The
   // source filter matters on a shared secondary: several engines listen on
   // the same host, and a neighbour VM's heartbeat must not refresh ours.
-  secondary_.add_ic_handler([this](const net::Packet& p) {
-    if (p.kind == kHeartbeatKind && p.src == primary_.ic_node()) {
-      last_heartbeat_rx_ = sim_.now();
-      if (failover_in_progress_ && fencing_armed_) fence_failover();
-    }
-  });
   // Resume-probe arbitration: the secondary answers a recovered primary's
   // probe; this handler — serialized with every other event on the sim's
   // queue — is the race's linearization point. The token filter keeps a
   // neighbour engine's probe (same host pair, different VM) out.
   probe_token_ = common::fnv1a(vm.spec().name, common::kFnvStreamOffset);
   secondary_.add_ic_handler([this](const net::Packet& p) {
-    if (p.kind == kResumeProbeKind && p.src == primary_.ic_node() &&
-        p.tag == probe_token_) {
+    if (p.src != primary_.ic_node()) return;
+    if (p.kind == kHeartbeatKind) {
+      last_heartbeat_rx_ = sim_.now();
+      if (replica_phase_ == ReplicaPhase::kFencing) {
+        stand_down_failover(/*by_probe=*/false);
+      }
+    } else if (p.kind == kResumeProbeKind && p.tag == probe_token_) {
       on_resume_probe(p);
     }
   });
@@ -297,16 +338,17 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
     }
   });
   secondary_.add_eth_handler([this](const net::Packet& p) {
-    if (p.kind == kProbeReplyKind && p.src == primary_.eth_node()) {
-      probe_reply_received_ = true;
+    if (p.kind == kProbeReplyKind && p.src == primary_.eth_node() &&
+        replica_phase_ == ReplicaPhase::kProbing) {
+      enter(ReplicaPhase::kProbeAnswered);
     }
   });
   // The seed target dying mid-copy tears the attempt down immediately — a
   // half-written staging image must never survive to look activatable, and
   // the paused guest must not wait on a timeout to find out.
   secondary_.add_failure_listener([this](hv::FaultKind) {
-    if (drained_ || seeded_ || seeder_ == nullptr) return;
-    sim_.cancel(seed_deadline_event_);
+    if (primary_phase_ != PrimaryPhase::kSeeding || seeder_ == nullptr) return;
+    sim_.cancel(seed_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();
     resume_guest();
@@ -323,9 +365,8 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
 // --- Seeding (with retry) ----------------------------------------------------
 
 void ReplicationEngine::begin_seed_attempt() {
-  if (drained_) return;
+  if (primary_phase_ != PrimaryPhase::kSeeding) return;
   ++stats_.seed_attempts;
-  if (vm_ == nullptr) return;
   if (!primary_.alive()) {
     schedule_seed_retry("primary down at attempt start");
     return;
@@ -343,7 +384,6 @@ void ReplicationEngine::begin_seed_attempt() {
   }
   seeder_.reset();  // cancel any stale in-flight seeding event first
   encoder_.reset();  // references describe the old staging image, if any
-  delta_seeded_ = false;
   reset_staging();
   // Delta re-seed (cascading re-protection): when the durable store already
   // holds a snapshot+WAL — written by a previous engine generation whose
@@ -359,18 +399,17 @@ void ReplicationEngine::begin_seed_attempt() {
                                      primary_.hypervisor(), *vm_, *staging_,
                                      config_.seed, config_.tracer);
   if (config_.ft.seed_attempt_timeout > sim::Duration::zero()) {
-    seed_deadline_event_ = sim_.schedule_after(
+    seed_event_ = sim_.schedule_after(
         config_.ft.seed_attempt_timeout,
         [this] { on_seed_attempt_timeout(); }, "seed-deadline");
   }
   seeder_->start([this](const SeedResult& result) {
-    sim_.cancel(seed_deadline_event_);
+    sim_.cancel(seed_event_);
     on_seeded(result);
   });
 }
 
 void ReplicationEngine::on_seed_attempt_timeout() {
-  if (seeded_) return;
   seeder_.reset();  // the destructor cancels the in-flight seeding event
   resume_guest();
   if (config_.tracer != nullptr) {
@@ -402,12 +441,11 @@ void ReplicationEngine::schedule_seed_retry(const char* why) {
   }
   HERE_LOG(kWarn, "seeding attempt %u failed (%s); retrying in %s",
            stats_.seed_attempts, why, sim::format_duration(backoff).c_str());
-  seed_retry_event_ = sim_.schedule_after(
+  seed_event_ = sim_.schedule_after(
       backoff, [this] { begin_seed_attempt(); }, "seed-retry");
 }
 
 void ReplicationEngine::on_seeded(const SeedResult& result) {
-  if (drained_) return;
   stats_.seed = result;
   // VM is paused and staging memory is byte-identical: commit epoch 0 with
   // the full disk image, machine state and program snapshot, then enter the
@@ -427,8 +465,8 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
   // reference from epoch 1 on.
   baseline_references();
 
-  sim_.schedule_after(*state_cost, [this] { commit_initial_checkpoint(); },
-                      "seed-state");
+  seed_event_ = sim_.schedule_after(
+      *state_cost, [this] { commit_initial_checkpoint(); }, "seed-state");
 }
 
 Expected<sim::Duration> ReplicationEngine::commit_seed_epoch(
@@ -451,7 +489,7 @@ void ReplicationEngine::commit_initial_checkpoint() {
     schedule_seed_retry("primary died during epoch-0 commit");
     return;
   }
-  seeded_ = true;
+  enter(PrimaryPhase::kReplicating);
   stats_.protected_at = sim_.now();
   // A fresh seed committed epoch 0 and runs from 1; a delta seed adopted the
   // recovered epoch E, committed E+1, and runs from E+2 — older generations'
@@ -459,8 +497,9 @@ void ReplicationEngine::commit_initial_checkpoint() {
   current_epoch_ = staging_->committed_epoch() + 1;
 
   // Continuous phase tracks dirtying through the shared bitmap (§7.2(2));
-  // PML rings were the seeding mechanism (never enabled by a delta seed).
-  if (config_.seed.mode == SeedMode::kHereMultithreaded && !delta_seeded_) {
+  // PML rings were the seeding mechanism (a delta seed never enabled them,
+  // and disabling them again is a no-op).
+  if (config_.seed.mode == SeedMode::kHereMultithreaded) {
     primary_.hypervisor().disable_pml_rings(*vm_);
   }
 
@@ -493,20 +532,17 @@ void ReplicationEngine::inject_migrator_stall(sim::Duration stall) {
 }
 
 void ReplicationEngine::drain(const std::string& reason) {
-  if (drained_) return;
-  drained_ = true;
-  // Everything this generation ever scheduled is cancelled; a drained
-  // engine is inert except for reads.
-  cancel_scheduled_events();
-  seeder_.reset();
-  failover_in_progress_ = false;
-  fencing_armed_ = false;
-  probe_in_flight_ = false;
+  if (primary_phase_ >= PrimaryPhase::kDemoted) return;  // terminal already
   // A drain can land mid-epoch (guest paused for capture): fold the capture
   // back into the running epoch — the successor re-ships those pages — and
-  // let the guest run again.
+  // let the guest run again, unless a pending arbitration holds it.
   fold_back_epoch();
-  if (!resume_probe_pending_) resume_guest();
+  resume_guest();
+  // Everything this generation ever scheduled is cancelled; a drained
+  // engine is inert except for reads, and an armed failover stands down.
+  enter(PrimaryPhase::kDrained);
+  seeder_.reset();
+  if (failover_in_progress()) enter(ReplicaPhase::kStandby);
   // Unreleased output belongs to epochs that will never commit through this
   // engine. Dropping it is the same output-commit call failover makes: a
   // never-released packet was never client-visible.
@@ -534,7 +570,7 @@ void ReplicationEngine::on_guest_tx(const net::Packet& packet) {
 
 void ReplicationEngine::on_service_packet(const net::Packet& packet) {
   hv::Vm* vm = active_vm();
-  hv::Host& host = stats_.failed_over ? secondary_ : primary_;
+  hv::Host& host = failed_over() ? secondary_ : primary_;
   if (vm != nullptr && host.alive()) {
     vm->deliver_packet(sim_.now(), host.hypervisor().rng(), packet);
   }
@@ -546,14 +582,14 @@ hv::Vm* ReplicationEngine::active_vm() {
   // the borrowed pointer against the owning hypervisor. The engine stays
   // routable — its service node lives on — but delivers nothing once the
   // twin is gone.
-  if (stats_.failed_over) return replica_vm();
+  if (failed_over()) return replica_vm();
   return vm_ != nullptr && primary_.hypervisor().owns(*vm_) ? vm_ : nullptr;
 }
 
 bool ReplicationEngine::service_available() {
   hv::Vm* vm = active_vm();
   if (vm == nullptr) return false;
-  hv::Host& host = stats_.failed_over ? secondary_ : primary_;
+  hv::Host& host = failed_over() ? secondary_ : primary_;
   if (!host.alive()) return false;
   return vm->state() == hv::VmState::kRunning ||
          vm->state() == hv::VmState::kPaused;  // paused = mid-checkpoint

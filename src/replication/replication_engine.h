@@ -31,6 +31,7 @@
 // (docs/ARCHITECTURE.md, "Engine source map").
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -259,7 +260,6 @@ struct EngineStats {
   // populated on heartbeat-loss failovers when probing is enabled.
   std::string failure_classification;
 
-  bool failed_over = false;
   sim::TimePoint failure_detected_at{};
   sim::TimePoint replica_active_at{};
   // "Replica resumption time" as measured for Fig. 7: from the start of the
@@ -300,6 +300,28 @@ struct EngineCounterRow {
 
 // The engine's counters, in registration order (docs/observability.md).
 [[nodiscard]] std::span<const EngineCounterRow> engine_counter_rows();
+
+// The engine's lifecycle, one phase per side of the pair (docs/ARCHITECTURE.md,
+// "Engine phases"). Two phases, not one: a recovered primary's arbitration
+// can overlap an armed failover on the replica side. Terminal phases sort
+// last.
+enum class PrimaryPhase : std::uint8_t {
+  kSeeding,      // until epoch 0 commits (attempts, retries, delta seed)
+  kReplicating,  // continuous checkpointing
+  kArbitrating,  // back from a microreboot: guest held paused, probe out
+  kDemoted,      // lost the arbitration: stale VM destroyed (terminal)
+  kDrained,      // generation retired: inert except for reads (terminal)
+};
+enum class ReplicaPhase : std::uint8_t {
+  kStandby,        // watching heartbeats
+  kProbing,        // heartbeats lost: management-network probe out
+  kProbeAnswered,  // the primary answered the probe (partition suspected)
+  kDown,           // replication process crashed: staging lost
+  kRejoining,      // rebooted: protection returns at the first commit
+  kFailingOver,    // replica activation scheduled
+  kFencing,        // activation held for the fencing window
+  kActive,         // the replica runs the service (terminal)
+};
 
 class ReplicationEngine {
  public:
@@ -350,8 +372,10 @@ class ReplicationEngine {
   // with a durable store it recovers locally from snapshot+WAL and re-sends
   // only digest-divergent regions; without one every page is re-sent (the
   // full-reseed-equivalent baseline). Protection (failover eligibility) is
-  // restored at the first post-rejoin commit. No-op before epoch 0 commits
-  // or after failover.
+  // restored at the first post-rejoin commit. A guest held paused by a
+  // pending resume arbitration stays paused. No-op before epoch 0 commits,
+  // while the replica is down or probing a silent primary, and once failover
+  // began.
   void inject_secondary_crash(sim::Duration reboot_after);
 
   // Fault-injection hooks (src/faults): damage the durable WAL tail, as a
@@ -364,29 +388,43 @@ class ReplicationEngine {
   // same (still-running) primary VM toward a different secondary — the
   // drain -> re-place -> delta-reseed path of fleet placement. Every
   // scheduled event is cancelled, an in-flight seed or epoch capture is
-  // abandoned (the guest resumes if the drain landed mid-pause), and
+  // abandoned (the guest resumes if the drain landed mid-pause, unless a
+  // pending resume arbitration holds it), and
   // unreleased buffered output is dropped (never-released output was never
   // client-visible, so output commit holds; counted in
   // stats().packets_dropped_at_drain). The replica staging, durable store
   // and stats stay readable; heartbeats, watchdogs, failovers, rejoins and
   // resume-probe arbitration are permanently disabled. The successor's
-  // start_protection re-points the guest tx hook at itself. Idempotent.
+  // start_protection re-points the guest tx hook at itself. Idempotent; a
+  // no-op on a demoted engine, which has nothing left to retire.
   void drain(const std::string& reason);
-  [[nodiscard]] bool drained() const { return drained_; }
+  [[nodiscard]] bool drained() const {
+    return primary_phase_ == PrimaryPhase::kDrained;
+  }
 
-  // True between a secondary reboot and the first post-rejoin commit.
-  [[nodiscard]] bool rejoining() const { return rejoining_; }
+  // True from a secondary crash to the first post-rejoin commit.
+  [[nodiscard]] bool rejoining() const {
+    return replica_phase_ == ReplicaPhase::kDown ||
+           replica_phase_ == ReplicaPhase::kRejoining;
+  }
 
   // True once this engine's primary lost the resume-probe arbitration: its
   // stale VM was destroyed and the engine will never checkpoint again (the
   // control plane re-protects the activated replica with a fresh engine).
-  [[nodiscard]] bool primary_demoted() const { return primary_demoted_; }
+  [[nodiscard]] bool primary_demoted() const {
+    return primary_phase_ == PrimaryPhase::kDemoted;
+  }
 
   [[nodiscard]] bool protecting() const { return vm_ != nullptr; }
-  [[nodiscard]] bool seeded() const { return seeded_; }
-  [[nodiscard]] bool failed_over() const { return stats_.failed_over; }
+  // Epoch 0 committed: the continuous phase opened epoch 1 (or E+2 after a
+  // delta seed), and the epoch count never goes back to 0.
+  [[nodiscard]] bool seeded() const { return current_epoch_ > 0; }
+  [[nodiscard]] bool failed_over() const {
+    return replica_phase_ == ReplicaPhase::kActive;
+  }
   [[nodiscard]] bool failover_in_progress() const {
-    return failover_in_progress_;
+    return replica_phase_ == ReplicaPhase::kFailingOver ||
+           replica_phase_ == ReplicaPhase::kFencing;
   }
 
   [[nodiscard]] hv::Vm* primary_vm() { return vm_; }
@@ -430,6 +468,16 @@ class ReplicationEngine {
  private:
   [[nodiscard]] std::uint32_t threads() const;
 
+  // --- Phases ----------------------------------------------------------------
+  // Each entry cancels, in one place, the events its phase forbids.
+  void enter(PrimaryPhase next);
+  void enter(ReplicaPhase next);
+  void cancel_events(std::initializer_list<sim::EventId> ids);
+  // Activation is armed or done: the replica is taking the service over.
+  [[nodiscard]] bool taking_over() const {
+    return failover_in_progress() || failed_over();
+  }
+
   // --- Seeding (with retry) --------------------------------------------------
   void begin_seed_attempt();
   void schedule_seed_retry(const char* why);
@@ -443,6 +491,10 @@ class ReplicationEngine {
   // --- Continuous checkpointing ---------------------------------------------
   // Enters (or re-enters) the continuous phase now: cancels any pending
   // checkpoint or scrub and re-arms both loops, so neither ever runs twice.
+  // No-op unless the primary replicates into a replica that is up and not
+  // taking over (a pending arbitration restarts on its grant, a down replica
+  // on its rejoin). Every phase that forbids checkpoints cancels both loops
+  // on entry, so the loops themselves never check the phase.
   void restart_checkpointing();
   void schedule_checkpoint();
   // One epoch: capture -> frame -> seal -> transmit -> price -> commit or
@@ -511,14 +563,13 @@ class ReplicationEngine {
   // actually commits).
   void abort_staged_epoch();
   // Lets a guest the engine holds paused run again; no-op when the primary
-  // is down or the VM is not paused.
+  // is down, the VM is not paused, or the phase holds it (arbitration).
   void resume_guest();
   // Bumps an EngineStats counter field and its registered counter.
   void bump(std::uint64_t EngineStats::*field, std::uint64_t n = 1);
   // Refreshes stats_.encode from the encoder at a commit, mirroring the
   // deltas into the rep.enc_* counters.
   void sync_encode_stats();
-  void cancel_scheduled_events();
 
   // --- Heartbeat / failover --------------------------------------------------
   void send_heartbeat();
@@ -528,9 +579,9 @@ class ReplicationEngine {
   // `fence_on_heartbeat`: arm split-brain fencing (heartbeat-loss failovers
   // only; explicit triggers and detectors are deliberate and never fenced).
   void begin_failover(const std::string& reason, bool fence_on_heartbeat);
-  void fence_failover();
   // Cancels an armed-but-unfired failover: the primary proved alive (its
   // heartbeats, or its resume probe) before the replica activated.
+  // Replication resumes, unless an arbitration holds the primary.
   void stand_down_failover(bool by_probe);
   void activate_replica();
 
@@ -623,11 +674,8 @@ class ReplicationEngine {
   std::unique_ptr<Seeder> seeder_;
   std::vector<std::unique_ptr<FailureDetector>> detectors_;
 
-  bool seeded_ = false;
-  bool failover_in_progress_ = false;
-  bool fencing_armed_ = false;
-  bool probe_in_flight_ = false;
-  bool probe_reply_received_ = false;
+  PrimaryPhase primary_phase_ = PrimaryPhase::kSeeding;
+  ReplicaPhase replica_phase_ = ReplicaPhase::kStandby;
   std::uint32_t abort_streak_ = 0;   // consecutive aborted checkpoints
   sim::Duration pending_stall_{};    // injected migrator stall, not yet paid
   std::uint64_t current_epoch_ = 0;  // execution epoch being buffered
@@ -643,8 +691,9 @@ class ReplicationEngine {
   sim::EventId checkpoint_finish_event_;
   sim::EventId heartbeat_event_;
   sim::EventId watchdog_event_;
-  sim::EventId seed_deadline_event_;
-  sim::EventId seed_retry_event_;
+  // The next seeding step: the attempt deadline, the retry backoff or the
+  // epoch-0 commit. At most one of them is ever pending.
+  sim::EventId seed_event_;
   sim::EventId probe_event_;
   sim::EventId failover_activate_event_;
   sim::EventId scrub_event_;
@@ -654,18 +703,12 @@ class ReplicationEngine {
   // committed per-region digests on the *engine* side: staging dies with the
   // secondary, and the rejoin diff needs the last-acked references to decide
   // which regions the recovered image is missing.
-  bool rejoining_ = false;
-  bool secondary_down_ = false;
-  bool drained_ = false;
   sim::TimePoint secondary_crashed_at_{};
   std::vector<std::uint64_t> committed_digest_mirror_;
 
-  // Recovered-primary arbitration state. The probe token fences this
-  // engine's probes from other engines on the same host pair (derived from
-  // the VM name, never from pointers — determinism).
-  bool resume_probe_pending_ = false;
-  bool primary_demoted_ = false;
-  bool delta_seeded_ = false;  // current seed came from a surviving store
+  // The probe token fences this engine's resume probes from other engines on
+  // the same host pair (derived from the VM name, never from pointers —
+  // determinism).
   std::uint64_t probe_token_ = 0;
   sim::EventId resume_probe_event_;
 

@@ -264,6 +264,17 @@ TEST(DetlintTest, ExhaustiveSwitchFixtureFires) {
   EXPECT_NE(result.findings[0].message.find("kCorrupt"), std::string::npos);
 }
 
+// Enumerators on their own lines (after a newline, not only blanks) still
+// count, so a multi-line protocol enum is checked at all.
+TEST(DetlintTest, ExhaustiveSwitchSeesMultiLineEnums) {
+  const auto result =
+      scan_targets({"tests/analysis/fixtures/p1_multiline_enum.cc"});
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].rule, Rule::kExhaustiveSwitch);
+  EXPECT_EQ(result.findings[0].line, 11);
+  EXPECT_NE(result.findings[0].message.find("kDrained"), std::string::npos);
+}
+
 TEST(DetlintTest, VerifiedApplyFixtureFires) {
   const auto result =
       scan_targets({"tests/analysis/fixtures/p2_verified_apply.cc"});

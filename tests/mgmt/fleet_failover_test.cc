@@ -109,7 +109,7 @@ TEST(FleetFailover, HostDosFailsOverOneVmWhileNeighboursKeepCommitting) {
   for (int i = 1; i < 4; ++i) {
     SCOPED_TRACE("vm" + std::to_string(i));
     const rep::EngineStats& stats = engines[i]->stats();
-    EXPECT_FALSE(stats.failed_over);
+    EXPECT_FALSE(engines[i]->failed_over());
     EXPECT_TRUE(engines[i]->service_available());
     // Commit stream intact: epochs kept landing and none were rejected or
     // corrupted by the neighbour's failover traffic.

@@ -5,7 +5,8 @@
 //     image (memory and disk digests match);
 //   * the client-observed packet sequence is a gapless committed prefix,
 //     with at most one (re-emission) discontinuity at failover;
-//   * service availability implies an alive host with a runnable VM.
+//   * service availability implies an alive host with a runnable VM;
+//   * after every step the engine's lifecycle getters describe one state.
 #include <gtest/gtest.h>
 
 #include "replication/testbed.h"
@@ -38,6 +39,26 @@ class ChaosEmitter final : public hv::GuestProgram {
   std::uint64_t next_seq_ = 0;
 };
 
+// The public lifecycle getters must never contradict each other: a failover
+// is armed or done, never both; a demoted primary lost to an active replica;
+// a rejoining replica has nothing to fail over to.
+void expect_consistent_lifecycle(ReplicationEngine& engine, int step) {
+  SCOPED_TRACE("step " + std::to_string(step));
+  EXPECT_TRUE(engine.seeded());
+  EXPECT_FALSE(engine.drained());
+  EXPECT_FALSE(engine.failed_over() && engine.failover_in_progress());
+  if (engine.primary_demoted()) {
+    EXPECT_TRUE(engine.failed_over());
+    EXPECT_FALSE(engine.protecting());
+  } else {
+    EXPECT_TRUE(engine.protecting());
+  }
+  if (engine.rejoining()) {
+    EXPECT_FALSE(engine.failed_over());
+    EXPECT_FALSE(engine.failover_in_progress());
+  }
+}
+
 class ChaosMonkey : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
@@ -69,10 +90,13 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
   for (int step = 0; step < 12; ++step) {
     bed.simulation().run_for(
         sim::from_millis(chaos.uniform_real(200.0, 1500.0)));
+    expect_consistent_lifecycle(bed.engine(), step);
 
-    switch (chaos.uniform(6)) {
-      case 0:  // load change
-        emitter->set_load(chaos.uniform_real(0.02, 0.6));
+    switch (chaos.uniform(8)) {
+      case 0:  // load change (a demotion destroyed the emitting VM)
+        if (!bed.engine().primary_demoted()) {
+          emitter->set_load(chaos.uniform_real(0.02, 0.6));
+        }
         break;
       case 1:  // zero-day against the primary
         if (!primary_killed) {
@@ -105,7 +129,21 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
       }
       case 5:  // quiet step
         break;
+      case 6:  // secondary replication process crash (rejoins on reboot)
+        bed.engine().inject_secondary_crash(
+            sim::from_millis(chaos.uniform_real(50.0, 1000.0)));
+        break;
+      case 7:  // primary crash + microreboot (resume-probe arbitration)
+        if (!primary_killed && bed.primary().alive()) {
+          bed.primary().inject_fault(hv::FaultKind::kCrash);
+          EXPECT_TRUE(bed.primary().begin_microreboot(
+              sim::from_millis(chaos.uniform_real(20.0, 600.0))));
+          discontinuity_allowed_at =
+              std::min(discontinuity_allowed_at, seen.size());
+        }
+        break;
     }
+    expect_consistent_lifecycle(bed.engine(), step);
   }
   bed.simulation().run_for(sim::from_seconds(3));
 

@@ -101,7 +101,7 @@ CorruptionArtifacts run_encoded_corruption_chaos(std::uint64_t seed) {
   out.commits_rejected = stats.commits_rejected;
   out.epochs_aborted = stats.epochs_aborted;
   out.encode = stats.encode;
-  out.failed_over = stats.failed_over;
+  out.failed_over = bed.engine().failed_over();
   out.replica_digest = stats.replica_digest_at_activation;
   out.committed_digest = stats.committed_digest_at_activation;
   EXPECT_EQ(recorder.overwritten(), 0u) << "ring too small for the scenario";

@@ -199,6 +199,53 @@ TEST(RecoveryRace, ProbeFencesArmedActivation) {
   EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_before);
 }
 
+// A secondary process crash while the recovered primary's probe is pending
+// must not run the held guest: it stays paused until a verdict arrives. The
+// partition keeps every probe from the secondary until it is healed, after
+// the secondary rebooted; the rejoined secondary then grants.
+TEST(RecoveryRace, SecondaryCrashDuringArbitrationKeepsGuestPaused) {
+  Testbed bed(race_config());
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(15)));
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(2));
+
+  bed.fabric().set_link_down(bed.primary().ic_node(),
+                             bed.secondary().ic_node(), true);
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  ASSERT_TRUE(bed.primary().begin_microreboot(sim::from_millis(40)));
+  bed.simulation().run_for(sim::from_millis(50));
+  const EngineStats& stats = bed.engine().stats();
+  ASSERT_EQ(stats.resume_probes, 1u);
+  ASSERT_EQ(stats.resume_grants, 0u);
+  ASSERT_EQ(vm.state(), hv::VmState::kPaused);
+
+  bed.engine().inject_secondary_crash(sim::from_millis(500));
+  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
+  EXPECT_TRUE(bed.engine().rejoining());
+  // The secondary reboots and recovers; still no verdict, still held.
+  bed.simulation().run_for(sim::from_seconds(1));
+  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
+  EXPECT_EQ(stats.resume_grants + stats.primary_demotions, 0u);
+  EXPECT_FALSE(bed.engine().failover_in_progress());
+
+  bed.fabric().set_link_down(bed.primary().ic_node(),
+                             bed.secondary().ic_node(), false);
+  ASSERT_TRUE(bed.run_until([&] { return stats.resume_grants == 1; },
+                            sim::from_seconds(10)));
+  EXPECT_EQ(stats.primary_demotions, 0u);
+  EXPECT_FALSE(bed.engine().failed_over());
+  // The rejoin completes at the first post-grant commit.
+  const std::size_t epochs_at_grant = stats.checkpoints.size();
+  ASSERT_TRUE(bed.run_until([&] { return !bed.engine().rejoining(); },
+                            sim::from_seconds(10)));
+  EXPECT_GT(stats.checkpoints.size(), epochs_at_grant);
+  EXPECT_TRUE(bed.run_until(
+      [&] { return vm.state() == hv::VmState::kRunning; },
+      sim::from_seconds(2)));
+}
+
 // --- The 50-seed interleaving sweep ------------------------------------------
 
 // Sweeps the recovery latency across the detection/activation window (and

@@ -56,7 +56,8 @@
 //                        other than the waited-on one is held (the notifier
 //                        may need that mutex to reach its notify).
 //   P1 exhaustive        a switch over a protocol enum (frame verdicts,
-//                        fault kinds, engine/recovery states) that misses an
+//                        fault kinds, engine modes and lifecycle phases,
+//                        recovery states) that misses an
 //                        enumerator — the next wire kind or fault kind must
 //                        not be silently unhandled in dispatch.
 //   P2 verified-apply    a write to committed-image state in staging /

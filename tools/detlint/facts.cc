@@ -435,10 +435,13 @@ FileFacts extract_facts(const std::string& display_path,
       def.line = lines.line_of(static_cast<std::size_t>(it->position(0)));
       for (const std::string& piece :
            split_args(code.substr(open + 1, close - open - 1))) {
-        const std::string t = internal::trim(piece);
-        std::size_t n = 0;
-        while (n < t.size() && ident_char(t[n])) ++n;
-        if (n > 0) def.enumerators.push_back(t.substr(0, n));
+        // One enumerator per line is the common layout: skip the newline
+        // (and indentation) before the name, not only blanks.
+        std::size_t b = piece.find_first_not_of(" \t\r\n");
+        if (b == std::string::npos) continue;
+        std::size_t n = b;
+        while (n < piece.size() && ident_char(piece[n])) ++n;
+        if (n > b) def.enumerators.push_back(piece.substr(b, n - b));
       }
       if (!def.enumerators.empty()) facts.enums.push_back(std::move(def));
     }

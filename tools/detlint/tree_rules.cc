@@ -38,12 +38,14 @@ const std::vector<std::string>& staging_prefixes() {
 }
 
 // P1's protocol enums: frame verdicts/encodings, fault kinds and the
-// recovery state machines. A switch over one of these that misses an
-// enumerator is how the next wire kind silently falls through dispatch.
+// recovery and engine-lifecycle state machines. A switch over one of these
+// that misses an enumerator is how the next wire kind silently falls through
+// dispatch.
 const std::set<std::string>& protocol_enums() {
   static const std::set<std::string> kEnums = {
-      "FaultType",  "FaultKind",     "PageEncoding",
-      "FrameVerdict", "EngineMode", "RecoveryState", "WireKind"};
+      "FaultType",    "FaultKind",     "PageEncoding", "FrameVerdict",
+      "EngineMode",   "RecoveryState", "WireKind",     "PrimaryPhase",
+      "ReplicaPhase"};
   return kEnums;
 }
 

@@ -30,6 +30,8 @@ fleet_scale|fleet_scale|--obs
 fleet_scale_100|fleet_scale|--obs --vms=100
 corruption_sweep|corruption_sweep|--obs
 fig6_migration|fig6_migration|
+fig7_resumption|fig7_resumption|
+sec82_security|sec82_security|
 ablation_threads|ablation_threads|
 ablation_cow|ablation_cow|'
 
