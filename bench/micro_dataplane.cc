@@ -15,6 +15,7 @@
 #include "hv/guest_memory.h"
 #include "hv/pml_ring.h"
 #include "kvmsim/kvm_state.h"
+#include "replication/durable_store.h"
 #include "replication/encoder.h"
 #include "replication/staging.h"
 #include "replication/wire.h"
@@ -251,6 +252,27 @@ void BM_DiskApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_DiskApply);
+
+// One durable snapshot rotation (DurableStore::write_snapshot) of a 32 MiB
+// image with every page non-zero plus a dense 4 M-sector disk: ~100 MB of
+// framed record per iteration.
+void BM_SnapshotWrite(benchmark::State& state) {
+  const std::uint64_t pages = (32ULL << 20) / common::kPageSize;
+  hv::GuestMemory mem(pages, 1);
+  for (common::Gfn g = 0; g < pages; ++g) mem.write_u64(0, g, 0, g + 1);
+  hv::VirtualDisk disk;
+  for (std::uint64_t s = 0; s < disk.total_sectors(); s += 8) {
+    disk.apply({s, 8, s * 31});
+  }
+  rep::DurableStore store;
+  for (auto _ : state) {
+    store.write_snapshot(1, mem, disk);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(store.snapshot_bytes()));
+}
+BENCHMARK(BM_SnapshotWrite)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -7,15 +7,21 @@
 // replication); the same writes are shipped with the running epoch and
 // applied to the replica's disk atomically at commit.
 //
-// The disk stores one 8-byte stamp per written sector in a sparse map —
-// enough to byte-verify replica/primary consistency without gigabytes of
-// backing store.
+// The disk stores one 8-byte stamp per written sector — enough to
+// byte-verify replica/primary consistency without gigabytes of backing
+// store. Stamps live in fixed chunks of kChunkSectors sectors, each with a
+// presence bitmap, kept in an ordered map by chunk index: the disk
+// enumerates its stamps in ascending sector order without sorting, and
+// nothing is ever sized from total_sectors() (recovery reads that value from
+// untrusted bytes). A dense disk costs about 8 B per written sector; a disk
+// with one write per chunk costs a whole chunk (~33 KiB) per write, and no
+// workload here writes that sparsely.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <map>
 
 namespace here::hv {
 
@@ -27,6 +33,8 @@ struct DiskWrite {
 
 class VirtualDisk {
  public:
+  static constexpr std::uint64_t kChunkSectors = 4096;
+
   explicit VirtualDisk(std::uint64_t total_sectors = 2ULL << 21)  // 2 TiB
       : total_sectors_(total_sectors) {}
 
@@ -44,20 +52,32 @@ class VirtualDisk {
   [[nodiscard]] std::uint64_t digest() const;
 
   [[nodiscard]] std::uint64_t sectors_written() const { return sectors_written_; }
-  [[nodiscard]] std::size_t distinct_sectors() const { return stamps_.size(); }
+  // Sectors ever written, a stamp of 0 included.
+  [[nodiscard]] std::uint64_t distinct_sectors() const { return distinct_; }
+
+  // Calls visit(sector, stamp) for every written sector, ascending by sector.
+  template <typename Visit>
+  void for_each_stamp(Visit&& visit) const {
+    for (const auto& [index, chunk] : chunks_) {
+      for (std::uint64_t w = 0; w < chunk.present.size(); ++w) {
+        for (std::uint64_t bits = chunk.present[w]; bits != 0; bits &= bits - 1) {
+          const std::uint64_t offset = w * 64 + std::countr_zero(bits);
+          visit(index * kChunkSectors + offset, chunk.stamps[offset]);
+        }
+      }
+    }
+  }
+
+  // This disk's written sectors that `other` never wrote or holds with a
+  // different stamp. Sectors only `other` wrote do not count.
+  [[nodiscard]] std::uint64_t sectors_differing_in(const VirtualDisk& other) const;
 
   // --- Durable-store serialization (src/replication/durable_store) ------------
 
-  // Every written sector's stamp, ascending by sector — the deterministic
-  // enumeration the snapshot serializer needs.
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  sorted_stamps() const;
-
   // Reinstalls one stamp during recovery. Bypasses fault injection and the
   // write counters: recovery reconstructs state, it does not perform I/O.
-  void restore_stamp(std::uint64_t sector, std::uint64_t stamp) {
-    stamps_[sector] = stamp;
-  }
+  // Clamps at the end of the disk like apply().
+  void restore_stamp(std::uint64_t sector, std::uint64_t stamp);
 
   // --- Fault injection (src/faults drives these) ------------------------------
 
@@ -79,8 +99,20 @@ class VirtualDisk {
   }
 
  private:
+  struct Chunk {
+    std::array<std::uint64_t, kChunkSectors> stamps{};
+    std::array<std::uint64_t, kChunkSectors / 64> present{};
+  };
+
+  // The chunk holding sectors [index * kChunkSectors, +kChunkSectors),
+  // created empty if absent.
+  Chunk& chunk_for(std::uint64_t index);
+  // Stores the stamp of one sector of `chunk` and marks it present.
+  void set(Chunk& chunk, std::uint64_t offset, std::uint64_t stamp);
+
   std::uint64_t total_sectors_;
-  std::unordered_map<std::uint64_t, std::uint64_t> stamps_;
+  std::map<std::uint64_t, Chunk> chunks_;  // by sector / kChunkSectors
+  std::uint64_t distinct_ = 0;
   std::uint64_t sectors_written_ = 0;
   std::uint64_t write_errors_ = 0;
   bool fail_writes_ = false;

@@ -1,6 +1,8 @@
 #include "replication/durable_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <mutex>
 #include <string>
 
@@ -20,6 +22,9 @@ constexpr std::uint32_t kKindSnapshot = 1;
 constexpr std::uint32_t kKindWalEpoch = 2;
 // Framing overhead around every payload: magic + kind + len + crc.
 constexpr std::uint64_t kRecordOverhead = 4 + 4 + 8 + 4;
+// Smallest serialized WAL frame: seq, region, version, the gfn and meta
+// counts, the payload length and the crc, with no gfns, metas or bytes.
+constexpr std::size_t kMinFrameBytes = 8 + 4 + 2 + 4 + 4 + 8 + 4;
 
 // --- Little-endian serialization ---------------------------------------------
 
@@ -47,6 +52,22 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 void put_bytes(std::vector<std::uint8_t>& out,
                std::span<const std::uint8_t> bytes) {
   out.insert(out.end(), bytes.begin(), bytes.end());
+}
+
+// Little-endian store through a cursor into a presized buffer (the snapshot
+// writer); returns the cursor past what it wrote. One word move on
+// little-endian hosts: byte stores through a captured cursor defeat the
+// compiler's store merging.
+template <typename Word>
+std::uint8_t* store_le(std::uint8_t* out, Word v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (i * 8));
+    }
+  }
+  return out + sizeof v;
 }
 
 // Bounds-checked reader over one segment. Every get_* clears `ok` on
@@ -93,6 +114,12 @@ struct Reader {
     return s;
   }
   [[nodiscard]] bool done() const { return ok && pos == data.size(); }
+  // Caps a count read from the data at the items of `item_bytes` each that
+  // the bytes left could hold, so a lying count never sizes an allocation.
+  [[nodiscard]] std::size_t fit(std::uint64_t count, std::size_t item_bytes) const {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(count, (data.size() - pos) / item_bytes));
+  }
 };
 
 // Pulls one framed record off `r`. Returns false — without advancing past
@@ -157,6 +184,82 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
 
 }  // namespace
 
+std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
+                                          const hv::GuestMemory& memory,
+                                          const hv::VirtualDisk& disk) {
+  // Fresh frames are zeroed at recovery, so only non-zero pages are stored,
+  // and the record is sized from them: retained segments never carry
+  // capacity for the whole image.
+  std::vector<common::Gfn> stored;
+  for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
+    if (!is_zero_page(memory.page(common::Gfn{gfn}))) stored.push_back(gfn);
+  }
+  const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
+                                    8 + 8 + disk.distinct_sectors() * 16;
+  std::vector<std::uint8_t> record(kRecordOverhead + payload_len);
+  std::uint8_t* out = store_le<std::uint32_t>(record.data(), kRecordMagic);
+  out = store_le<std::uint32_t>(out, kKindSnapshot);
+  out = store_le<std::uint64_t>(out, payload_len);
+  std::uint8_t* const payload = out;
+  out = store_le<std::uint64_t>(out, epoch);
+  out = store_le<std::uint64_t>(out, stored.size());
+  for (const common::Gfn gfn : stored) {
+    out = store_le<std::uint64_t>(out, gfn);
+    std::memcpy(out, memory.page(gfn).data(), kPageSize);
+    out += kPageSize;
+  }
+  out = store_le<std::uint64_t>(out, disk.total_sectors());
+  out = store_le<std::uint64_t>(out, disk.distinct_sectors());
+  disk.for_each_stamp([&out](std::uint64_t sector, std::uint64_t stamp) {
+    out = store_le<std::uint64_t>(out, sector);
+    out = store_le<std::uint64_t>(out, stamp);
+  });
+  store_le<std::uint32_t>(
+      out, common::crc32c({payload, static_cast<std::size_t>(payload_len)}));
+  return record;
+}
+
+Expected<DurableStore::Snapshot> decode_snapshot(
+    std::span<const std::uint8_t> segment) {
+  Reader r{segment};
+  std::uint32_t kind = 0;
+  std::span<const std::uint8_t> payload;
+  if (!next_record(r, kind, payload) || kind != kKindSnapshot) {
+    return Status::data_loss("snapshot segment failed framing/CRC checks");
+  }
+  Reader p{payload};
+  DurableStore::Snapshot snap;
+  snap.epoch = p.get_u64();
+  const std::uint64_t pages = p.get_u64();
+  snap.pages.reserve(p.fit(pages, 8 + kPageSize));
+  for (std::uint64_t i = 0; i < pages && p.ok; ++i) {
+    const std::uint64_t gfn = p.get_u64();
+    const std::span<const std::uint8_t> bytes = p.get_bytes(kPageSize);
+    if (!p.ok) break;
+    snap.pages.emplace_back(common::Gfn{gfn},
+                            std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+  }
+  snap.disk = hv::VirtualDisk(p.get_u64());
+  const std::uint64_t stamps = p.get_u64();
+  std::uint64_t next_sector = 0;  // stamps are strictly ascending by sector
+  for (std::uint64_t i = 0; i < stamps && p.ok; ++i) {
+    const std::uint64_t sector = p.get_u64();
+    const std::uint64_t stamp = p.get_u64();
+    if (!p.ok) break;
+    if (sector < next_sector || sector >= snap.disk.total_sectors()) {
+      return Status::data_loss("snapshot disk stamp for sector " +
+                               std::to_string(sector) +
+                               " is out of order or past the disk end");
+    }
+    next_sector = sector + 1;
+    snap.disk.restore_stamp(sector, stamp);
+  }
+  if (!p.done()) {
+    return Status::data_loss("snapshot payload malformed");
+  }
+  return snap;
+}
+
 DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
 
 void DurableStore::append_record(std::vector<std::uint8_t>& segment,
@@ -173,34 +276,11 @@ void DurableStore::append_record(std::vector<std::uint8_t>& segment,
 void DurableStore::write_snapshot(std::uint64_t epoch,
                                   const hv::GuestMemory& memory,
                                   const hv::VirtualDisk& disk) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, epoch);
-  const std::size_t count_at = payload.size();
-  put_u64(payload, 0);  // patched below with the stored-page count
-  std::uint64_t stored = 0;
-  for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
-    const std::span<const std::uint8_t> page = memory.page(common::Gfn{gfn});
-    if (is_zero_page(page)) continue;  // fresh frames are zeroed at recovery
-    put_u64(payload, gfn);
-    put_bytes(payload, page);
-    ++stored;
-  }
-  for (int i = 0; i < 8; ++i) {
-    payload[count_at + i] = static_cast<std::uint8_t>(stored >> (i * 8));
-  }
-  put_u64(payload, disk.total_sectors());
-  const auto stamps = disk.sorted_stamps();
-  put_u64(payload, stamps.size());
-  for (const auto& [sector, stamp] : stamps) {
-    put_u64(payload, sector);
-    put_u64(payload, stamp);
-  }
-
+  std::vector<std::uint8_t> segment = encode_snapshot(epoch, memory, disk);
   std::lock_guard lock(mu_);
   // Atomic rotation: the fresh snapshot is fully serialized and CRC-sealed
   // before it replaces the old segment; only then is the WAL cleared.
-  std::vector<std::uint8_t> segment;
-  append_record(segment, kKindSnapshot, payload);
+  stats_.bytes_appended += segment.size();
   snapshot_seg_ = std::move(segment);
   wal_seg_.clear();
   wal_records_ = 0;
@@ -244,36 +324,7 @@ Expected<DurableStore::Snapshot> DurableStore::read_snapshot() const {
   if (snapshot_seg_.empty()) {
     return Status::not_found("durable store holds no snapshot");
   }
-  Reader r{snapshot_seg_};
-  std::uint32_t kind = 0;
-  std::span<const std::uint8_t> payload;
-  if (!next_record(r, kind, payload) || kind != kKindSnapshot) {
-    return Status::data_loss("snapshot segment failed framing/CRC checks");
-  }
-  Reader p{payload};
-  Snapshot snap;
-  snap.epoch = p.get_u64();
-  const std::uint64_t pages = p.get_u64();
-  snap.pages.reserve(static_cast<std::size_t>(pages));
-  for (std::uint64_t i = 0; i < pages && p.ok; ++i) {
-    const std::uint64_t gfn = p.get_u64();
-    const std::span<const std::uint8_t> bytes = p.get_bytes(kPageSize);
-    if (!p.ok) break;
-    snap.pages.emplace_back(common::Gfn{gfn},
-                            std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
-  }
-  snap.disk_total_sectors = p.get_u64();
-  const std::uint64_t stamps = p.get_u64();
-  snap.disk_stamps.reserve(static_cast<std::size_t>(stamps));
-  for (std::uint64_t i = 0; i < stamps && p.ok; ++i) {
-    const std::uint64_t sector = p.get_u64();
-    const std::uint64_t stamp = p.get_u64();
-    snap.disk_stamps.emplace_back(sector, stamp);
-  }
-  if (!p.done()) {
-    return Status::data_loss("snapshot payload malformed");
-  }
-  return snap;
+  return decode_snapshot(snapshot_seg_);
 }
 
 DurableStore::Log DurableStore::read_log() const {
@@ -296,7 +347,7 @@ DurableStore::Log DurableStore::read_log() const {
     record.header_digest = p.get_u64();
     const std::uint32_t frames = p.get_u32();
     bool record_ok = p.ok;
-    record.frames.reserve(frames);
+    record.frames.reserve(p.fit(frames, kMinFrameBytes));
     for (std::uint32_t i = 0; i < frames && record_ok; ++i) {
       wire::RegionFrame frame;
       record_ok = deserialize_frame(p, record.epoch, frame);
@@ -383,11 +434,7 @@ Expected<RecoveryResult> RecoveryManager::recover(
     staging.install_seed_page(gfn, bytes);
     ++result.pages_restored;
   }
-  hv::VirtualDisk disk((*snap).disk_total_sectors);
-  for (const auto& [sector, stamp] : (*snap).disk_stamps) {
-    disk.restore_stamp(sector, stamp);
-  }
-  staging.seed_disk(disk);
+  staging.seed_disk(std::move((*snap).disk));
   staging.adopt_recovered((*snap).epoch);
   result.recovered_epoch = (*snap).epoch;
 

@@ -81,12 +81,11 @@ class DurableStore {
     std::uint64_t bytes_appended = 0;  // total bytes serialized (both kinds)
   };
 
-  // Parsed snapshot segment (read_snapshot).
+  // Parsed snapshot segment (read_snapshot / decode_snapshot).
   struct Snapshot {
     std::uint64_t epoch = 0;
     std::vector<std::pair<common::Gfn, std::vector<std::uint8_t>>> pages;
-    std::uint64_t disk_total_sectors = 0;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> disk_stamps;
+    hv::VirtualDisk disk;  // geometry and every recorded stamp
   };
 
   // Parsed WAL segment: the valid prefix, plus whether a damaged suffix was
@@ -155,6 +154,24 @@ class DurableStore {
   std::uint64_t wal_records_ = 0;
   Stats stats_;
 };
+
+// --- Snapshot codec ------------------------------------------------------------
+//
+// Pure functions over one framed kind-1 record; DurableStore::write_snapshot
+// and read_snapshot add only the segment rotation and the lock.
+
+// Serializes the committed image as one framed snapshot record, built in a
+// single buffer sized exactly from the non-zero pages and written stamps.
+[[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
+    std::uint64_t epoch, const hv::GuestMemory& memory,
+    const hv::VirtualDisk& disk);
+
+// Parses one framed snapshot record. Untrusted bytes: every failure is a
+// typed kDataLoss, never a throw. Counts never size an allocation beyond
+// what the bytes could hold, and disk stamps must name strictly ascending
+// sectors below the recorded disk size.
+[[nodiscard]] Expected<DurableStore::Snapshot> decode_snapshot(
+    std::span<const std::uint8_t> segment);
 
 // Outcome of RecoveryManager::recover.
 struct RecoveryResult {

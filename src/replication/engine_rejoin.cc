@@ -139,16 +139,8 @@ ReplicationEngine::StoreDiff ReplicationEngine::diff_recovered_image() {
 
 std::uint64_t ReplicationEngine::resync_disk() {
   const hv::VirtualDisk& primary_disk = primary_.hypervisor().disk(*vm_);
-  const auto want = primary_disk.sorted_stamps();
-  const auto have = staging_->disk().sorted_stamps();
-  std::uint64_t divergent = 0;
-  std::size_t i = 0;
-  for (const auto& [sector, stamp] : want) {
-    while (i < have.size() && have[i].first < sector) ++i;
-    const bool match =
-        i < have.size() && have[i].first == sector && have[i].second == stamp;
-    if (!match) ++divergent;
-  }
+  const std::uint64_t divergent =
+      primary_disk.sectors_differing_in(staging_->disk());
   staging_->seed_disk(primary_disk);
   return divergent;
 }

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/lock_rank.h"
@@ -57,8 +58,8 @@ class ReplicaStaging {
   // Clones the primary's full disk image (done at the seeding stop-and-copy
   // point, with the guest quiescent). Injected fault state does not travel:
   // the replica's mirror starts healthy even if the source disk is faulted.
-  void seed_disk(const hv::VirtualDisk& source) {
-    disk_ = source;
+  void seed_disk(hv::VirtualDisk source) {
+    disk_ = std::move(source);
     disk_.clear_faults();
   }
 

@@ -3,8 +3,12 @@
 // back together on failover.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "hv/disk.h"
+#include "replication/staging.h"
 #include "replication/testbed.h"
+#include "sim/rng.h"
 #include "workload/synthetic.h"
 #include "workload/ycsb.h"
 
@@ -44,6 +48,115 @@ TEST(VirtualDisk, DigestIsContentDefined) {
   d.apply({2, 1, 8});
   d.apply({1, 1, 7});
   EXPECT_EQ(c.digest(), d.digest());
+}
+
+// The digest's per-sector mix, folded by XOR over a reference map.
+std::uint64_t reference_digest(const std::map<std::uint64_t, std::uint64_t>& stamps) {
+  std::uint64_t acc = 0;
+  for (const auto& [sector, stamp] : stamps) {
+    std::uint64_t h = sector * 0x9e3779b97f4a7c15ULL ^ stamp;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    acc ^= h;
+  }
+  return acc;
+}
+
+std::map<std::uint64_t, std::uint64_t> visited(const hv::VirtualDisk& disk) {
+  std::map<std::uint64_t, std::uint64_t> out;
+  std::uint64_t last = 0;
+  bool first = true;
+  disk.for_each_stamp([&](std::uint64_t sector, std::uint64_t stamp) {
+    EXPECT_TRUE(first || sector > last) << "sector " << sector << " after " << last;
+    first = false;
+    last = sector;
+    out.emplace(sector, stamp);
+  });
+  return out;
+}
+
+TEST(VirtualDisk, VisitorMatchesOrderedReferenceUnderRandomWrites) {
+  constexpr std::uint64_t kSectors = 5 * hv::VirtualDisk::kChunkSectors + 123;
+  hv::VirtualDisk disk(kSectors);
+  std::map<std::uint64_t, std::uint64_t> reference;
+  sim::Rng rng(7);
+  for (int i = 0; i < 3000; ++i) {
+    const hv::DiskWrite write{.sector = rng.uniform(kSectors + 16),
+                              .sectors = 1 + static_cast<std::uint32_t>(rng.uniform(300)),
+                              .stamp = rng.uniform(1u << 20)};
+    disk.apply(write);
+    for (std::uint32_t k = 0; k < write.sectors; ++k) {
+      if (write.sector + k >= kSectors) break;
+      reference[write.sector + k] = write.stamp + k;
+    }
+  }
+  // A write straddling a chunk boundary lands on both sides.
+  disk.apply({.sector = hv::VirtualDisk::kChunkSectors - 2, .sectors = 4, .stamp = 90});
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    reference[hv::VirtualDisk::kChunkSectors - 2 + k] = 90 + k;
+  }
+  EXPECT_EQ(visited(disk), reference);
+  EXPECT_EQ(disk.distinct_sectors(), reference.size());
+  EXPECT_EQ(disk.digest(), reference_digest(reference));
+  for (const auto& [sector, stamp] : reference) {
+    ASSERT_EQ(disk.read_stamp(sector), stamp) << "sector " << sector;
+  }
+}
+
+TEST(VirtualDisk, StampZeroWrittenIsDistinctFromNeverWritten) {
+  hv::VirtualDisk written(100), blank(100);
+  written.apply({.sector = 7, .sectors = 1, .stamp = 0});
+  EXPECT_EQ(written.read_stamp(7), 0u);
+  EXPECT_EQ(written.distinct_sectors(), 1u);
+  EXPECT_EQ(visited(written), (std::map<std::uint64_t, std::uint64_t>{{7, 0}}));
+  EXPECT_NE(written.digest(), blank.digest());
+  // The rejoin diff sees the written zero as a sector the blank disk lacks.
+  EXPECT_EQ(written.sectors_differing_in(blank), 1u);
+  EXPECT_EQ(blank.sectors_differing_in(written), 0u);
+}
+
+TEST(VirtualDisk, SectorsDifferingCountsMissingAndChangedStampsOnly) {
+  hv::VirtualDisk want(3 * hv::VirtualDisk::kChunkSectors);
+  hv::VirtualDisk have(3 * hv::VirtualDisk::kChunkSectors);
+  want.apply({.sector = 10, .sectors = 5, .stamp = 100});   // 10..14
+  have.apply({.sector = 12, .sectors = 5, .stamp = 102});   // 12..14 match
+  want.apply({.sector = 5000, .sectors = 2, .stamp = 1});   // unset in `have`
+  have.apply({.sector = 9000, .sectors = 3, .stamp = 1});   // only in `have`
+  want.apply({.sector = 4095, .sectors = 2, .stamp = 50});  // straddles
+  have.apply({.sector = 4095, .sectors = 1, .stamp = 49});  // 4095 differs
+  have.apply({.sector = 4096, .sectors = 1, .stamp = 51});  // 4096 matches
+  // 10, 11 missing; 5000, 5001 missing; 4095 differs.
+  EXPECT_EQ(want.sectors_differing_in(have), 5u);
+  EXPECT_EQ(want.sectors_differing_in(want), 0u);
+}
+
+TEST(VirtualDisk, RestoreStampAgreesWithReadStampAndClamps) {
+  hv::VirtualDisk disk(2 * hv::VirtualDisk::kChunkSectors);
+  disk.restore_stamp(0, 11);
+  disk.restore_stamp(hv::VirtualDisk::kChunkSectors, 22);
+  disk.restore_stamp(2 * hv::VirtualDisk::kChunkSectors - 1, 33);
+  disk.restore_stamp(2 * hv::VirtualDisk::kChunkSectors, 44);  // past the end
+  EXPECT_EQ(disk.read_stamp(0), 11u);
+  EXPECT_EQ(disk.read_stamp(hv::VirtualDisk::kChunkSectors), 22u);
+  EXPECT_EQ(disk.read_stamp(2 * hv::VirtualDisk::kChunkSectors - 1), 33u);
+  EXPECT_EQ(disk.read_stamp(2 * hv::VirtualDisk::kChunkSectors), 0u);
+  EXPECT_EQ(disk.distinct_sectors(), 3u);
+  EXPECT_EQ(disk.sectors_written(), 0u);  // recovery is not I/O
+}
+
+TEST(VirtualDisk, SeededCopyIsIndependentOfItsSource) {
+  hv::VirtualDisk source(1000);
+  source.apply({.sector = 3, .sectors = 2, .stamp = 5});
+  ReplicaStaging staging(hv::make_vm_spec("t", 1, 8ULL << 20), 1);
+  staging.seed_disk(source);
+  const std::uint64_t seeded = staging.disk().digest();
+  EXPECT_EQ(seeded, source.digest());
+  source.apply({.sector = 3, .sectors = 1, .stamp = 99});
+  source.apply({.sector = 900, .sectors = 1, .stamp = 1});
+  EXPECT_EQ(staging.disk().digest(), seeded);
+  EXPECT_EQ(staging.disk().read_stamp(3), 5u);
+  EXPECT_EQ(staging.disk().distinct_sectors(), 2u);
 }
 
 // --- A disk-writing guest -----------------------------------------------------
@@ -182,6 +295,29 @@ TEST(DiskReplication, YcsbWalAndCompactionHitTheDisk) {
   bed.simulation().run_for(sim::from_seconds(1));
   // Updates write WAL (2 sectors) + compaction (8 sectors/page).
   EXPECT_GT(bed.primary().hypervisor().disk(vm).sectors_written(), 1000u);
+}
+
+// The divergent-sector count of the rejoin below, as the sorted-vector disk
+// diff computed it on this seed.
+constexpr std::uint64_t kPinnedDivergentSectors = 820;
+
+TEST(DiskReplication, RejoinDiskDiffCountIsPinned) {
+  // A disk-writing guest keeps writing while its secondary is down; the
+  // rejoin's in-order disk diff counts the sectors the recovered replica
+  // lacks or holds stale.
+  TestbedConfig config = disk_config();
+  config.seed = 5;
+  config.durable_replica = true;
+  Testbed bed(config);
+  hv::Vm& vm = bed.create_vm(std::make_unique<DiskWriterProgram>());
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(2));
+  bed.engine().inject_secondary_crash(sim::from_millis(400));
+  bed.simulation().run_for(sim::from_seconds(4));
+
+  ASSERT_EQ(bed.engine().stats().rejoins, 1u);
+  EXPECT_EQ(bed.engine().stats().resync_disk_sectors, kPinnedDivergentSectors);
 }
 
 }  // namespace
