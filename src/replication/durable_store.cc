@@ -25,36 +25,12 @@ constexpr std::uint64_t kRecordOverhead = 4 + 4 + 8 + 4;
 // Smallest serialized WAL frame: seq, region, version, the gfn and meta
 // counts, the payload length and the crc, with no gfns, metas or bytes.
 constexpr std::size_t kMinFrameBytes = 8 + 4 + 2 + 4 + 4 + 8 + 4;
+// One page's meta in a WAL frame: encoding, length, aux.
+constexpr std::size_t kPageMetaBytes = 1 + 4 + 8;
 
 // --- Little-endian serialization ---------------------------------------------
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-}
-
-void put_bytes(std::vector<std::uint8_t>& out,
-               std::span<const std::uint8_t> bytes) {
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-// Little-endian store through a cursor into a presized buffer (the snapshot
+// Little-endian store through a cursor into a presized buffer (every record
 // writer); returns the cursor past what it wrote. One word move on
 // little-endian hosts: byte stores through a captured cursor defeat the
 // compiler's store merging.
@@ -135,22 +111,30 @@ bool next_record(Reader& r, std::uint32_t& kind,
   return common::crc32c(payload) == crc;
 }
 
-void serialize_frame(std::vector<std::uint8_t>& out,
-                     const wire::RegionFrame& frame) {
-  put_u64(out, frame.seq);
-  put_u32(out, frame.region);
-  put_u16(out, frame.version);
-  put_u32(out, static_cast<std::uint32_t>(frame.gfns.size()));
-  for (const common::Gfn gfn : frame.gfns) put_u64(out, gfn);
-  put_u32(out, static_cast<std::uint32_t>(frame.pages.size()));
-  for (const wire::PageMeta& meta : frame.pages) {
-    put_u8(out, static_cast<std::uint8_t>(meta.enc));
-    put_u32(out, meta.length);
-    put_u64(out, meta.aux);
+std::uint64_t serialized_size(const wire::RegionFrame& frame) {
+  return kMinFrameBytes + frame.gfns.size() * 8 +
+         frame.pages.size() * kPageMetaBytes + frame.bytes.size();
+}
+
+std::uint8_t* store_frame(std::uint8_t* out, const wire::RegionFrame& frame) {
+  out = store_le<std::uint64_t>(out, frame.seq);
+  out = store_le<std::uint32_t>(out, frame.region);
+  out = store_le<std::uint16_t>(out, frame.version);
+  out = store_le<std::uint32_t>(
+      out, static_cast<std::uint32_t>(frame.gfns.size()));
+  for (const common::Gfn gfn : frame.gfns) {
+    out = store_le<std::uint64_t>(out, gfn);
   }
-  put_u64(out, frame.bytes.size());
-  put_bytes(out, frame.bytes);
-  put_u32(out, frame.crc);
+  out = store_le<std::uint32_t>(
+      out, static_cast<std::uint32_t>(frame.pages.size()));
+  for (const wire::PageMeta& meta : frame.pages) {
+    out = store_le<std::uint8_t>(out, static_cast<std::uint8_t>(meta.enc));
+    out = store_le<std::uint32_t>(out, meta.length);
+    out = store_le<std::uint64_t>(out, meta.aux);
+  }
+  out = store_le<std::uint64_t>(out, frame.bytes.size());
+  out = std::copy(frame.bytes.begin(), frame.bytes.end(), out);
+  return store_le<std::uint32_t>(out, frame.crc);
 }
 
 bool deserialize_frame(Reader& r, std::uint64_t epoch,
@@ -164,7 +148,7 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
   frame.gfns.reserve(gfns);
   for (std::uint32_t i = 0; i < gfns; ++i) frame.gfns.push_back(r.get_u64());
   const std::uint32_t metas = r.get_u32();
-  if (!r.need(std::size_t{metas} * 13)) return false;
+  if (!r.need(std::size_t{metas} * kPageMetaBytes)) return false;
   frame.pages.reserve(metas);
   for (std::uint32_t i = 0; i < metas; ++i) {
     wire::PageMeta meta;
@@ -219,6 +203,47 @@ std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
   return record;
 }
 
+std::uint64_t append_wal_record(std::vector<std::uint8_t>& segment,
+                                const WalRecord& record) {
+  std::uint64_t payload_len = 8 + 2 + 8 + 4 + 4 +
+                              record.disk_writes.size() * (8 + 4 + 8) + 4 +
+                              record.region_digests.size() * (4 + 8);
+  for (const wire::RegionFrame& frame : record.frames) {
+    payload_len += serialized_size(frame);
+  }
+  const std::size_t start = segment.size();
+  segment.resize(start + kRecordOverhead + payload_len);
+  std::uint8_t* out =
+      store_le<std::uint32_t>(segment.data() + start, kRecordMagic);
+  out = store_le<std::uint32_t>(out, kKindWalEpoch);
+  out = store_le<std::uint64_t>(out, payload_len);
+  std::uint8_t* const payload = out;
+  out = store_le<std::uint64_t>(out, record.epoch);
+  out = store_le<std::uint16_t>(out, record.version);
+  out = store_le<std::uint64_t>(out, record.header_digest);
+  out = store_le<std::uint32_t>(
+      out, static_cast<std::uint32_t>(record.frames.size()));
+  for (const wire::RegionFrame& frame : record.frames) {
+    out = store_frame(out, frame);
+  }
+  out = store_le<std::uint32_t>(
+      out, static_cast<std::uint32_t>(record.disk_writes.size()));
+  for (const hv::DiskWrite& write : record.disk_writes) {
+    out = store_le<std::uint64_t>(out, write.sector);
+    out = store_le<std::uint32_t>(out, write.sectors);
+    out = store_le<std::uint64_t>(out, write.stamp);
+  }
+  out = store_le<std::uint32_t>(
+      out, static_cast<std::uint32_t>(record.region_digests.size()));
+  for (const auto& [region, digest] : record.region_digests) {
+    out = store_le<std::uint32_t>(out, region);
+    out = store_le<std::uint64_t>(out, digest);
+  }
+  store_le<std::uint32_t>(
+      out, common::crc32c({payload, static_cast<std::size_t>(payload_len)}));
+  return kRecordOverhead + payload_len;
+}
+
 Expected<DurableStore::Snapshot> decode_snapshot(
     std::span<const std::uint8_t> segment) {
   Reader r{segment};
@@ -262,17 +287,6 @@ Expected<DurableStore::Snapshot> decode_snapshot(
 
 DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
 
-void DurableStore::append_record(std::vector<std::uint8_t>& segment,
-                                 std::uint32_t kind,
-                                 std::span<const std::uint8_t> payload) {
-  put_u32(segment, kRecordMagic);
-  put_u32(segment, kind);
-  put_u64(segment, payload.size());
-  put_bytes(segment, payload);
-  put_u32(segment, common::crc32c(payload));
-  stats_.bytes_appended += payload.size() + kRecordOverhead;
-}
-
 void DurableStore::write_snapshot(std::uint64_t epoch,
                                   const hv::GuestMemory& memory,
                                   const hv::VirtualDisk& disk) {
@@ -288,28 +302,8 @@ void DurableStore::write_snapshot(std::uint64_t epoch,
 }
 
 void DurableStore::append_epoch(const WalRecord& record) {
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, record.epoch);
-  put_u16(payload, record.version);
-  put_u64(payload, record.header_digest);
-  put_u32(payload, static_cast<std::uint32_t>(record.frames.size()));
-  for (const wire::RegionFrame& frame : record.frames) {
-    serialize_frame(payload, frame);
-  }
-  put_u32(payload, static_cast<std::uint32_t>(record.disk_writes.size()));
-  for (const hv::DiskWrite& write : record.disk_writes) {
-    put_u64(payload, write.sector);
-    put_u32(payload, write.sectors);
-    put_u64(payload, write.stamp);
-  }
-  put_u32(payload, static_cast<std::uint32_t>(record.region_digests.size()));
-  for (const auto& [region, digest] : record.region_digests) {
-    put_u32(payload, region);
-    put_u64(payload, digest);
-  }
-
   std::lock_guard lock(mu_);
-  append_record(wal_seg_, kKindWalEpoch, payload);
+  stats_.bytes_appended += append_wal_record(wal_seg_, record);
   ++wal_records_;
   ++stats_.wal_appends;
 }

@@ -139,8 +139,6 @@ class DurableStore {
   void truncate_wal_tail(std::uint64_t bytes);
 
  private:
-  void append_record(std::vector<std::uint8_t>& segment, std::uint32_t kind,
-                     std::span<const std::uint8_t> payload);
 
   // Serializes the frame/commit write path against the recovery read path
   // and the fault hooks. Ranked above rep.staging_commit (300): the store is
@@ -172,6 +170,14 @@ class DurableStore {
 // sectors below the recorded disk size.
 [[nodiscard]] Expected<DurableStore::Snapshot> decode_snapshot(
     std::span<const std::uint8_t> segment);
+
+// --- WAL codec ---------------------------------------------------------------
+//
+// Appends `record` to `segment` as one framed kind-2 record, sized up front
+// and written in place. Returns the bytes appended. DurableStore::append_epoch
+// adds only the lock and the counters; read_log parses what this writes.
+std::uint64_t append_wal_record(std::vector<std::uint8_t>& segment,
+                                const WalRecord& record);
 
 // Outcome of RecoveryManager::recover.
 struct RecoveryResult {

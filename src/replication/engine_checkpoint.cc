@@ -30,12 +30,12 @@ void ReplicationEngine::restart_checkpointing() {
   }
   sim_.cancel(checkpoint_event_);
   sim_.cancel(scrub_event_);
-  last_checkpoint_done_ = sim_.now();
   schedule_checkpoint();
   schedule_scrub();
 }
 
 void ReplicationEngine::schedule_checkpoint() {
+  last_checkpoint_done_ = sim_.now();
   const sim::Duration period = period_.current();
   stats_.period_series.record(sim_.now(), sim::to_seconds(period));
   if (m_period_s_ != nullptr) m_period_s_->set(sim::to_seconds(period));
@@ -98,19 +98,18 @@ void ReplicationEngine::resend_region(std::uint32_t r) {
 
 void ReplicationEngine::fold_back_epoch() {
   if (staging_) abort_staged_epoch();
+  if (!inflight_) return;
+  InflightEpoch epoch = std::move(*inflight_);
+  inflight_.reset();
+  sim_.cancel(epoch.step);
   if (vm_ == nullptr) return;
   if (common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_)) {
-    for (const common::Gfn g : last_epoch_gfns_) bm->set(g);
+    for (const common::Gfn g : epoch.gfns) bm->set(g);
   }
-  if (!last_epoch_disk_writes_.empty()) {
-    // Restore in issue order, ahead of anything the guest wrote since.
-    std::vector<hv::DiskWrite> restored = std::move(last_epoch_disk_writes_);
-    restored.insert(restored.end(), epoch_disk_writes_.begin(),
-                    epoch_disk_writes_.end());
-    epoch_disk_writes_ = std::move(restored);
-  }
-  last_epoch_gfns_.clear();
-  last_epoch_disk_writes_.clear();
+  // Restore in issue order, ahead of anything the guest wrote since.
+  epoch.disk_writes.insert(epoch.disk_writes.end(), epoch_disk_writes_.begin(),
+                           epoch_disk_writes_.end());
+  epoch_disk_writes_ = std::move(epoch.disk_writes);
 }
 
 void ReplicationEngine::abort_staged_epoch() {
@@ -118,33 +117,41 @@ void ReplicationEngine::abort_staged_epoch() {
   if (encoder_ != nullptr) encoder_->abort_epoch();
 }
 
-void ReplicationEngine::abort_epoch(const char* reason, bool was_running,
-                                    std::optional<sim::Duration> resume_after) {
-  fold_back_epoch();
-  if (resume_after.has_value()) {
-    checkpoint_finish_event_ = sim_.schedule_after(
-        *resume_after,
-        [this, was_running] { if (was_running) resume_guest(); },
-        "checkpoint-abort");
-  } else if (was_running) {
-    resume_guest();
+void ReplicationEngine::settle_epoch(const char* abort_reason) {
+  // A primary that died with the epoch in flight: the replica discards the
+  // partial epoch (and will activate the previous one) while the capture
+  // stays in flight until a recovery path folds it back.
+  if (!primary_.alive()) return abort_staged_epoch();
+  const bool paused_guest = inflight_ && inflight_->paused_guest;
+  if (abort_reason == nullptr && !commit_inflight()) {
+    abort_reason = "replica refused commit: integrity verification failed";
   }
-  bump(&EngineStats::epochs_aborted);
-  ++abort_streak_;
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "epoch.abort", "ckpt",
-                            {{"epoch", current_epoch_},
-                             {"reason", reason},
-                             {"streak", abort_streak_}});
+  if (abort_reason == nullptr) {
+    schedule_checkpoint();
+  } else {
+    // Output commit holds across the abort: the epoch's buffered output is
+    // released only by a later successful commit, which re-ships the
+    // folded-back capture.
+    fold_back_epoch();
+    bump(&EngineStats::epochs_aborted);
+    ++abort_streak_;
+    if (config_.tracer != nullptr) {
+      config_.tracer->instant(sim_.now(), "epoch.abort", "ckpt",
+                              {{"epoch", current_epoch_},
+                               {"reason", abort_reason},
+                               {"streak", abort_streak_}});
+    }
+    const std::uint32_t shift = std::min<std::uint32_t>(abort_streak_ - 1, 6);
+    const sim::Duration backoff =
+        std::min(kCheckpointRetryBackoff * (std::int64_t{1} << shift),
+                 config_.period.t_max);
+    HERE_LOG(kWarn, "epoch %llu aborted (%s); retrying in %s",
+             static_cast<unsigned long long>(current_epoch_), abort_reason,
+             sim::format_duration(backoff).c_str());
+    checkpoint_event_ = sim_.schedule_after(
+        backoff, [this] { run_checkpoint(); }, "checkpoint-retry");
   }
-  const std::uint32_t shift = std::min<std::uint32_t>(abort_streak_ - 1, 6);
-  const sim::Duration backoff = std::min(
-      kCheckpointRetryBackoff * (std::int64_t{1} << shift), config_.period.t_max);
-  HERE_LOG(kWarn, "epoch %llu aborted (%s); retrying in %s",
-           static_cast<unsigned long long>(current_epoch_), reason,
-           sim::format_duration(backoff).c_str());
-  checkpoint_event_ = sim_.schedule_after(
-      backoff, [this] { run_checkpoint(); }, "checkpoint-retry");
+  if (paused_guest) resume_guest();
 }
 
 void ReplicationEngine::run_checkpoint() {
@@ -156,14 +163,12 @@ void ReplicationEngine::run_checkpoint() {
   // the epoch's output stays buffered (output commit holds across aborts).
   const net::LinkQuality link =
       fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
-  if (!link.connected || link.down) {
-    abort_epoch("interconnect down", /*was_running=*/false);
-    return;
-  }
+  if (!link.connected || link.down) return settle_epoch("interconnect down");
 
   // (1) Pause the VM.
-  const bool was_running = vm_->state() == hv::VmState::kRunning;
-  if (was_running) primary_.hypervisor().pause(*vm_);
+  InflightEpoch& epoch = inflight_.emplace();
+  epoch.paused_guest = vm_->state() == hv::VmState::kRunning;
+  if (epoch.paused_guest) primary_.hypervisor().pause(*vm_);
 
   // (2) Capture the dirty set, frame it (raw copy or encode), seal it and
   //     push it through the interconnect data plane.
@@ -200,40 +205,45 @@ void ReplicationEngine::run_checkpoint() {
   work.arbitration = link_stretch(work.wire_bytes(), !may_time_out);
   const PauseLedger ledger = model_.price_epoch(work);
 
-  // (6) Commit or abort.
+  // (6) Decide the epoch's ending; it happens when the guest resumes.
   // Abort-and-retry: a transfer that cannot land within the deadline would
   // stretch the pause unboundedly (exactly the wedge HERE's watchdog would
   // misread as a dead primary). Give up on this epoch before any byte is
-  // reserved or snapshotted, resume the guest after the scan it already
-  // paid for, and retry with backoff.
+  // reserved or snapshotted, and resume the guest after the scan it already
+  // paid for.
+  const char* abort_reason = nullptr;
+  sim::Duration resume_after = ledger.pause();
   if (may_time_out &&
       ledger.pause() + ledger.background() > config_.ft.checkpoint_timeout) {
-    pool_->commit_burst(pool_client_, ledger.before_transfer());
-    abort_epoch("projected transfer exceeds checkpoint_timeout", was_running,
-                ledger.before_transfer());
-    return;
-  }
-  if (may_time_out) link_stretch(work.wire_bytes(), /*reserve=*/true);
-  // The CoW buffer doubles the epoch's resident footprint on the primary.
-  const std::uint64_t dirty_pages = capture.pages * work.model_scale;
-  if (config_.speculative_cow) {
-    primary_.account_replication_memory(common::pages_to_bytes(dirty_pages));
-  }
-
-  // Integrity fallback: retransmission rounds exhausted with regions still
-  // failing verification — this epoch can never commit. Fold it back into
-  // the running epoch and retry with backoff (output commit holds: the
-  // epoch's buffered output is released only by a later successful commit).
-  if (retransmits_exhausted) {
-    pool_->commit_burst(pool_client_, ledger.pause());
-    abort_epoch("retransmit budget exhausted with corrupt regions",
-                was_running, ledger.pause());
-    return;
+    abort_reason = "projected transfer exceeds checkpoint_timeout";
+    resume_after = ledger.before_transfer();
+  } else {
+    if (may_time_out) link_stretch(work.wire_bytes(), /*reserve=*/true);
+    // The CoW buffer doubles the epoch's resident footprint on the primary.
+    if (config_.speculative_cow) {
+      primary_.account_replication_memory(
+          common::pages_to_bytes(capture.pages * work.model_scale));
+    }
+    // Integrity fallback: retransmission rounds exhausted with regions still
+    // failing verification — this epoch can never commit.
+    if (retransmits_exhausted) {
+      abort_reason = "retransmit budget exhausted with corrupt regions";
+    }
   }
 
-  // The burst's busy window covers the whole epoch transfer — pause plus any
-  // speculative background push — so overlapping engines see the contention.
-  pool_->commit_burst(pool_client_, ledger.pause() + ledger.background());
+  // The burst's busy window covers the pool's share of the epoch — up to the
+  // resume, plus any speculative background push of a committing epoch — so
+  // overlapping engines see the contention.
+  pool_->commit_burst(pool_client_,
+                      resume_after + (abort_reason == nullptr
+                                          ? ledger.background()
+                                          : sim::Duration{}));
+  if (abort_reason != nullptr) {
+    epoch.step = sim_.schedule_after(
+        resume_after, [this, abort_reason] { settle_epoch(abort_reason); },
+        "checkpoint-abort");
+    return;
+  }
   trace_epoch(capture, work, ledger);
   const sim::Duration cpu_work = model_.replication_cpu(work, ledger);
   stats_.replication_cpu += cpu_work;
@@ -241,43 +251,44 @@ void ReplicationEngine::run_checkpoint() {
   primary_.account_replication_memory(staging_->peak_buffered_bytes() *
                                       work.model_scale);
 
-  const CheckpointRecord record{
-      .epoch = current_epoch_,
-      .period_used = sim_.now() - last_checkpoint_done_,
-      .pause = ledger.pause(),
-      .dirty_pages_model = dirty_pages,
-      .bytes_model = common::pages_to_bytes(dirty_pages),
-      .ledger = ledger};
-  checkpoint_finish_event_ = sim_.schedule_after(
-      ledger.pause(),
-      [this, record, was_running] {
-        // A link that died while the epoch was being pushed aborts it before
-        // the new execution epoch opens, keeping buffered output in the
-        // current one.
-        if (epoch_lost("interconnect down at commit", was_running)) return;
-        // A new execution epoch starts the moment the VM resumes; output
-        // produced from here on must wait for the *next* commit.
-        ++current_epoch_;
-        if (!record.ledger.speculative_cow) {
-          finish_checkpoint(record);
-          if (was_running) primary_.hypervisor().resume(*vm_);
-          return;
-        }
-        // Speculative CoW: resume now; commit (and release epoch N's
-        // output) only when the background transfer lands.
-        if (was_running) primary_.hypervisor().resume(*vm_);
-        checkpoint_finish_event_ = sim_.schedule_after(
-            record.ledger.background(),
-            [this, record] {
-              if (epoch_lost("interconnect down in background transfer",
-                             /*was_running=*/false)) {
-                return;
-              }
-              finish_checkpoint(record);
-            },
-            "checkpoint-commit");
+  const std::uint64_t dirty_pages = capture.pages * work.model_scale;
+  epoch.record = {.epoch = current_epoch_,
+                  .period_used = sim_.now() - last_checkpoint_done_,
+                  .pause = ledger.pause(),
+                  .dirty_pages_model = dirty_pages,
+                  .bytes_model = common::pages_to_bytes(dirty_pages),
+                  .ledger = ledger};
+  epoch.step = sim_.schedule_after(
+      ledger.pause(), [this] { end_pause(); }, "checkpoint-done");
+}
+
+void ReplicationEngine::end_pause() {
+  if (!primary_.alive()) return abort_staged_epoch();
+  // A link that died while the epoch was being pushed aborts it before the
+  // new execution epoch opens, keeping buffered output in the current one.
+  if (const char* down = if_link_down("interconnect down at commit")) {
+    return settle_epoch(down);
+  }
+  // A new execution epoch starts the moment the VM resumes; output produced
+  // from here on must wait for the *next* commit.
+  ++current_epoch_;
+  InflightEpoch& epoch = *inflight_;
+  if (!epoch.record.ledger.speculative_cow) return settle_epoch(nullptr);
+  // Speculative CoW: resume now; commit (and release epoch N's output) only
+  // when the background transfer lands.
+  if (std::exchange(epoch.paused_guest, false)) resume_guest();
+  epoch.step = sim_.schedule_after(
+      epoch.record.ledger.background(),
+      [this] {
+        settle_epoch(if_link_down("interconnect down in background transfer"));
       },
-      "checkpoint-done");
+      "checkpoint-commit");
+}
+
+const char* ReplicationEngine::if_link_down(const char* reason) {
+  const net::LinkQuality q =
+      fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
+  return q.connected && !q.down ? nullptr : reason;
 }
 
 ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch(
@@ -324,21 +335,17 @@ ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch(
   // Keep the captured epoch restorable until it commits: an abort (or a
   // fenced failover) folds it back into the running epoch so the retry
   // re-ships it.
-  last_epoch_gfns_.clear();
   for (const auto& gfns : region_gfns) {
-    last_epoch_gfns_.insert(last_epoch_gfns_.end(), gfns.begin(), gfns.end());
+    inflight_->gfns.insert(inflight_->gfns.end(), gfns.begin(), gfns.end());
   }
-  last_epoch_disk_writes_ = epoch_disk_writes_;
+  inflight_->disk_writes = epoch_disk_writes_;
 
   // One frame per dirty 2 MiB region, sequence numbers in ascending region
-  // order. With encoders the stream runs at the negotiated version — the
-  // primary proposes min(capability, the replica's advertised maximum);
-  // without, version 0 is bit-identical to the un-encoded wire.
-  c.wire_version = encoder_ != nullptr
-                       ? std::min<std::uint16_t>(
-                             wire::kWireVersionEncoded,
-                             staging_->advertised_wire_version())
-                       : wire::kWireVersionRaw;
+  // order. An encoder exists only when the replica advertised v1
+  // (baseline_references); without one, version 0 is bit-identical to the
+  // un-encoded wire.
+  c.wire_version =
+      encoder_ != nullptr ? wire::kWireVersionEncoded : wire::kWireVersionRaw;
   for (std::uint64_t r = 0; r < regions; ++r) {
     if (region_gfns[r].empty()) continue;
     wire::RegionFrame f;
@@ -448,22 +455,6 @@ void ReplicationEngine::trace_epoch(const EpochCapture& c,
   }
 }
 
-bool ReplicationEngine::epoch_lost(const char* link_reason,
-                                   bool was_running) {
-  if (!primary_.alive()) {
-    // Host died while the checkpoint was in flight: the replica discards the
-    // partial epoch and will activate the previous one. (If the failover is
-    // later fenced, fold_back_epoch restores the capture.)
-    abort_staged_epoch();
-    return true;
-  }
-  const net::LinkQuality q =
-      fabric_.link_quality(primary_.ic_node(), secondary_.ic_node());
-  if (q.connected && !q.down) return false;
-  abort_epoch(link_reason, was_running);
-  return true;
-}
-
 std::uint64_t ReplicationEngine::transmit_epoch_frames(
     const std::vector<wire::RegionFrame>& frames, bool& exhausted) {
   std::uint64_t retransmit_bytes = 0;
@@ -520,7 +511,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
   for (const wire::RegionFrame& f : frames) by_region[f.region] = &f;
   std::uint32_t round = 0;
   while (!staging_->corrupt_regions().empty() &&
-         round < config_.ft.retransmit_budget) {
+         round < kRetransmitBudget) {
     ++round;
     const std::set<std::uint32_t> nack = staging_->corrupt_regions();
     if (config_.tracer != nullptr) {
@@ -543,7 +534,7 @@ std::uint64_t ReplicationEngine::transmit_epoch_frames(
   return retransmit_bytes;
 }
 
-void ReplicationEngine::finish_checkpoint(CheckpointRecord record) {
+bool ReplicationEngine::commit_inflight() {
   const Expected<std::uint64_t> committed = staging_->commit();
   if (!committed.ok()) {
     // The replica refused the epoch: its verification state says the image
@@ -553,21 +544,19 @@ void ReplicationEngine::finish_checkpoint(CheckpointRecord record) {
     bump(&EngineStats::commits_rejected);
     if (config_.tracer != nullptr) {
       config_.tracer->instant(sim_.now(), "epoch.commit_rejected", "ckpt",
-                              {{"epoch", record.epoch},
+                              {{"epoch", inflight_->record.epoch},
                                {"status", committed.status().to_string()}});
     }
-    abort_epoch("replica refused commit: integrity verification failed",
-                /*was_running=*/false);
-    return;
+    return false;
   }
+  CheckpointRecord record = std::move(inflight_->record);
+  inflight_.reset();
   // The replica committed: promote the encoder's staged references so the
   // next epoch deltas/skips against what the replica now actually holds.
   if (encoder_ != nullptr) {
     encoder_->commit_epoch();
     sync_encode_stats();
   }
-  last_epoch_gfns_.clear();
-  last_epoch_disk_writes_.clear();
   abort_streak_ = 0;
 
   // Durable ack path: the commit above WAL-appended exactly one record (or
@@ -641,8 +630,7 @@ void ReplicationEngine::finish_checkpoint(CheckpointRecord record) {
          {"t_next_ns", period_.current().count()},
          {"t_max_ns", config_.period.t_max.count()}});
   }
-  last_checkpoint_done_ = sim_.now();
-  schedule_checkpoint();
+  return true;
 }
 
 }  // namespace here::rep

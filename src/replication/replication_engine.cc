@@ -170,13 +170,13 @@ void ReplicationEngine::enter(PrimaryPhase next) {
     case PrimaryPhase::kReplicating:
       return cancel_events({seed_event_, resume_probe_event_});
     case PrimaryPhase::kArbitrating:
-      // A stale checkpoint-finish event would resume the held VM (and commit
-      // a pre-crash epoch) behind the probe's back.
-      return cancel_events({checkpoint_event_, checkpoint_finish_event_});
+      // A stale epoch step would resume the held VM (and commit a pre-crash
+      // epoch) behind the probe's back.
+      return cancel_events({checkpoint_event_, epoch_step()});
     case PrimaryPhase::kDemoted:
     case PrimaryPhase::kDrained:
       return cancel_events(
-          {checkpoint_event_, checkpoint_finish_event_, heartbeat_event_,
+          {checkpoint_event_, epoch_step(), heartbeat_event_,
            watchdog_event_, seed_event_, probe_event_,
            failover_activate_event_, scrub_event_, secondary_reboot_event_,
            resume_probe_event_});
@@ -194,13 +194,13 @@ void ReplicationEngine::enter(ReplicaPhase next) {
     case ReplicaPhase::kRejoining:
       return;
     case ReplicaPhase::kDown:
-      return cancel_events({checkpoint_event_, checkpoint_finish_event_,
-                            scrub_event_, secondary_reboot_event_});
+      return cancel_events({checkpoint_event_, epoch_step(), scrub_event_,
+                            secondary_reboot_event_});
     case ReplicaPhase::kFailingOver:
     case ReplicaPhase::kFencing:
       // The watchdog parks until a stand-down restarts it.
-      return cancel_events({checkpoint_event_, checkpoint_finish_event_,
-                            scrub_event_, probe_event_, watchdog_event_});
+      return cancel_events({checkpoint_event_, epoch_step(), scrub_event_,
+                            probe_event_, watchdog_event_});
     case ReplicaPhase::kActive:
       return cancel_events({heartbeat_event_});
   }

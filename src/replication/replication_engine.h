@@ -12,9 +12,10 @@
 //     -> continuous checkpoints every T (§7.2(2)), T driven by the dynamic
 //        period manager (§5.4) unless a fixed period is configured; an epoch
 //        whose transfer cannot complete (link down, or projected to exceed
-//        ft.checkpoint_timeout) is aborted and retried — its dirty pages and
-//        disk writes are folded back into the running epoch, so output
-//        commit is preserved across the abort
+//        ft.checkpoint_timeout) is aborted and retried, the backoff counted
+//        from the guest's resume — its dirty pages and disk writes are folded
+//        back into the running epoch, so output commit is preserved across
+//        the abort
 //     -> on primary failure (heartbeat loss or explicit trigger): the last
 //        committed checkpoint activates on the secondary hypervisor; the
 //        guest agent switches device families; unreleased outbound packets
@@ -75,9 +76,15 @@ inline constexpr std::uint32_t kResumeProbeKind = 0xbef2;
 inline constexpr std::uint32_t kResumeGrantKind = 0xbef3;
 inline constexpr std::uint32_t kResumeDenyKind = 0xbef4;
 
-// Backoff before re-attempting an aborted checkpoint (same exponential rule
-// as seeding, capped at the period ceiling t_max).
+// Backoff before re-attempting an aborted checkpoint, counted from the
+// aborted epoch's resume (same exponential rule as seeding, capped at the
+// period ceiling t_max).
 inline constexpr sim::Duration kCheckpointRetryBackoff = sim::from_millis(100);
+// Checkpoint-stream integrity: rounds of selective retransmission for regions
+// whose frames fail CRC verification, before the epoch falls back to
+// abort-and-retry. Retransmitted bytes inflate the epoch's transfer cost, so
+// repairs still land inside checkpoint_timeout (or trip it).
+inline constexpr std::uint32_t kRetransmitBudget = 3;
 // How long the watchdog waits for a management-network probe reply, and the
 // resend interval of a recovered primary's resume probe.
 inline constexpr sim::Duration kProbeTimeout = sim::from_millis(50);
@@ -107,11 +114,6 @@ struct FaultToleranceConfig {
   // one VM ever serves the service address. 0 = activate immediately.
   // Explicit trigger_failover()/detector failovers are never fenced.
   sim::Duration fencing_window{};
-  // Checkpoint-stream integrity: rounds of selective retransmission for
-  // regions whose frames fail CRC verification, before the epoch falls back
-  // to abort-and-retry. Retransmitted bytes inflate the epoch's transfer
-  // cost, so repairs still land inside checkpoint_timeout (or trip it).
-  std::uint32_t retransmit_budget = 3;
   // Background scrubbing: audit the replica's committed image against the
   // per-region digests recorded at commit every `scrub_interval`, scheduling
   // a full re-send of any region that diverged after commit. 0 disables.
@@ -496,11 +498,24 @@ class ReplicationEngine {
   // on its rejoin). Every phase that forbids checkpoints cancels both loops
   // on entry, so the loops themselves never check the phase.
   void restart_checkpointing();
+  // Arms the next run one period from now (the end of the last epoch).
   void schedule_checkpoint();
-  // One epoch: capture -> frame -> seal -> transmit -> price -> commit or
-  // abort. TimeModel::price_epoch owns the pause; the stages below only
-  // count what they did into an EpochWork.
+  // One epoch: capture -> frame -> seal -> transmit -> price, then one
+  // pending step at the resume offset (end_pause). TimeModel::price_epoch
+  // owns the pause; the stages below only count what they did into an
+  // EpochWork.
   void run_checkpoint();
+  // The epoch in flight, owned from its capture until it settles. A primary
+  // that dies mid-epoch, or a failover that begins mid-epoch, leaves it in
+  // flight with no step pending until a stand-down, a won arbitration, a
+  // secondary crash or a drain folds it back.
+  struct InflightEpoch {
+    std::vector<common::Gfn> gfns;           // the captured dirty set
+    std::vector<hv::DiskWrite> disk_writes;  // its mirrored disk writes
+    bool paused_guest = false;  // holds the guest it paused, until resumed
+    CheckpointRecord record;    // booked when it commits
+    sim::EventId step;  // its one pending step: the pause's end, a settle
+  };
   struct EpochCapture {
     std::vector<std::uint64_t> worker_pages;  // captured pages per worker
     std::uint64_t pages = 0;                  // captured, real pages
@@ -525,7 +540,7 @@ class ReplicationEngine {
   void trace_epoch(const EpochCapture& c, const EpochWork& work,
                    const PauseLedger& ledger);
   // Pushes the epoch's frames through the interconnect data plane, NACKing
-  // and selectively retransmitting corrupt regions up to ft.retransmit_budget
+  // and selectively retransmitting corrupt regions up to kRetransmitBudget
   // rounds. Retransmits re-ship the sealed (possibly encoded) frames as-is.
   // Returns payload bytes retransmitted; sets `exhausted` when corrupt
   // regions remain (the caller falls back to abort-and-retry).
@@ -536,28 +551,37 @@ class ReplicationEngine {
   // Schedules a full re-send of region `r`: drops its encoder references
   // (the next epoch ships it raw) and marks all of its pages dirty.
   void resend_region(std::uint32_t r);
-  // Commits `record`'s epoch on the replica (or aborts it when refused),
-  // books it and releases the epoch's output.
-  void finish_checkpoint(CheckpointRecord record);
+  // The pause of an in-flight epoch that may commit is over. A dead primary
+  // keeps the epoch in flight; otherwise a down link aborts it, a CoW epoch
+  // lets the guest run and settles when its background transfer lands, and
+  // any other settles now.
+  void end_pause();
+  // Every ending of a checkpoint run: commits the in-flight epoch
+  // (`abort_reason` null; a refused commit becomes an abort) or folds it back
+  // and books the abort, schedules the next run from now — the period after
+  // a commit, the backoff after an abort — and lets the guest run again if
+  // the epoch paused it. A dead primary settles nothing: the epoch stays in
+  // flight.
+  void settle_epoch(const char* abort_reason);
+  // Commits the in-flight epoch on the replica, books it and releases its
+  // output. Returns false when the replica refuses it.
+  bool commit_inflight();
+  // `reason` when the interconnect to the replica is down, else null.
+  const char* if_link_down(const char* reason);
   // Saves + (if heterogeneous) translates machine state and program snapshot
   // into staging's pending slot. Returns the time cost, without the ACK.
   sim::Duration snapshot_state_and_program();
-  // The one abort-and-retry path: folds the epoch's capture (if any) back
-  // into the running epoch, lets a guest the capture paused run again —
-  // after `resume_after` (the part of the pause already paid) or, without
-  // it, now — books the abort and schedules the retry (exponential
-  // backoff). `was_running` is false when the guest is not held paused.
-  void abort_epoch(const char* reason, bool was_running,
-                   std::optional<sim::Duration> resume_after = std::nullopt);
-  // Commit-point check of an in-flight epoch: a dead primary (or a failover
-  // in progress) discards it, a down interconnect aborts it. Returns true
-  // when the epoch cannot commit.
-  bool epoch_lost(const char* link_reason, bool was_running);
-  // Folds the last captured-but-uncommitted epoch back into the running
-  // one: discards it on both sides of the stream (abort_staged_epoch), then
-  // re-marks its pages dirty and restores its mirrored disk writes, so the
-  // retry (or a fenced failover's restart) re-ships them.
+  // Ends the in-flight epoch, if any, without committing it: cancels its
+  // pending step, discards it on both sides of the stream
+  // (abort_staged_epoch), then re-marks its pages dirty and restores its
+  // mirrored disk writes, so the retry (or a restart) re-ships them. The
+  // caller lets the guest run again.
   void fold_back_epoch();
+  // The in-flight epoch's pending step (invalid without one), for the phase
+  // entries that cancel it.
+  [[nodiscard]] sim::EventId epoch_step() const {
+    return inflight_ ? inflight_->step : sim::EventId{};
+  }
   // Discards the in-flight epoch's staging buffers *and* the encoder's
   // staged reference updates (which must only ever promote when the replica
   // actually commits).
@@ -681,14 +705,10 @@ class ReplicationEngine {
   std::uint64_t current_epoch_ = 0;  // execution epoch being buffered
   std::uint64_t epoch_start_captured_ = 0;  // outbound count at epoch start
   std::vector<hv::DiskWrite> epoch_disk_writes_;  // storage mirror buffer
-  // Last captured epoch's content, kept until its commit so an abort (or a
-  // fenced failover) can fold it back into the running epoch.
-  std::vector<common::Gfn> last_epoch_gfns_;
-  std::vector<hv::DiskWrite> last_epoch_disk_writes_;
+  std::optional<InflightEpoch> inflight_;  // empty between epochs
   sim::TimePoint last_checkpoint_done_{};
   sim::TimePoint last_heartbeat_rx_{};
   sim::EventId checkpoint_event_;
-  sim::EventId checkpoint_finish_event_;
   sim::EventId heartbeat_event_;
   sim::EventId watchdog_event_;
   // The next seeding step: the attempt deadline, the retry backoff or the

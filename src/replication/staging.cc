@@ -30,7 +30,7 @@ void ReplicaStaging::begin_epoch(std::uint64_t epoch) {
   open_epoch_ = epoch;
   expectation_armed_ = false;
   expected_ = {};
-  frames_.clear();
+  drop_frames();
   corrupt_regions_.clear();
 }
 
@@ -78,8 +78,22 @@ FrameVerdict ReplicaStaging::receive_frame(const wire::RegionFrame& frame) {
     return FrameVerdict::kCorrupt;
   }
   corrupt_regions_.erase(frame.region);
-  frames_.emplace(frame.seq, frame);
+  wire::RegionFrame& kept = frames_[frame.seq];
+  if (!spare_payloads_.empty()) {
+    kept.bytes = std::move(spare_payloads_.back());
+    spare_payloads_.pop_back();
+  }
+  kept = frame;  // copies the payload into the spare's capacity
   return FrameVerdict::kOk;
+}
+
+void ReplicaStaging::drop_frames() {
+  for (auto& [seq, frame] : frames_) {
+    if (frame.bytes.capacity() > 0) {
+      spare_payloads_.push_back(std::move(frame.bytes));
+    }
+  }
+  frames_.clear();
 }
 
 std::uint32_t ReplicaStaging::region_count() const {
@@ -217,7 +231,7 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
       durable_record.frames.push_back(std::move(frame));
     }
   }
-  frames_.clear();
+  drop_frames();
   expectation_armed_ = false;
   expected_ = {};
   for (const auto& write : pending_disk_writes_) disk_.apply(write);
@@ -260,7 +274,7 @@ void ReplicaStaging::abort_epoch() {
   pending_program_.reset();
   expectation_armed_ = false;
   expected_ = {};
-  frames_.clear();
+  drop_frames();
   corrupt_regions_.clear();
 }
 

@@ -179,6 +179,8 @@ class ReplicaStaging {
   void refresh_region_digest(std::uint32_t region);
   // Drops the whole cache and re-references every region from the bytes.
   void baseline_region_digests();
+  // Empties frames_, keeping each frame's payload buffer in spare_payloads_.
+  void drop_frames();
 
   // Serializes the epoch frame/commit path (receive_frame, commit,
   // begin/abort_epoch) against itself. Ranked so any future nesting against
@@ -207,6 +209,12 @@ class ReplicaStaging {
   std::uint16_t advertised_version_ = wire::kWireVersionEncoded;
   wire::EpochHeader expected_;
   std::map<std::uint64_t, wire::RegionFrame> frames_;
+  // Payload buffers of dropped frames, reused by the next epoch's frames.
+  // Freeing a whole epoch's payloads at once lets the allocator hand them
+  // back to the OS and fault them in again on the next epoch; whether it
+  // does depends on where the heap's top lands, so wall time would vary
+  // with the seed.
+  std::vector<std::vector<std::uint8_t>> spare_payloads_;
   std::set<std::uint32_t> corrupt_regions_;
   std::vector<std::uint64_t> committed_region_digests_;
   // Per-page digest cache behind the region references: each entry is the

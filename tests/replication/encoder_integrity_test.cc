@@ -169,7 +169,6 @@ TEST(EncodedStreamIntegrity, NoisyWireRepairedByRetransmitWithoutAborts) {
 
 TEST(EncodedStreamIntegrity, TotalTruncationFallsBackToAbortAndRetry) {
   TestbedConfig config = encoded_integrity_config();
-  config.engine.ft.retransmit_budget = 2;
   Testbed bed(config);
   hv::Vm& vm = bed.create_vm(
       std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));

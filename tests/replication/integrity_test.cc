@@ -8,20 +8,27 @@
 //   * background scrubbing detects and repairs post-commit divergence, even
 //     when a later epoch re-referenced the rotted region first, and keeps
 //     auditing after a fenced failover;
-//   * the whole corruption pipeline is byte-identical across same-seed runs.
+//   * the whole corruption pipeline is byte-identical across same-seed runs;
+//   * an epoch aborted mid-pause (exhausted budget, checkpoint timeout) ends
+//     at the guest's resume: the retry never captures a guest the aborted
+//     epoch still holds, and a drain or destruction in between leaves no
+//     engine event behind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "kvmsim/kvm_hypervisor.h"
 #include "replication/testbed.h"
 #include "workload/synthetic.h"
+#include "xensim/xen_hypervisor.h"
 
 namespace here::rep {
 namespace {
@@ -39,14 +46,21 @@ TestbedConfig integrity_config() {
 // Guest program emitting a gapless packet sequence — the probe for the
 // output-commit invariant (buffered output only ever reaches clients after
 // the epoch that produced it commits).
+// With `emitted`, packet n's emission instant lands in (*emitted)[n].
 class SequencedEmitter final : public hv::GuestProgram {
  public:
   static constexpr std::uint32_t kKind = 0x5e0;
-  explicit SequencedEmitter(net::NodeId client) : client_(client) {}
+  explicit SequencedEmitter(
+      net::NodeId client, double load_percent = 10,
+      std::shared_ptr<std::vector<sim::TimePoint>> emitted = nullptr)
+      : inner_(wl::memory_microbench(load_percent)),
+        client_(client),
+        emitted_(std::move(emitted)) {}
 
   void start(hv::GuestEnv& env) override { inner_.start(env); }
   void tick(hv::GuestEnv& env, sim::Duration dt) override {
     inner_.tick(env, dt);
+    if (emitted_ != nullptr) emitted_->push_back(env.now());
     env.send_packet(client_, 64, kKind, next_seq_++);
   }
   [[nodiscard]] std::unique_ptr<GuestProgram> clone() const override {
@@ -54,8 +68,9 @@ class SequencedEmitter final : public hv::GuestProgram {
   }
 
  private:
-  wl::SyntheticProgram inner_{wl::memory_microbench(10)};
+  wl::SyntheticProgram inner_;
   net::NodeId client_;
+  std::shared_ptr<std::vector<sim::TimePoint>> emitted_;
   std::uint64_t next_seq_ = 0;
 };
 
@@ -171,7 +186,6 @@ TEST(StreamIntegrity, SelectiveRetransmitRepairsWithoutEpochAbort) {
 
 TEST(StreamIntegrity, ExhaustedRetransmitBudgetFallsBackToAbortAndRetry) {
   TestbedConfig config = integrity_config();
-  config.engine.ft.retransmit_budget = 2;
   Testbed bed(config);
 
   std::vector<std::uint64_t> seen;
@@ -361,6 +375,195 @@ TEST(StreamIntegrity, ScrubRepairsRotInRegionALaterEpochTouched) {
   EXPECT_EQ(staging->memory().page_digest(rotted),
             vm.memory().page_digest(rotted));
   EXPECT_FALSE(bed.engine().failed_over());
+}
+
+// --- Aborted mid-pause: the retry starts after the guest resumed -------------
+
+// One 8 GiB VM (128 MiB real) under the 30 % memory microbenchmark at fixed
+// T = 1 s with four migrator threads: its epochs pause ~150 ms, longer than
+// the first retry backoff.
+TestbedConfig memload_config() {
+  TestbedConfig config;
+  config.vm_spec = hv::make_vm_spec("memload", 4, 8ULL << 30, 64);
+  config.engine.checkpoint_threads = 4;
+  config.engine.period.t_max = sim::from_seconds(1);
+  return config;
+}
+
+// The guest's side of a run: when it emitted each sequenced packet, and when
+// the client received which one.
+struct GuestLog {
+  std::shared_ptr<std::vector<sim::TimePoint>> emitted =
+      std::make_shared<std::vector<sim::TimePoint>>();
+  std::vector<std::pair<std::uint64_t, sim::TimePoint>> arrived;
+};
+
+// Protects a VM running a SequencedEmitter whose packets reach a client.
+void protect_emitter(Testbed& bed, GuestLog& log, double load_percent) {
+  hv::Vm& vm = bed.create_vm(nullptr);
+  bed.protect(vm);
+  const net::NodeId client =
+      bed.add_client("client", [&bed, &log](const net::Packet& p) {
+        if (p.kind == SequencedEmitter::kKind) {
+          log.arrived.emplace_back(p.tag, bed.simulation().now());
+        }
+      });
+  vm.attach_program(
+      std::make_unique<SequencedEmitter>(client, load_percent, log.emitted));
+  bed.run_until_seeded();
+}
+
+// Output commit and Algorithm 1's input rest on one rule: a committed epoch
+// holds the guest paused from its capture to its resume. So no guest slice
+// ends inside a committed pause, and every packet a commit released was
+// emitted before that epoch's capture.
+void expect_commits_held_the_guest(const EngineStats& stats,
+                                   const GuestLog& log) {
+  ASSERT_FALSE(stats.checkpoints.empty());
+  const auto resumed = [](const CheckpointRecord& r) {
+    return r.completed_at.ns() - r.ledger.background().count();
+  };
+  const auto captured = [&](const CheckpointRecord& r) {
+    return resumed(r) - r.pause.count();
+  };
+  for (const CheckpointRecord& r : stats.checkpoints) {
+    for (const sim::TimePoint t : *log.emitted) {
+      EXPECT_FALSE(captured(r) < t.ns() && t.ns() < resumed(r))
+          << "guest ran at " << t.ns() << " ns inside epoch " << r.epoch
+          << "'s pause [" << captured(r) << ", " << resumed(r) << ")";
+    }
+  }
+  ASSERT_FALSE(log.arrived.empty());
+  for (const auto& [seq, at] : log.arrived) {
+    // The releasing commit is the last one at or before the arrival.
+    const CheckpointRecord* release = nullptr;
+    for (const CheckpointRecord& r : stats.checkpoints) {
+      if (r.completed_at <= at) release = &r;
+    }
+    ASSERT_NE(release, nullptr) << "packet " << seq << " left uncommitted";
+    ASSERT_LT(seq, log.emitted->size());
+    EXPECT_LE((*log.emitted)[seq].ns(), captured(*release))
+        << "packet " << seq << " released by epoch " << release->epoch
+        << " was emitted after that epoch's capture";
+  }
+}
+
+void set_truncation(Testbed& bed, double fraction) {
+  bed.fabric().set_link_truncation(bed.primary().ic_node(),
+                                   bed.secondary().ic_node(), fraction);
+}
+
+TEST(AbortRetry, ExhaustedBudgetRetryStartsAfterTheResume) {
+  Testbed bed(memload_config());
+  GuestLog log;
+  protect_emitter(bed, log, 30);
+  bed.simulation().run_for(sim::from_seconds(3));
+
+  // Truncate every frame until the first abort, then heal: the epoch pauses
+  // ~150 ms before it gives up, the retry then commits.
+  set_truncation(bed, 1.0);
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().epochs_aborted > 0; },
+      sim::from_seconds(5), sim::from_millis(1)));
+  set_truncation(bed, 0.0);
+  const std::size_t before = bed.engine().stats().checkpoints.size();
+  bed.simulation().run_for(sim::from_seconds(3));
+
+  const EngineStats& stats = bed.engine().stats();
+  EXPECT_EQ(stats.epochs_aborted, 1u);
+  EXPECT_GT(stats.checkpoints.size(), before);
+  expect_commits_held_the_guest(stats, log);
+}
+
+TEST(AbortRetry, TimeoutRetryStartsAfterTheResume) {
+  // 64 GiB modelled (64 MiB real) scanned by one thread: 16.8 M pages at
+  // 8 ns put ~134 ms of the pause before any byte moves, longer than the
+  // 100 ms backoff — a timed-out epoch resumes the guest only then.
+  TestbedConfig config;
+  config.vm_spec = hv::make_vm_spec("big", 2, 64ULL << 30, 1024);
+  config.engine.checkpoint_threads = 1;
+  config.engine.period.t_max = sim::from_seconds(1);
+  config.engine.ft.checkpoint_timeout = sim::from_seconds(2);
+  Testbed bed(config);
+  GuestLog log;
+  protect_emitter(bed, log, 1);
+  bed.simulation().run_for(sim::from_seconds(3));
+  ASSERT_EQ(bed.engine().stats().epochs_aborted, 0u);
+
+  // A wedged copy thread projects the next epoch past its deadline.
+  bed.engine().inject_migrator_stall(sim::from_seconds(5));
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().epochs_aborted > 0; },
+      sim::from_seconds(5), sim::from_millis(1)));
+  const std::size_t before = bed.engine().stats().checkpoints.size();
+  bed.simulation().run_for(sim::from_seconds(3));
+
+  const EngineStats& stats = bed.engine().stats();
+  EXPECT_EQ(stats.epochs_aborted, 1u);
+  EXPECT_GT(stats.checkpoints.size(), before);
+  expect_commits_held_the_guest(stats, log);
+}
+
+// A drain that lands while an aborted epoch still holds the guest retires
+// that epoch too: a successor's hold on the guest is never undone by it.
+TEST(AbortRetry, DrainBetweenAbortAndResumeLeavesNoEngineEvent) {
+  Testbed bed(memload_config());
+  GuestLog log;
+  protect_emitter(bed, log, 30);
+  bed.simulation().run_for(sim::from_seconds(3));
+  hv::Vm& vm = *bed.engine().primary_vm();
+
+  // The capture after the cut exhausts its budget; its guest resumes only
+  // ~150 ms later. Drain past the first backoff, inside that window.
+  set_truncation(bed, 1.0);
+  ASSERT_TRUE(bed.run_until([&] { return vm.state() == hv::VmState::kPaused; },
+                            sim::from_seconds(5), sim::from_millis(1)));
+  bed.simulation().run_for(sim::from_millis(120));
+  ASSERT_EQ(vm.state(), hv::VmState::kPaused);
+  bed.engine().drain("re-place");
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+
+  // A successor holds the guest for its own capture; nothing of the drained
+  // generation is left to fire.
+  bed.primary().hypervisor().pause(vm);
+  bed.simulation().run_for(sim::from_millis(1));
+  EXPECT_EQ(bed.simulation().pending_count(), 0u);
+  bed.simulation().run_for(sim::from_seconds(1));
+  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
+}
+
+// Same window, engine destroyed: no event may call back into freed memory
+// (run under ASan to see the difference).
+TEST(AbortRetry, DestructionBetweenAbortAndResumeLeavesNoEngineEvent) {
+  sim::Simulation sim;
+  net::Fabric fabric(sim);
+  sim::Rng root(42);
+  hv::Host primary("host-a", fabric,
+                   std::make_unique<xen::XenHypervisor>(sim, root.fork()));
+  hv::Host secondary("host-b", fabric,
+                     std::make_unique<kvm::KvmHypervisor>(sim, root.fork()));
+  fabric.connect(primary.ic_node(), secondary.ic_node(),
+                 sim::grid5000_host().interconnect);
+  auto engine = std::make_unique<ReplicationEngine>(
+      sim, fabric, primary, secondary, memload_config().engine);
+  hv::Vm& vm = primary.hypervisor().create_vm(memload_config().vm_spec);
+  vm.attach_program(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(30)));
+  primary.hypervisor().start(vm);
+  ASSERT_TRUE(engine->start_protection(vm).ok());
+  while (!engine->seeded()) sim.run_for(sim::from_millis(50));
+  sim.run_for(sim::from_seconds(3));
+
+  fabric.set_link_truncation(primary.ic_node(), secondary.ic_node(), 1.0);
+  while (vm.state() != hv::VmState::kPaused) sim.run_for(sim::from_millis(1));
+  sim.run_for(sim::from_millis(120));
+  ASSERT_EQ(vm.state(), hv::VmState::kPaused);
+  engine.reset();
+
+  sim.run_for(sim::from_millis(1));
+  EXPECT_EQ(sim.pending_count(), 0u);
+  sim.run_for(sim::from_seconds(1));
+  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
 }
 
 }  // namespace

@@ -5,13 +5,17 @@
 // bit-flipping link, a shared link arbiter, an injected migrator stall and a
 // slowed disk — and check that every committed epoch's terms sum to its
 // pause, and that the commit lands exactly pause (+ background) after the
-// pause began. They also pin the timeout abort: an epoch given up on its
-// projected transfer reserves no link bytes and no CoW buffer.
+// pause began, and that a retry after an abort starts only once the aborted
+// epoch let the guest run again. They also pin the timeout abort: an epoch
+// given up on its projected transfer reserves no link bytes and no CoW
+// buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kvmsim/kvm_hypervisor.h"
@@ -26,11 +30,15 @@ namespace here::rep {
 namespace {
 
 // Dirties memory like the paper's microbenchmark and streams journal
-// writes, so every epoch carries pages and mirrored disk bytes.
+// writes, so every epoch carries pages and mirrored disk bytes. Each slice's
+// end lands in `ran`.
 class DiskWriter final : public hv::GuestProgram {
  public:
+  explicit DiskWriter(std::shared_ptr<std::vector<sim::TimePoint>> ran)
+      : ran_(std::move(ran)) {}
   void start(hv::GuestEnv& env) override { inner_.start(env); }
   void tick(hv::GuestEnv& env, sim::Duration dt) override {
+    ran_->push_back(env.now());
     inner_.tick(env, dt);
     const auto writes = static_cast<int>(sim::to_seconds(dt) * 2000.0);
     for (int i = 0; i < writes; ++i) {
@@ -44,6 +52,7 @@ class DiskWriter final : public hv::GuestProgram {
 
  private:
   wl::SyntheticProgram inner_{wl::memory_microbench(20)};
+  std::shared_ptr<std::vector<sim::TimePoint>> ran_;
   std::uint64_t cursor_ = 0;
 };
 
@@ -58,8 +67,12 @@ struct Cell {
   double bandwidth = 1.0;
   double bit_errors = 0.0;
   bool arbiter = false;
-  bool stall = false;
+  sim::Duration stall{};  // injected before every 500 ms of the run
   double disk_slowdown = 1.0;
+  // Frames lose this share of their tail until an epoch exhausts the
+  // retransmit budget and aborts; then the wire heals and the retry goes
+  // ahead.
+  double truncation = 0.0;
   // The ledger term this cell's branch moves: it must be non-zero in at
   // least one committed epoch, or the cell does not cover its branch.
   sim::Duration PauseLedger::*term = nullptr;
@@ -78,6 +91,9 @@ struct Rig {
   std::unique_ptr<DurableStore> store;
   std::vector<std::unique_ptr<ReplicationEngine>> engines;
   std::vector<hv::Vm*> vms;
+  // When the engine under test's guest ran (slice ends).
+  std::shared_ptr<std::vector<sim::TimePoint>> ran =
+      std::make_shared<std::vector<sim::TimePoint>>();
   obs::RingBufferRecorder recorder{1u << 20};
   obs::Tracer tracer{&recorder};
 
@@ -122,7 +138,8 @@ struct Rig {
           sim, fabric, *primary, *secondary, c, e));
       hv::Vm& vm = primary->hypervisor().create_vm(hv::make_vm_spec(
           "vm" + std::to_string(i), 2, 128ULL << 20, /*scale=*/2));
-      vm.attach_program(std::make_unique<DiskWriter>());
+      vm.attach_program(std::make_unique<DiskWriter>(
+          i == 0 ? ran : std::make_shared<std::vector<sim::TimePoint>>()));
       primary->hypervisor().start(vm);
       vms.push_back(&vm);
       EXPECT_TRUE(engines.back()->start_protection(vm).ok());
@@ -146,8 +163,16 @@ struct Rig {
     if (cell.disk_slowdown > 1.0) {
       primary->hypervisor().disk(*vms[0]).set_slowdown(cell.disk_slowdown);
     }
+    if (cell.truncation > 0.0) {
+      fabric.set_link_truncation(a, b, cell.truncation);
+      engines[0]->inject_migrator_stall(cell.stall);
+      while (engines[0]->stats().epochs_aborted == 0) {
+        sim.run_for(sim::from_millis(1));
+      }
+      fabric.set_link_truncation(a, b, 0.0);
+    }
     for (int i = 0; i < 10; ++i) {
-      if (cell.stall) engines[0]->inject_migrator_stall(sim::from_millis(30));
+      engines[0]->inject_migrator_stall(cell.stall);
       sim.run_for(sim::from_millis(500));
     }
   }
@@ -217,6 +242,34 @@ TEST_P(PauseLedgerMatrix, TermsSumToEveryCommittedPause) {
     ++checked;
   }
   EXPECT_EQ(checked, stats.checkpoints.size());
+
+  // An aborted epoch ends when its guest resumes, and the retry's backoff
+  // counts from there: the guest runs again (its first slice ends one tick
+  // after the resume) before the next pause begins.
+  std::size_t aborts = 0;
+  for (auto abort = events.begin(); abort != events.end(); ++abort) {
+    if (abort->name != "epoch.abort") continue;
+    ++aborts;
+    const auto next_pause =
+        std::find_if(abort, events.end(), [](const obs::TraceEvent& e) {
+          return e.name == "ckpt.pause";
+        });
+    if (next_pause == events.end()) continue;
+    const auto slice =
+        std::upper_bound(rig.ran->begin(), rig.ran->end(),
+                         sim::TimePoint{} + sim::Duration{abort->ts_ns});
+    ASSERT_NE(slice, rig.ran->end());
+    const std::int64_t resumed =
+        slice->ns() - rig.primary->hypervisor().tick_interval.count();
+    EXPECT_GE(next_pause->ts_ns, resumed)
+        << "retry captured at " << next_pause->ts_ns
+        << " ns, before the epoch aborted at " << abort->ts_ns
+        << " ns let the guest run (" << resumed << " ns)";
+  }
+  EXPECT_EQ(aborts, stats.epochs_aborted);
+  if (cell.truncation > 0.0) {
+    EXPECT_GT(aborts, 0u) << "no epoch aborted, so the cell checks nothing";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -240,7 +293,12 @@ INSTANTIATE_TEST_SUITE_P(
              .term = &PauseLedger::retransmit},
         Cell{.name = "arbiter", .arbiter = true,
              .term = &PauseLedger::arbitration},
-        Cell{.name = "stall", .stall = true, .term = &PauseLedger::stall},
+        Cell{.name = "stall", .stall = sim::from_millis(30),
+             .term = &PauseLedger::stall},
+        // The stall makes each aborted epoch hold the guest ~150 ms, past the
+        // first retry backoff.
+        Cell{.name = "truncated", .stall = sim::from_millis(150),
+             .truncation = 1.0, .term = &PauseLedger::stall},
         Cell{.name = "slow_disk", .disk_slowdown = 8.0,
              .term = &PauseLedger::disk}),
     [](const ::testing::TestParamInfo<Cell>& info) { return info.param.name; });

@@ -106,6 +106,27 @@ TEST(ReplicaStagingEdge, BeginEpochAfterAbortDiscardsStaleBuffers) {
   EXPECT_EQ(staging.memory().page(5)[0], 0xbb);
 }
 
+TEST(ReplicaStagingEdge, NextEpochReusesPayloadBuffersWithoutResidue) {
+  ReplicaStaging staging(small_spec(), 1);
+  ASSERT_TRUE(
+      commit_frames(staging, 1, {make_frame(1, 0, {8, 9, 10}, 0xaa)}).ok());
+  // The one-page frame lands in the three-page frame's dropped buffer: only
+  // its own page applies, and the buffered size is its own.
+  const auto applied = commit_frames(staging, 2, {make_frame(2, 0, {20}, 0xbb)});
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(*applied, 1u);
+  EXPECT_EQ(staging.memory().page(20)[0], 0xbb);
+  EXPECT_EQ(staging.memory().page(21)[0], 0x00);
+  EXPECT_EQ(staging.memory().page(9)[0], 0xaa);
+  EXPECT_EQ(staging.peak_buffered_bytes(), 3 * common::kPageSize);
+  // A frame larger than any spare grows it.
+  ASSERT_TRUE(commit_frames(staging, 3,
+                            {make_frame(3, 0, {30, 31, 32, 33}, 0xcc)})
+                  .ok());
+  EXPECT_EQ(staging.memory().page(33)[0], 0xcc);
+  EXPECT_EQ(staging.peak_buffered_bytes(), 4 * common::kPageSize);
+}
+
 TEST(ReplicaStagingEdge, UnarmedCommitRefusesFrames) {
   ReplicaStaging staging(small_spec(), 1);
   staging.begin_epoch(1);

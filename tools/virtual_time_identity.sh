@@ -29,9 +29,14 @@ chaos_failover|chaos_failover|--obs
 fleet_scale|fleet_scale|--obs
 fleet_scale_100|fleet_scale|--obs --vms=100
 corruption_sweep|corruption_sweep|--obs
+fig9_dynamic_period|fig9_dynamic_period|--obs
+fig5_linear_model|fig5_linear_model|
 fig6_migration|fig6_migration|
 fig7_resumption|fig7_resumption|
+fig10_ycsb_period|fig10_ycsb_period|
+fig17_sockperf|fig17_sockperf|
 sec82_security|sec82_security|
+sec87_overhead|sec87_overhead|
 ablation_threads|ablation_threads|
 ablation_cow|ablation_cow|'
 
