@@ -129,6 +129,37 @@ void BM_PageDigest(benchmark::State& state) {
 }
 BENCHMARK(BM_PageDigest)->UseRealTime();
 
+// The digest of an all-zero page, which the zero test answers without
+// hashing: the scrub audit's and full_digest's case over untouched memory.
+void BM_PageDigestZero(benchmark::State& state) {
+  const std::uint64_t pages = 1024;
+  const hv::GuestMemory mem(pages, 1);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (common::Gfn g = 0; g < pages; ++g) acc ^= mem.page_digest(g);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pages * common::kPageSize));
+}
+BENCHMARK(BM_PageDigestZero)->UseRealTime();
+
+// Installing an all-zero page over an all-zero page, which writes nothing:
+// the case of seeding, activation and kZero decodes over untouched memory.
+void BM_InstallZeroPage(benchmark::State& state) {
+  const std::uint64_t pages = 1024;
+  hv::GuestMemory mem(pages, 1);
+  const std::vector<std::uint8_t> zero(common::kPageSize, 0);
+  for (auto _ : state) {
+    for (common::Gfn g = 0; g < pages; ++g) mem.install_page(g, zero);
+    benchmark::DoNotOptimize(mem.page(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pages * common::kPageSize));
+}
+BENCHMARK(BM_InstallZeroPage)->UseRealTime();
+
 // The zero-page test behind zero elision, the durable snapshot and
 // activation, over all-zero pages: the case that reads every byte.
 void BM_ZeroPageScan(benchmark::State& state) {
@@ -137,7 +168,7 @@ void BM_ZeroPageScan(benchmark::State& state) {
   for (auto _ : state) {
     std::uint64_t zero = 0;
     for (common::Gfn g = 0; g < pages; ++g) {
-      zero += rep::is_zero_page(mem.page(g)) ? 1 : 0;
+      zero += hv::is_zero_page(mem.page(g)) ? 1 : 0;
     }
     benchmark::DoNotOptimize(zero);
   }

@@ -113,7 +113,13 @@ class NetDevice : public DeviceModel {
 
   [[nodiscard]] DeviceKind kind() const final { return DeviceKind::kNet; }
 
-  void set_tx_hook(TxHook hook) { tx_hook_ = std::move(hook); }
+  // `owner` names the object the hook calls back into (nullptr: none), so
+  // that object can tell whether the hook is still its own.
+  void set_tx_hook(TxHook hook, const void* owner = nullptr) {
+    tx_hook_ = std::move(hook);
+    tx_hook_owner_ = owner;
+  }
+  [[nodiscard]] const void* tx_hook_owner() const { return tx_hook_owner_; }
 
   // Guest -> world. Updates ring state then invokes the host hook.
   virtual void transmit(const net::Packet& packet) = 0;
@@ -128,6 +134,7 @@ class NetDevice : public DeviceModel {
 
  private:
   TxHook tx_hook_;
+  const void* tx_hook_owner_ = nullptr;
 };
 
 // Block device: guest writes update ring counters and are forwarded to a
@@ -139,7 +146,14 @@ class BlockDevice : public DeviceModel {
 
   [[nodiscard]] DeviceKind kind() const final { return DeviceKind::kBlock; }
 
-  void set_write_hook(WriteHook hook) { write_hook_ = std::move(hook); }
+  // `owner` as for NetDevice::set_tx_hook.
+  void set_write_hook(WriteHook hook, const void* owner = nullptr) {
+    write_hook_ = std::move(hook);
+    write_hook_owner_ = owner;
+  }
+  [[nodiscard]] const void* write_hook_owner() const {
+    return write_hook_owner_;
+  }
 
   virtual void submit_write(std::uint64_t sector, std::uint32_t sectors,
                             std::uint64_t stamp = 0) = 0;
@@ -152,6 +166,7 @@ class BlockDevice : public DeviceModel {
 
  private:
   WriteHook write_hook_;
+  const void* write_hook_owner_ = nullptr;
 };
 
 }  // namespace here::hv

@@ -13,11 +13,21 @@ Host::Host(std::string name, net::Fabric& fabric,
 }
 
 void Host::on_packet(const net::Packet& packet,
-                     const std::vector<PacketHandler>& handlers) {
+                     const std::vector<Owned<PacketHandler>>& handlers) {
   if (!alive()) return;  // hung host: links up, nobody home
   for (const auto& handler : handlers) {
-    if (handler) handler(packet);
+    if (handler.callback) handler.callback(packet);
   }
+}
+
+void Host::remove_handlers(const void* owner) {
+  const auto owned_by = [owner](const auto& entry) {
+    return entry.owner == owner;
+  };
+  std::erase_if(eth_handlers_, owned_by);
+  std::erase_if(ic_handlers_, owned_by);
+  std::erase_if(recovery_listeners_, owned_by);
+  std::erase_if(failure_listeners_, owned_by);
 }
 
 void Host::inject_fault(FaultKind fault) {
@@ -38,7 +48,7 @@ void Host::inject_fault(FaultKind fault) {
     fabric_.set_node_down(ic_node_, true);
   }
   if (was_operational && recovery_state_ == RecoveryState::kFailed) {
-    for (const auto& listener : failure_listeners_) listener(fault);
+    for (const auto& listener : failure_listeners_) listener.callback(fault);
   }
 }
 
@@ -95,7 +105,7 @@ void Host::complete_microreboot() {
 
 void Host::notify_recovered(bool microreboot) {
   for (const auto& listener : recovery_listeners_) {
-    if (listener) listener(microreboot);
+    if (listener.callback) listener.callback(microreboot);
   }
 }
 

@@ -35,13 +35,17 @@ class Host {
 
   // Packet dispatch: replication engines install these (several engines may
   // share a host pair, each protecting one VM, so handlers multicast). A
-  // crashed or hung host never invokes them.
-  void add_eth_handler(PacketHandler handler) {
-    eth_handlers_.push_back(std::move(handler));
+  // crashed or hung host never invokes them. Every handler and listener is
+  // registered under an `owner` (the object its callback captures), and
+  // remove_handlers(owner) drops all of them; an owner calls it before it is
+  // destroyed. A callback must not remove handlers while it is dispatched.
+  void add_eth_handler(const void* owner, PacketHandler handler) {
+    eth_handlers_.push_back({owner, std::move(handler)});
   }
-  void add_ic_handler(PacketHandler handler) {
-    ic_handlers_.push_back(std::move(handler));
+  void add_ic_handler(const void* owner, PacketHandler handler) {
+    ic_handlers_.push_back({owner, std::move(handler)});
   }
+  void remove_handlers(const void* owner);
 
   // Injects a host-level DoS outcome. kCrash also takes the host's network
   // endpoints down (the machine is gone); kHang leaves links up but the host
@@ -86,8 +90,8 @@ class Host {
   // engines use this to learn "the primary is back" and start the
   // resume-probe arbitration instead of silently resuming output commit.
   using RecoveryListener = std::function<void(bool /*microreboot*/)>;
-  void add_recovery_listener(RecoveryListener listener) {
-    recovery_listeners_.push_back(std::move(listener));
+  void add_recovery_listener(const void* owner, RecoveryListener listener) {
+    recovery_listeners_.push_back({owner, std::move(listener)});
   }
 
   // Called when a crash/hang lands (kOperational -> kFailed only, not for
@@ -95,8 +99,8 @@ class Host {
   // to tear down work aimed at the dead host — e.g. an in-flight seed whose
   // target just vanished — instead of discovering it by timeout.
   using FailureListener = std::function<void(FaultKind)>;
-  void add_failure_listener(FailureListener listener) {
-    failure_listeners_.push_back(std::move(listener));
+  void add_failure_listener(const void* owner, FailureListener listener) {
+    failure_listeners_.push_back({owner, std::move(listener)});
   }
 
   // --- §8.7 resource accounting ---------------------------------------------
@@ -113,8 +117,14 @@ class Host {
   }
 
  private:
+  template <typename Callback>
+  struct Owned {
+    const void* owner;
+    Callback callback;
+  };
+
   void on_packet(const net::Packet& packet,
-                 const std::vector<PacketHandler>& handlers);
+                 const std::vector<Owned<PacketHandler>>& handlers);
   void complete_microreboot();
   void notify_recovered(bool microreboot);
 
@@ -123,8 +133,8 @@ class Host {
   std::unique_ptr<Hypervisor> hypervisor_;
   net::NodeId eth_node_;
   net::NodeId ic_node_;
-  std::vector<PacketHandler> eth_handlers_;
-  std::vector<PacketHandler> ic_handlers_;
+  std::vector<Owned<PacketHandler>> eth_handlers_;
+  std::vector<Owned<PacketHandler>> ic_handlers_;
   sim::Duration replication_cpu_{0};
   std::uint64_t replication_mem_peak_ = 0;
 
@@ -132,8 +142,8 @@ class Host {
   sim::EventId microreboot_event_;
   std::vector<Vm*> microreboot_preserved_;  // VMs paused for the reboot window
   std::uint64_t microreboots_ = 0;
-  std::vector<RecoveryListener> recovery_listeners_;
-  std::vector<FailureListener> failure_listeners_;
+  std::vector<Owned<RecoveryListener>> recovery_listeners_;
+  std::vector<Owned<FailureListener>> failure_listeners_;
 };
 
 }  // namespace here::hv

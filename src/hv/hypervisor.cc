@@ -17,12 +17,15 @@ Vm& Hypervisor::create_vm(VmSpec spec) {
   vms_.push_back(std::move(vm));
   runtimes_.emplace_back(vms_.back().get(), VmRuntime{});
   Vm& created = *vms_.back();
-  // Wire the block device to the host-local storage backend.
-  if (BlockDevice* blk = created.block_device()) {
-    VirtualDisk& backing = disk(created);
+  connect_disk(created);
+  return created;
+}
+
+void Hypervisor::connect_disk(Vm& vm) {
+  if (BlockDevice* blk = vm.block_device()) {
+    VirtualDisk& backing = disk(vm);
     blk->set_write_hook([&backing](const DiskWrite& w) { backing.apply(w); });
   }
-  return created;
 }
 
 VirtualDisk& Hypervisor::disk(const Vm& vm) {

@@ -124,9 +124,11 @@ class Hypervisor {
   // --- Storage backend --------------------------------------------------------
   //
   // Each VM gets a host-local virtual disk; create_vm wires the VM's block
-  // device to it. The replication engine re-wraps that hook to mirror
-  // writes to the replica (Remus-style storage replication).
+  // device to it (connect_disk). The replication engine re-wraps that hook
+  // to mirror writes to the replica (Remus-style storage replication) and
+  // reconnects the plain backend when it goes away.
   [[nodiscard]] VirtualDisk& disk(const Vm& vm);
+  void connect_disk(Vm& vm);
 
   [[nodiscard]] virtual bool supports_pml_rings() const { return false; }
   // Throws std::logic_error unless supports_pml_rings().

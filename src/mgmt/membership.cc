@@ -22,7 +22,7 @@ void MembershipManager::track(hv::Host& host) {
   // The responder rides the host's guest-Ethernet dispatch: a crashed, hung
   // or microrebooting host never runs it, which is the liveness signal.
   hv::Host* target = &host;
-  host.add_eth_handler([this, target](const net::Packet& packet) {
+  host.add_eth_handler(this, [this, target](const net::Packet& packet) {
     if (packet.kind != kMembershipProbeKind) return;
     if (packet.src != probe_node_) return;
     fabric_.send({.src = target->eth_node(),

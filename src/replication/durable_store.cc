@@ -8,7 +8,6 @@
 
 #include "common/crc32c.h"
 #include "hv/guest_memory.h"
-#include "replication/encoder.h"
 #include "replication/staging.h"
 
 namespace here::rep {
@@ -176,7 +175,7 @@ std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
   // capacity for the whole image.
   std::vector<common::Gfn> stored;
   for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
-    if (!is_zero_page(memory.page(common::Gfn{gfn}))) stored.push_back(gfn);
+    if (!hv::is_zero_page(memory.page(common::Gfn{gfn}))) stored.push_back(gfn);
   }
   const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
                                     8 + 8 + disk.distinct_sectors() * 16;

@@ -9,24 +9,6 @@ namespace here::rep {
 
 using common::kPageSize;
 
-bool is_zero_page(std::span<const std::uint8_t> page) {
-  // OR-reduce one 64-byte block of words at a time, then the byte tail.
-  constexpr std::size_t kBlock = 64;
-  const std::uint8_t* p = page.data();
-  const std::size_t blocked = page.size() - page.size() % kBlock;
-  for (std::size_t off = 0; off < blocked; off += kBlock) {
-    std::uint64_t w[kBlock / 8];
-    std::memcpy(w, p + off, kBlock);
-    if ((w[0] | w[1] | w[2] | w[3] | w[4] | w[5] | w[6] | w[7]) != 0) {
-      return false;
-    }
-  }
-  for (std::size_t i = blocked; i < page.size(); ++i) {
-    if (p[i] != 0) return false;
-  }
-  return true;
-}
-
 namespace {
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -148,7 +130,7 @@ EncoderPipeline::EncoderPipeline(EncoderConfig config, std::uint64_t pages)
     committed_hash_.assign(pages_, 0);
     has_ref_.assign(pages_, 0);
   }
-  if (config_.delta) shadow_.assign(pages_ * kPageSize, 0);
+  if (config_.delta) shadow_.emplace(pages_, 1);
 }
 
 void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
@@ -162,8 +144,7 @@ void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
   }
   if (config_.delta) {
     for (common::Gfn g = 0; g < pages_; ++g) {
-      const auto page = memory.page(g);
-      std::memcpy(shadow_.data() + g * kPageSize, page.data(), kPageSize);
+      shadow_->install_page(g, memory.page(g));
     }
   }
 }
@@ -191,7 +172,7 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
     bool encoded = false;
     if (config_.zero_elide) {
       ++work.zero_scans;
-      if (is_zero_page(page)) {
+      if (hv::is_zero_page(page)) {
         meta.enc = wire::PageEncoding::kZero;
         encoded = true;
         ++local.pages_zero;
@@ -207,9 +188,8 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
         encoded = true;
         ++local.pages_skipped;
       } else if (config_.delta) {
-        const std::span<const std::uint8_t> base{
-            shadow_.data() + gfn * kPageSize, kPageSize};
-        std::vector<std::uint8_t> enc = xor_rle_encode(page, base);
+        std::vector<std::uint8_t> enc =
+            xor_rle_encode(page, shadow_->page(gfn));
         ++work.delta_pages;
         if (enc.size() < kPageSize) {
           meta.enc = wire::PageEncoding::kDelta;
@@ -267,8 +247,7 @@ void EncoderPipeline::commit_epoch() {
       has_ref_[p.gfn] = 1;
     }
     if (config_.delta && !p.content.empty()) {
-      std::memcpy(shadow_.data() + p.gfn * kPageSize, p.content.data(),
-                  kPageSize);
+      shadow_->install_page(p.gfn, p.content);
     }
   }
   pending_.clear();

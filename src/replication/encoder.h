@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,9 +65,6 @@ struct EncodeStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };
-
-// True when every byte of `page` is zero.
-[[nodiscard]] bool is_zero_page(std::span<const std::uint8_t> page);
 
 // XOR+RLE delta transform. Encode XORs `page` against `base` and emits
 // [u16 zero-run][u16 literal-len][literal bytes] records (little-endian);
@@ -141,10 +139,11 @@ class EncoderPipeline {
                                   "rep.encoder_state"};
   std::vector<std::uint64_t> committed_hash_;  // per gfn
   std::vector<std::uint8_t> has_ref_;          // per gfn: reference valid
-  // Committed copy of every page, pages_ * kPageSize when delta is on. Like
-  // the references, only mutated on the sim thread between epochs, so
-  // encode workers read it without mu_.
-  std::vector<std::uint8_t> shadow_;
+  // Committed copy of every page when delta is on, a sparse image like the
+  // guest's (pages nobody wrote stay unbacked). Like the references, only
+  // mutated on the sim thread between epochs, so encode workers read it
+  // without mu_.
+  std::optional<hv::GuestMemory> shadow_;
   std::vector<PendingPage> pending_;
   EncodeStats stats_;
 };

@@ -184,10 +184,11 @@ void ReplicationEngine::activate_replica() {
   // control plane re-protects it in the opposite direction with a fresh
   // engine (ProtectionManager::enable_auto_reprotect).
   if (hv::NetDevice* dev = replica.net_device()) {
-    dev->set_tx_hook([this](const net::Packet& p) {
+    dev->set_tx_hook([&fabric = fabric_, svc = service_node_](
+                         const net::Packet& p) {
       net::Packet out = p;
-      out.src = service_node_;
-      fabric_.send(out);
+      out.src = svc;
+      fabric.send(out);
     });
   }
 

@@ -154,7 +154,25 @@ ReplicationEngine::ReplicationEngine(sim::Simulation& simulation,
 
 // A destroyed engine retires like a drained one: nothing it scheduled may
 // call back into it.
-ReplicationEngine::~ReplicationEngine() { enter(PrimaryPhase::kDrained); }
+ReplicationEngine::~ReplicationEngine() {
+  enter(PrimaryPhase::kDrained);
+  // Take down every callback that captured `this`: the hosts' handlers and
+  // listeners, the service address and, while the guest still lives on the
+  // primary and no successor generation re-hooked it, the guest's devices.
+  primary_.remove_handlers(this);
+  secondary_.remove_handlers(this);
+  if (service_node_ != net::kInvalidNode) {
+    fabric_.set_receiver(service_node_, {});
+  }
+  if (vm_ != nullptr && primary_.hypervisor().owns(*vm_)) {
+    hv::NetDevice* dev = vm_->net_device();
+    if (dev != nullptr && dev->tx_hook_owner() == this) dev->set_tx_hook({});
+    hv::BlockDevice* blk = vm_->block_device();
+    if (blk != nullptr && blk->write_hook_owner() == this) {
+      primary_.hypervisor().connect_disk(*vm_);
+    }
+  }
+}
 
 void ReplicationEngine::cancel_events(std::initializer_list<sim::EventId> ids) {
   for (const sim::EventId id : ids) sim_.cancel(id);
@@ -282,7 +300,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
 
   // Interpose the outbound buffer on the guest's network device.
   if (hv::NetDevice* dev = vm.net_device()) {
-    dev->set_tx_hook([this](const net::Packet& p) { on_guest_tx(p); });
+    dev->set_tx_hook([this](const net::Packet& p) { on_guest_tx(p); }, this);
   }
   // Storage replication: local disk I/O completes immediately (Remus does
   // not delay local writes) while a copy of each write travels with the
@@ -291,9 +309,11 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // the two images digest-identical.
   if (hv::BlockDevice* blk = vm.block_device()) {
     hv::VirtualDisk& local = primary_.hypervisor().disk(vm);
-    blk->set_write_hook([this, &local](const hv::DiskWrite& w) {
-      if (local.apply(w)) epoch_disk_writes_.push_back(w);
-    });
+    blk->set_write_hook(
+        [this, &local](const hv::DiskWrite& w) {
+          if (local.apply(w)) epoch_disk_writes_.push_back(w);
+        },
+        this);
   }
 
   // Heartbeating starts with protection. A heartbeat arriving while a
@@ -305,7 +325,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // queue — is the race's linearization point. The token filter keeps a
   // neighbour engine's probe (same host pair, different VM) out.
   probe_token_ = common::fnv1a(vm.spec().name, common::kFnvStreamOffset);
-  secondary_.add_ic_handler([this](const net::Packet& p) {
+  secondary_.add_ic_handler(this, [this](const net::Packet& p) {
     if (p.src != primary_.ic_node()) return;
     if (p.kind == kHeartbeatKind) {
       last_heartbeat_rx_ = sim_.now();
@@ -316,7 +336,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
       on_resume_probe(p);
     }
   });
-  primary_.add_ic_handler([this](const net::Packet& p) {
+  primary_.add_ic_handler(this, [this](const net::Packet& p) {
     if (p.src != secondary_.ic_node() || p.tag != probe_token_) return;
     if (p.kind == kResumeGrantKind) {
       on_resume_grant();
@@ -327,17 +347,17 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // A completed microreboot means the primary is back with its guests
   // preserved — but it must win the arbitration before any of them run.
   // Fail-stop repair() keeps the legacy path (heartbeats resume -> fencing).
-  primary_.add_recovery_listener([this](bool microreboot) {
+  primary_.add_recovery_listener(this, [this](bool microreboot) {
     if (microreboot) on_primary_recovered();
   });
   // Watchdog probes ride the management network, so an interconnect-only
   // partition can be told apart from a dead host (which answers nothing).
-  primary_.add_eth_handler([this](const net::Packet& p) {
+  primary_.add_eth_handler(this, [this](const net::Packet& p) {
     if (p.kind == kProbeRequestKind) {
       send_control(primary_.eth_node(), p.src, kProbeReplyKind);
     }
   });
-  secondary_.add_eth_handler([this](const net::Packet& p) {
+  secondary_.add_eth_handler(this, [this](const net::Packet& p) {
     if (p.kind == kProbeReplyKind && p.src == primary_.eth_node() &&
         replica_phase_ == ReplicaPhase::kProbing) {
       enter(ReplicaPhase::kProbeAnswered);
@@ -346,7 +366,7 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   // The seed target dying mid-copy tears the attempt down immediately — a
   // half-written staging image must never survive to look activatable, and
   // the paused guest must not wait on a timeout to find out.
-  secondary_.add_failure_listener([this](hv::FaultKind) {
+  secondary_.add_failure_listener(this, [this](hv::FaultKind) {
     if (primary_phase_ != PrimaryPhase::kSeeding || seeder_ == nullptr) return;
     sim_.cancel(seed_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event

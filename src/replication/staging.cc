@@ -312,9 +312,7 @@ hv::Vm& activate_staged_image(hv::Hypervisor& target,
                               std::unique_ptr<hv::GuestProgram> program) {
   hv::Vm& vm = target.create_vm(staging.spec());
   for (common::Gfn g = 0; g < staging.memory().pages(); ++g) {
-    const auto page = staging.memory().page(g);
-    if (is_zero_page(page)) continue;
-    vm.memory().install_page(g, page);
+    vm.memory().install_page(g, staging.memory().page(g));
   }
   target.disk(vm) = staging.disk();
   target.load_machine_state(vm, state);

@@ -124,6 +124,24 @@ TEST(PageDigest, GuestMemoryDigestsThePageBytes) {
   EXPECT_EQ(mem.page_digest(2), 0xe21174be82dc78d9ULL);
 }
 
+// The zero-page shortcut returns exactly what hashing would: the pinned
+// constant is XXH64 of 4,096 zero bytes, and a page one byte away from zero
+// at any offset is hashed, not short-cut.
+TEST(PageDigest, ZeroPageConstantIsTheXxh64OfZeros) {
+  const std::vector<std::uint8_t> zero(kPageSize, 0);
+  EXPECT_EQ(common::xxh64(zero), 0xac869b6f32d8bbdbULL);
+  EXPECT_EQ(hv::kZeroPageDigest, 0xac869b6f32d8bbdbULL);
+}
+
+TEST(PageDigest, EqualsXxh64WithOneNonZeroByteAtEveryOffset) {
+  std::vector<std::uint8_t> page(kPageSize, 0);
+  for (std::size_t offset = 0; offset < kPageSize; ++offset) {
+    page[offset] = 0x01;
+    ASSERT_EQ(hv::page_digest(page), common::xxh64(page)) << offset;
+    page[offset] = 0;
+  }
+}
+
 // Any single-bit flip at the page's first and last byte, and the top bit of
 // every 64-bit word, changes the digest.
 TEST(PageDigest, SingleBitFlipsChangeTheDigest) {
@@ -222,6 +240,20 @@ TEST(DirtyBitmap, TestAndClear) {
   EXPECT_TRUE(bm.test_and_clear(42));
   EXPECT_FALSE(bm.test_and_clear(42));
   EXPECT_FALSE(bm.test(42));
+}
+
+// set() skips the write when it sees the bit set; after an exchange clears
+// the word, the next set() must set the bit again.
+TEST(DirtyBitmap, SetAfterExchangeSetsTheBitAgain) {
+  DirtyBitmap bm(128);
+  DirtyBitmap scratch(128);
+  bm.set(70);
+  bm.exchange_into(scratch);
+  EXPECT_TRUE(scratch.test(70));
+  EXPECT_FALSE(bm.test(70));
+  bm.set(70);
+  EXPECT_TRUE(bm.test(70));
+  EXPECT_EQ(bm.count(), 1u);
 }
 
 TEST(DirtyBitmap, CollectClearsAndReturnsSorted) {

@@ -2,10 +2,15 @@
 // PML rings, VM lifecycle and the base hypervisor execution loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "hv/dirty_logs.h"
 #include "hv/guest_memory.h"
 #include "hv/pml_ring.h"
 #include "hv/vm.h"
+#include "tests/resident_memory.h"
 #include "xensim/xen_hypervisor.h"
 
 namespace here::hv {
@@ -61,6 +66,67 @@ TEST(GuestMemory, InstallPageBypassesDirtyTracking) {
   mem.install_page(5, page);
   EXPECT_FALSE(bitmap.test(5));
   EXPECT_EQ(mem.page(5)[100], 0xab);
+}
+
+// A 256 MiB image backs only the pages written into it: 64 one-word stores
+// and 10,000 zero-page installs stay far below one percent of the image.
+TEST(GuestMemory, UntouchedPagesAreNotResident) {
+  if (const std::string why = test::residency_unmeasurable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  constexpr std::uint64_t kPages = (256ULL << 20) / common::kPageSize;
+  constexpr std::uint64_t kStride = kPages / 64;
+  const std::uint64_t before = test::rss_anon_bytes();
+  GuestMemory mem(kPages, 1);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    mem.write_u64(0, i * kStride, 8 * i, i + 1);
+  }
+  const std::vector<std::uint8_t> zero(common::kPageSize, 0);
+  std::uint64_t installed = 0;
+  for (common::Gfn g = 1; installed < 10000; ++g) {
+    if (g % kStride == 0) continue;  // keep the written pages
+    mem.install_page(g, zero);
+    ++installed;
+  }
+  EXPECT_LT(test::rss_anon_bytes() - before, 8ULL << 20);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(mem.read_u64(i * kStride, 8 * i), i + 1) << i;
+  }
+  EXPECT_TRUE(is_zero_page(mem.page(1)));
+}
+
+TEST(GuestMemory, InstallZeroOverNonZeroWritesZeros) {
+  GuestMemory mem(4, 1);
+  mem.install_page(2, std::vector<std::uint8_t>(common::kPageSize, 0x5a));
+  mem.install_page(2, std::vector<std::uint8_t>(common::kPageSize, 0));
+  const auto page = mem.page(2);
+  EXPECT_TRUE(std::all_of(page.begin(), page.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(GuestMemory, InstallZeroOverZeroStaysZero) {
+  GuestMemory mem(4, 1);
+  mem.install_page(1, std::vector<std::uint8_t>(common::kPageSize, 0));
+  const auto page = mem.page(1);
+  EXPECT_TRUE(std::all_of(page.begin(), page.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_EQ(mem.page_digest(1), kZeroPageDigest);
+}
+
+// Over a zero page, a page with one non-zero byte at any offset is copied
+// byte for byte; zeroing it again restores the zero page.
+TEST(GuestMemory, InstallCopiesAPageWithOneNonZeroByteAtAnyOffset) {
+  GuestMemory mem(2, 1);
+  std::vector<std::uint8_t> data(common::kPageSize, 0);
+  const std::vector<std::uint8_t> zero(common::kPageSize, 0);
+  for (std::size_t offset = 0; offset < common::kPageSize; ++offset) {
+    data[offset] = static_cast<std::uint8_t>(1 + offset % 255);
+    mem.install_page(1, data);
+    ASSERT_TRUE(std::ranges::equal(mem.page(1), data)) << "offset " << offset;
+    data[offset] = 0;
+    mem.install_page(1, zero);
+    ASSERT_TRUE(std::ranges::equal(mem.page(1), zero)) << "offset " << offset;
+  }
 }
 
 TEST(GuestMemory, PmlAttributesWritesToTheRightVcpu) {

@@ -207,15 +207,15 @@ TEST(EncoderRoundtrip, ZeroElisionCollapsesAllZeroContent) {
 // or high, and accepts the all-zero page.
 TEST(EncoderRoundtrip, ZeroTestSeesOneNonZeroByteAtEveryOffset) {
   std::vector<std::uint8_t> page(kPageSize, 0);
-  EXPECT_TRUE(is_zero_page(page));
+  EXPECT_TRUE(hv::is_zero_page(page));
   for (std::size_t offset = 0; offset < page.size(); ++offset) {
     for (const std::uint8_t value : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
       page[offset] = value;
-      ASSERT_FALSE(is_zero_page(page)) << "offset " << offset;
+      ASSERT_FALSE(hv::is_zero_page(page)) << "offset " << offset;
       page[offset] = 0;
     }
   }
-  EXPECT_TRUE(is_zero_page(page));
+  EXPECT_TRUE(hv::is_zero_page(page));
 }
 
 TEST(EncoderRoundtrip, HashSkipCollapsesRedirtiedIdenticalContent) {

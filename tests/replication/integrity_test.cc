@@ -12,7 +12,9 @@
 //   * an epoch aborted mid-pause (exhausted budget, checkpoint timeout) ends
 //     at the guest's resume: the retry never captures a guest the aborted
 //     epoch still holds, and a drain or destruction in between leaves no
-//     engine event behind.
+//     engine event behind;
+//   * a destroyed engine leaves no host handler, service receiver or device
+//     hook behind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -564,6 +566,91 @@ TEST(AbortRetry, DestructionBetweenAbortAndResumeLeavesNoEngineEvent) {
   EXPECT_EQ(sim.pending_count(), 0u);
   sim.run_for(sim::from_seconds(1));
   EXPECT_EQ(vm.state(), hv::VmState::kPaused);
+
+  // The destroyed engine took its callbacks with it, so the guest may run.
+  primary.hypervisor().resume(vm);
+  sim.run_for(sim::from_seconds(1));
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+}
+
+// Guest that transmits to `client` and writes its disk every tick, so both
+// device hooks an engine installs keep firing.
+class ChattyGuest final : public hv::GuestProgram {
+ public:
+  explicit ChattyGuest(net::NodeId client) : client_(client) {}
+  void start(hv::GuestEnv& env) override { inner_.start(env); }
+  void tick(hv::GuestEnv& env, sim::Duration dt) override {
+    inner_.tick(env, dt);
+    env.send_packet(client_, 64, 0x5e1, ticks_);
+    env.disk_write(ticks_ % 4096, 4, 0xC0FFEE00 + ticks_);
+    ++ticks_;
+  }
+  [[nodiscard]] std::unique_ptr<GuestProgram> clone() const override {
+    return std::make_unique<ChattyGuest>(*this);
+  }
+  [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
+
+ private:
+  wl::SyntheticProgram inner_{wl::memory_microbench(10)};
+  net::NodeId client_;
+  std::uint64_t ticks_ = 0;
+};
+
+// A destroyed engine leaves no callback behind: afterwards its guest keeps
+// transmitting and writing its disk, a client keeps addressing its service
+// node, and a neighbour engine on the same host pair keeps both hosts
+// heartbeating and probing for 1 s. Under ASan, an engine that left its
+// host handlers or device hooks registered is a heap-use-after-free here.
+TEST(EngineLifetime, DestroyedEngineLeavesNoCallbackBehind) {
+  sim::Simulation sim;
+  net::Fabric fabric(sim);
+  sim::Rng root(42);
+  hv::Host primary("host-a", fabric,
+                   std::make_unique<xen::XenHypervisor>(sim, root.fork()));
+  hv::Host secondary("host-b", fabric,
+                     std::make_unique<kvm::KvmHypervisor>(sim, root.fork()));
+  const sim::HostProfile hardware = sim::grid5000_host();
+  fabric.connect(primary.ic_node(), secondary.ic_node(), hardware.interconnect);
+  fabric.connect(primary.eth_node(), secondary.eth_node(), hardware.ethernet);
+  const ReplicationConfig config = integrity_config().engine;
+  const net::NodeId client = fabric.add_node("client", {});
+
+  auto protect = [&](ReplicationEngine& engine, const char* name) -> hv::Vm& {
+    hv::Vm& vm = primary.hypervisor().create_vm(
+        hv::make_vm_spec(name, 2, 32ULL << 20));
+    vm.attach_program(std::make_unique<ChattyGuest>(client));
+    primary.hypervisor().start(vm);
+    EXPECT_TRUE(engine.start_protection(vm).ok());
+    fabric.connect(engine.service_node(), client, hardware.ethernet);
+    return vm;
+  };
+  auto doomed = std::make_unique<ReplicationEngine>(sim, fabric, primary,
+                                                    secondary, config);
+  ReplicationEngine neighbour(sim, fabric, primary, secondary, config);
+  hv::Vm& vm = protect(*doomed, "doomed");
+  protect(neighbour, "neighbour");
+  while (!doomed->seeded() || !neighbour.seeded()) {
+    sim.run_for(sim::from_millis(50));
+  }
+  sim.run_for(sim::from_seconds(1));
+  const std::uint64_t beats = neighbour.stats().heartbeats_sent;
+  const net::NodeId service = doomed->service_node();
+  if (vm.state() == hv::VmState::kPaused) primary.hypervisor().resume(vm);
+  doomed.reset();
+
+  const auto& guest = static_cast<const ChattyGuest&>(*vm.program());
+  const std::uint64_t ticks = guest.ticks();
+  const std::uint64_t written = primary.hypervisor().disk(vm).sectors_written();
+  for (int i = 0; i < 10; ++i) {
+    fabric.send({.src = client, .dst = service, .size_bytes = 64});
+    sim.run_for(sim::from_millis(100));
+  }
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+  EXPECT_GT(guest.ticks(), ticks);
+  EXPECT_GT(neighbour.stats().heartbeats_sent, beats);
+  // Unprotected again, the guest's writes land on its local disk.
+  EXPECT_GT(primary.hypervisor().disk(vm).sectors_written(), written);
+  EXPECT_TRUE(neighbour.seeded());
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(Microreboot, RestartsHypervisorUnderPreservedGuests) {
 
   bool recovered = false;
   bool via_microreboot = false;
-  host.add_recovery_listener([&](bool microreboot) {
+  host.add_recovery_listener(&recovered, [&](bool microreboot) {
     recovered = true;
     via_microreboot = microreboot;
   });
@@ -106,7 +106,7 @@ TEST(RecoveryRace, FastRecoveryKeepsThePrimary) {
   // The grant packet is the last moment before the primary resumes; memory
   // must still be byte-identical to the pre-fault image when it lands.
   std::uint64_t digest_at_grant = 0;
-  bed.primary().add_ic_handler([&](const net::Packet& packet) {
+  bed.primary().add_ic_handler(&bed, [&](const net::Packet& packet) {
     if (packet.kind == kResumeGrantKind) {
       digest_at_grant = vm.memory().full_digest();
     }
@@ -273,7 +273,7 @@ TEST(RecoveryRace, FiftySeedSweepExactlyOneAuthority) {
 
     const std::uint64_t pre_fault = vm.memory().full_digest();
     std::uint64_t digest_at_grant = 0;
-    bed.primary().add_ic_handler([&](const net::Packet& packet) {
+    bed.primary().add_ic_handler(&bed, [&](const net::Packet& packet) {
       if (packet.kind == kResumeGrantKind) {
         digest_at_grant = vm.memory().full_digest();
       }

@@ -3,7 +3,8 @@
 // frames and NACK bookkeeping, frames that do not fit their region or the
 // VM, commit refusal on missing frames, digest mismatch or an unarmed
 // header, and per-region digest references for the scrubber, which
-// post-commit rot must never enter.
+// post-commit rot must never enter; a seeded replica backs only the pages
+// its guest wrote.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,8 +13,11 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "hv/hypervisor.h"
+#include "replication/seeder.h"
 #include "replication/staging.h"
+#include "replication/testbed.h"
 #include "replication/wire.h"
+#include "tests/resident_memory.h"
 
 namespace here::rep {
 namespace {
@@ -329,6 +333,37 @@ TEST(ReplicaStagingEdge, FramePageOutsideItsRegionRefused) {
   bad.bytes.assign(2 * common::kPageSize, 0x22);
   expect_frame_refused(staging, bad);
   EXPECT_EQ(staging.memory().page(600)[0], 0x00);
+}
+
+// Seeding copies every page of a 256 MiB VM whose guest wrote 5 % of them.
+// The zero pages stay unbacked on both sides, so resident memory grows by
+// about twice the written bytes (primary and replica), not by two images.
+TEST(ReplicaStaging, SeedKeepsZeroPagesUnbacked) {
+  if (const std::string why = test::residency_unmeasurable(); !why.empty()) {
+    GTEST_SKIP() << why;
+  }
+  TestbedConfig config;
+  config.vm_spec = hv::make_vm_spec("sparse", 1, 256ULL << 20);
+  config.engine.mode = EngineMode::kRemus;  // hosts only; engine unused
+  Testbed bed(config);
+  const std::uint64_t before = test::rss_anon_bytes();
+  hv::Vm& vm = bed.create_vm(nullptr);
+  const std::uint64_t pages = vm.memory().pages();
+  const std::vector<std::uint8_t> content = filled_page(0x6b);
+  std::uint64_t written = 0;
+  for (common::Gfn g = 0; g < pages; g += 20) {
+    vm.memory().write(0, g, 0, content);
+    written += common::kPageSize;
+  }
+  common::ThreadPool pool(1);
+  TimeModel model;
+  ReplicaStaging staging(config.vm_spec, 1);
+  Seeder seeder(bed.simulation(), model, pool, bed.xen(), vm, staging, {});
+  bool done = false;
+  seeder.start([&](const SeedResult&) { done = true; });
+  ASSERT_TRUE(bed.run_until([&] { return done; }));
+  EXPECT_EQ(staging.memory().full_digest(), vm.memory().full_digest());
+  EXPECT_LT(test::rss_anon_bytes() - before, 3 * written);
 }
 
 }  // namespace
