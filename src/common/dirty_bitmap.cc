@@ -12,16 +12,7 @@ DirtyBitmap::DirtyBitmap(std::uint64_t pages)
 
 void DirtyBitmap::set(Gfn gfn) {
   assert(gfn < pages_);
-  // Test before the locked RMW: a guest re-dirtying a page already in the
-  // epoch's set (the common case) costs one load. That is safe because no
-  // clear runs concurrently with a set: guest stores run on the simulation
-  // thread, and collect()/exchange_into() run either on that thread or on
-  // pool workers while it is blocked in run_shards.
-  std::atomic<std::uint64_t>& word = words_[gfn / kBits];
-  const std::uint64_t bit = 1ULL << (gfn % kBits);
-  if ((word.load(std::memory_order_relaxed) & bit) == 0) {
-    word.fetch_or(bit, std::memory_order_relaxed);
-  }
+  words_[gfn / kBits].fetch_or(1ULL << (gfn % kBits), std::memory_order_relaxed);
 }
 
 bool DirtyBitmap::test(Gfn gfn) const {

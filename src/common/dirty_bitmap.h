@@ -2,9 +2,8 @@
 //
 // This is the shared dirty log that Xen's shadow-paging path maintains and
 // that HERE's checkpoint migrator threads scan concurrently (each thread owns
-// a disjoint set of 2 MiB regions). Every word access is atomic, so scans on
-// distinct regions may run in parallel; guest stores set bits only on the
-// simulation thread, never while a scan or exchange clears them.
+// a disjoint set of 2 MiB regions, but guest vCPUs set bits concurrently with
+// the scan during the live phase, so all accesses are atomic).
 #pragma once
 
 #include <atomic>
@@ -24,10 +23,7 @@ class DirtyBitmap {
 
   [[nodiscard]] std::uint64_t size_pages() const { return pages_; }
 
-  // Marks `gfn` dirty. Safe to call concurrently with set() and the readers
-  // (test, count, collect without clear_found), not with a member that
-  // clears bits: set() skips the write when it sees the bit already set, so
-  // a clear landing right after that load would leave the page clean.
+  // Marks `gfn` dirty. Safe to call concurrently with any other member.
   void set(Gfn gfn);
 
   // Returns whether `gfn` is dirty.

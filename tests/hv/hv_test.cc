@@ -76,7 +76,7 @@ TEST(GuestMemory, UntouchedPagesAreNotResident) {
   }
   constexpr std::uint64_t kPages = (256ULL << 20) / common::kPageSize;
   constexpr std::uint64_t kStride = kPages / 64;
-  const std::uint64_t before = test::rss_anon_bytes();
+  const std::uint64_t before = test::rss_anon_bytes().value();
   GuestMemory mem(kPages, 1);
   for (std::uint64_t i = 0; i < 64; ++i) {
     mem.write_u64(0, i * kStride, 8 * i, i + 1);
@@ -88,7 +88,7 @@ TEST(GuestMemory, UntouchedPagesAreNotResident) {
     mem.install_page(g, zero);
     ++installed;
   }
-  EXPECT_LT(test::rss_anon_bytes() - before, 8ULL << 20);
+  EXPECT_LT(test::rss_anon_bytes().value() - before, 8ULL << 20);
   for (std::uint64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(mem.read_u64(i * kStride, 8 * i), i + 1) << i;
   }

@@ -346,7 +346,7 @@ TEST(ReplicaStaging, SeedKeepsZeroPagesUnbacked) {
   config.vm_spec = hv::make_vm_spec("sparse", 1, 256ULL << 20);
   config.engine.mode = EngineMode::kRemus;  // hosts only; engine unused
   Testbed bed(config);
-  const std::uint64_t before = test::rss_anon_bytes();
+  const std::uint64_t before = test::rss_anon_bytes().value();
   hv::Vm& vm = bed.create_vm(nullptr);
   const std::uint64_t pages = vm.memory().pages();
   const std::vector<std::uint8_t> content = filled_page(0x6b);
@@ -363,7 +363,7 @@ TEST(ReplicaStaging, SeedKeepsZeroPagesUnbacked) {
   seeder.start([&](const SeedResult&) { done = true; });
   ASSERT_TRUE(bed.run_until([&] { return done; }));
   EXPECT_EQ(staging.memory().full_digest(), vm.memory().full_digest());
-  EXPECT_LT(test::rss_anon_bytes() - before, 3 * written);
+  EXPECT_LT(test::rss_anon_bytes().value() - before, 3 * written);
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 
 namespace here::test {
 
-// Anonymous resident bytes of this process, 0 when the line is missing.
-inline std::uint64_t rss_anon_bytes() {
+// Anonymous resident bytes of this process, nullopt when the line is missing.
+inline std::optional<std::uint64_t> rss_anon_bytes() {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
@@ -17,7 +18,7 @@ inline std::uint64_t rss_anon_bytes() {
       return std::stoull(line.substr(8)) * 1024;  // the line is in kB
     }
   }
-  return 0;
+  return std::nullopt;
 }
 
 // Why RssAnon cannot measure an image's backed pages here, or "" when it
@@ -25,6 +26,7 @@ inline std::uint64_t rss_anon_bytes() {
 // test accesses (a sparse 256 MiB seed grows it by ~140 MB), and with
 // transparent huge pages set to `always` a first write backs 2 MiB.
 inline std::string residency_unmeasurable() {
+  if (!rss_anon_bytes()) return "/proc/self/status has no RssAnon line";
 #if defined(__SANITIZE_THREAD__)
   return "TSan's shadow memory dominates RssAnon";
 #endif
