@@ -57,17 +57,7 @@ void Host::repair() {
     hypervisor_->simulation().cancel(microreboot_event_);
     microreboot_event_ = sim::EventId{};
   }
-  hypervisor_->inject_fault(FaultKind::kNone);
-  fabric_.set_node_down(eth_node_, false);
-  fabric_.set_node_down(ic_node_, false);
-  // VMs paused by an aborted microreboot window would otherwise stay paused
-  // forever: inject_fault(kNone) only re-arms ticks for kRunning guests.
-  for (Vm* vm : microreboot_preserved_) {
-    if (vm->state() == VmState::kPaused) hypervisor_->resume(*vm);
-  }
-  microreboot_preserved_.clear();
-  recovery_state_ = RecoveryState::kOperational;
-  notify_recovered(/*microreboot=*/false);
+  finish_recovery();
 }
 
 bool Host::begin_microreboot(sim::Duration window) {
@@ -89,23 +79,29 @@ bool Host::begin_microreboot(sim::Duration window) {
 
 void Host::complete_microreboot() {
   microreboot_event_ = sim::EventId{};
+  ++microreboots_;
+  finish_recovery();
+}
+
+void Host::finish_recovery() {
+  // A repair of a host that never went down (it only clears starvation) is
+  // no return: nobody lost it, so nobody hears of it.
+  const bool returned = recovery_state_ != RecoveryState::kOperational;
   // Order matters: resume() throws on a non-operational hypervisor, so the
   // fault must clear before the preserved guests restart.
   hypervisor_->inject_fault(FaultKind::kNone);
   fabric_.set_node_down(eth_node_, false);
   fabric_.set_node_down(ic_node_, false);
+  // inject_fault(kNone) only re-arms ticks for kRunning guests; the ones a
+  // reboot window preserved (completed or cut short) restart here.
   for (Vm* vm : microreboot_preserved_) {
     if (vm->state() == VmState::kPaused) hypervisor_->resume(*vm);
   }
   microreboot_preserved_.clear();
   recovery_state_ = RecoveryState::kOperational;
-  ++microreboots_;
-  notify_recovered(/*microreboot=*/true);
-}
-
-void Host::notify_recovered(bool microreboot) {
+  if (!returned) return;
   for (const auto& listener : recovery_listeners_) {
-    if (listener.callback) listener.callback(microreboot);
+    if (listener.callback) listener.callback();
   }
 }
 

@@ -57,7 +57,9 @@ class Host {
   // Recovery (reboot/repair) — restores an operational hypervisor and brings
   // the network endpoints back up. Guests that were running when the fault
   // hit resume executing (their memory survived the outage in this model —
-  // think suspend-to-RAM rather than a cold reboot).
+  // think suspend-to-RAM rather than a cold reboot). Cancels an open reboot
+  // window; a failed host's return then reaches the recovery listeners
+  // exactly as a completed microreboot does.
   void repair();
 
   // --- ReHype-style microreboot-in-place --------------------------------------
@@ -78,18 +80,19 @@ class Host {
 
   // Begins the microreboot window on a failed host. Returns false (no-op)
   // unless the host is currently kFailed. Completion fires `window` later:
-  // the hypervisor fault clears, endpoints come back up, preserved VMs
-  // resume, and recovery listeners fire with microreboot=true.
+  // microreboots() counts it, then the host returns as after repair().
   bool begin_microreboot(sim::Duration window);
 
   [[nodiscard]] RecoveryState recovery_state() const { return recovery_state_; }
   [[nodiscard]] std::uint64_t microreboots() const { return microreboots_; }
 
-  // Called on every recovery completion; the flag distinguishes a completed
-  // microreboot (true) from a fail-stop repair() (false). Replication
-  // engines use this to learn "the primary is back" and start the
-  // resume-probe arbitration instead of silently resuming output commit.
-  using RecoveryListener = std::function<void(bool /*microreboot*/)>;
+  // Called when a failed host returns, whatever ended the outage (repair()
+  // or a completed microreboot): the fault is cleared, the endpoints are up
+  // and preserved guests run again. Replication engines use this to learn
+  // "the host is back": a returning primary starts the resume-probe
+  // arbitration instead of silently resuming output commit, and a seed
+  // attempt an outage stopped starts afresh.
+  using RecoveryListener = std::function<void()>;
   void add_recovery_listener(const void* owner, RecoveryListener listener) {
     recovery_listeners_.push_back({owner, std::move(listener)});
   }
@@ -126,7 +129,9 @@ class Host {
   void on_packet(const net::Packet& packet,
                  const std::vector<Owned<PacketHandler>>& handlers);
   void complete_microreboot();
-  void notify_recovered(bool microreboot);
+  // The one return path: clears the fault, brings the endpoints up, resumes
+  // preserved guests, goes kOperational and tells the listeners.
+  void finish_recovery();
 
   std::string name_;
   net::Fabric& fabric_;

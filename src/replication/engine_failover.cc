@@ -226,6 +226,7 @@ void ReplicationEngine::activate_replica() {
 // --- Recovered-primary arbitration (ReHype microreboot race) -------------------
 
 void ReplicationEngine::on_primary_recovered() {
+  if (primary_phase_ == PrimaryPhase::kSeeding) return begin_seed_attempt();
   if (primary_phase_ != PrimaryPhase::kReplicating) return;
   if (failed_over()) {
     // The race is already over: the replica took the service address while
@@ -236,8 +237,8 @@ void ReplicationEngine::on_primary_recovered() {
   // Nothing scheduled before the crash may fire mid-arbitration; the grant
   // path folds the aborted epoch back in and restarts the loop.
   enter(PrimaryPhase::kArbitrating);
-  // The microreboot resumed the preserved guests, but the protected VM must
-  // not produce output until arbitration says this side still owns it (two
+  // The return resumed the preserved guests, but the protected VM must not
+  // produce output until arbitration says this side still owns it (two
   // running instances of the service is exactly the split brain to prevent).
   if (vm_->state() == hv::VmState::kRunning) primary_.hypervisor().pause(*vm_);
   if (config_.tracer != nullptr) {

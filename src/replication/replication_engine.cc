@@ -1,6 +1,5 @@
 #include "replication/replication_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/fnv.h"
@@ -24,22 +23,11 @@ Status validate_replication_config(const ReplicationConfig& config) {
         "heartbeat_interval, or every missed beat is a false failover");
   }
   const FaultToleranceConfig& ft = config.ft;
-  if (ft.seed_max_attempts == 0) {
-    return Status::invalid_argument(
-        "ReplicationConfig: ft.seed_max_attempts must be >= 1");
-  }
-  if (ft.seed_attempt_timeout < sim::Duration::zero() ||
-      ft.checkpoint_timeout < sim::Duration::zero() ||
+  if (ft.checkpoint_timeout < sim::Duration::zero() ||
       ft.fencing_window < sim::Duration::zero() ||
       ft.scrub_interval < sim::Duration::zero()) {
     return Status::invalid_argument(
         "ReplicationConfig: ft timeouts/windows must be non-negative");
-  }
-  if (ft.seed_max_attempts > 1 &&
-      ft.seed_retry_backoff <= sim::Duration::zero()) {
-    return Status::invalid_argument(
-        "ReplicationConfig: ft.seed_retry_backoff must be positive when "
-        "seeding retries are enabled");
   }
   if (!(config.flow_weight > 0.0)) {
     return Status::invalid_argument(
@@ -344,12 +332,12 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
       demote_primary("secondary denied resume (replica already active)");
     }
   });
-  // A completed microreboot means the primary is back with its guests
-  // preserved — but it must win the arbitration before any of them run.
-  // Fail-stop repair() keeps the legacy path (heartbeats resume -> fencing).
-  primary_.add_recovery_listener(this, [this](bool microreboot) {
-    if (microreboot) on_primary_recovered();
-  });
+  // A host's return, whether a repair or a microreboot ended the outage: a
+  // returning primary must win the arbitration before its guest runs again
+  // (or, still seeding, starts a fresh attempt); a returning secondary
+  // restarts the seed attempt its failure tore down.
+  primary_.add_recovery_listener(this, [this] { on_primary_recovered(); });
+  secondary_.add_recovery_listener(this, [this] { begin_seed_attempt(); });
   // Watchdog probes ride the management network, so an interconnect-only
   // partition can be told apart from a dead host (which answers nothing).
   primary_.add_eth_handler(this, [this](const net::Packet& p) {
@@ -365,14 +353,13 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   });
   // The seed target dying mid-copy tears the attempt down immediately — a
   // half-written staging image must never survive to look activatable, and
-  // the paused guest must not wait on a timeout to find out.
+  // the paused guest must not wait for the target's return to run again.
   secondary_.add_failure_listener(this, [this](hv::FaultKind) {
     if (primary_phase_ != PrimaryPhase::kSeeding || seeder_ == nullptr) return;
     sim_.cancel(seed_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();
     resume_guest();
-    schedule_seed_retry("secondary failed during seed");
   });
   last_heartbeat_rx_ = sim_.now();
   send_heartbeat();
@@ -382,27 +369,25 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   return Status::ok_status();
 }
 
-// --- Seeding (with retry) ----------------------------------------------------
+// --- Seeding -----------------------------------------------------------------
 
 void ReplicationEngine::begin_seed_attempt() {
   if (primary_phase_ != PrimaryPhase::kSeeding) return;
-  ++stats_.seed_attempts;
-  if (!primary_.alive()) {
-    schedule_seed_retry("primary down at attempt start");
-    return;
-  }
-  if (!secondary_.alive()) {
-    schedule_seed_retry("secondary down at attempt start");
-    return;
-  }
+  // A return can land while the previous attempt's epoch-0 commit is pending,
+  // or its seeder's next step; neither may fire into the fresh attempt.
+  sim_.cancel(seed_event_);
+  seeder_.reset();  // the destructor cancels the in-flight seeding event
   // A torn-down attempt may have left the VM paused mid-stop-copy.
   resume_guest();
-
-  if (config_.tracer != nullptr && stats_.seed_attempts > 1) {
-    config_.tracer->instant(sim_.now(), "seed.attempt", "seed",
-                            {{"attempt", stats_.seed_attempts}});
+  // With either host down the attempt waits for that host's return.
+  if (!primary_.alive() || !secondary_.alive()) return;
+  if (++stats_.seed_attempts > 1) {
+    bump(&EngineStats::seed_retries);
+    if (config_.tracer != nullptr) {
+      config_.tracer->instant(sim_.now(), "seed.attempt", "seed",
+                              {{"attempt", stats_.seed_attempts}});
+    }
   }
-  seeder_.reset();  // cancel any stale in-flight seeding event first
   encoder_.reset();  // references describe the old staging image, if any
   reset_staging();
   // Delta re-seed (cascading re-protection): when the durable store already
@@ -418,51 +403,7 @@ void ReplicationEngine::begin_seed_attempt() {
   seeder_ = std::make_unique<Seeder>(sim_, model_, pool_->workers(),
                                      primary_.hypervisor(), *vm_, *staging_,
                                      config_.seed, config_.tracer);
-  if (config_.ft.seed_attempt_timeout > sim::Duration::zero()) {
-    seed_event_ = sim_.schedule_after(
-        config_.ft.seed_attempt_timeout,
-        [this] { on_seed_attempt_timeout(); }, "seed-deadline");
-  }
-  seeder_->start([this](const SeedResult& result) {
-    sim_.cancel(seed_event_);
-    on_seeded(result);
-  });
-}
-
-void ReplicationEngine::on_seed_attempt_timeout() {
-  seeder_.reset();  // the destructor cancels the in-flight seeding event
-  resume_guest();
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "seed.timeout", "seed",
-                            {{"attempt", stats_.seed_attempts}});
-  }
-  schedule_seed_retry("attempt deadline exceeded");
-}
-
-void ReplicationEngine::schedule_seed_retry(const char* why) {
-  if (stats_.seed_attempts >= config_.ft.seed_max_attempts) {
-    HERE_LOG(kWarn, "seeding abandoned after %u attempt(s): %s",
-             stats_.seed_attempts, why);
-    if (config_.tracer != nullptr) {
-      config_.tracer->instant(sim_.now(), "seed.abandoned", "seed",
-                              {{"attempts", stats_.seed_attempts}});
-    }
-    return;
-  }
-  const std::uint32_t shift =
-      std::min<std::uint32_t>(stats_.seed_attempts - 1, 6);
-  const sim::Duration backoff =
-      config_.ft.seed_retry_backoff * (std::int64_t{1} << shift);
-  bump(&EngineStats::seed_retries);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "seed.retry", "seed",
-                            {{"attempt", stats_.seed_attempts},
-                             {"backoff_ns", backoff.count()}});
-  }
-  HERE_LOG(kWarn, "seeding attempt %u failed (%s); retrying in %s",
-           stats_.seed_attempts, why, sim::format_duration(backoff).c_str());
-  seed_event_ = sim_.schedule_after(
-      backoff, [this] { begin_seed_attempt(); }, "seed-retry");
+  seeder_->start([this](const SeedResult& result) { on_seeded(result); });
 }
 
 void ReplicationEngine::on_seeded(const SeedResult& result) {
@@ -473,10 +414,15 @@ void ReplicationEngine::on_seeded(const SeedResult& result) {
   staging_->seed_disk(primary_.hypervisor().disk(*vm_));
   // Epoch 0 commits without an armed expectation (the seed path byte-copied
   // the image directly), so a refusal here means staging itself is broken —
-  // treat it like any other failed seeding attempt rather than ignoring it.
+  // begin a fresh attempt rather than ignoring it. Not from inside the
+  // finishing seeder, which the fresh attempt destroys.
   const Expected<sim::Duration> state_cost = commit_seed_epoch(0);
   if (!state_cost.ok()) {
-    schedule_seed_retry(state_cost.status().message().c_str());
+    HERE_LOG(kWarn, "seed commit refused (%s); seeding afresh",
+             state_cost.status().message().c_str());
+    seed_event_ = sim_.schedule_after(sim::Duration::zero(),
+                                      [this] { begin_seed_attempt(); },
+                                      "seed-restart");
     return;
   }
 
@@ -503,12 +449,9 @@ Expected<sim::Duration> ReplicationEngine::commit_seed_epoch(
 }
 
 void ReplicationEngine::commit_initial_checkpoint() {
-  if (!primary_.alive()) {
-    // Died between stop-and-copy and the epoch-0 ACK: the staged image is
-    // complete but the primary never learnt that. Retry from scratch.
-    schedule_seed_retry("primary died during epoch-0 commit");
-    return;
-  }
+  // Died between stop-and-copy and the epoch-0 ACK: the staged image is
+  // complete but the primary never learnt that. Its return seeds afresh.
+  if (!primary_.alive()) return;
   enter(PrimaryPhase::kReplicating);
   stats_.protected_at = sim_.now();
   // A fresh seed committed epoch 0 and runs from 1; a delta seed adopted the

@@ -6,8 +6,8 @@
 //
 // Lifecycle:
 //   start_protection(vm)
-//     -> seeding (live pre-copy, §7.2(1)); failed attempts retry with
-//        exponential backoff up to ft.seed_max_attempts
+//     -> seeding (live pre-copy, §7.2(1)); an attempt that a host outage
+//        stopped starts afresh when that host returns
 //     -> epoch 0 committed (memory + translated machine state + program)
 //     -> continuous checkpoints every T (§7.2(2)), T driven by the dynamic
 //        period manager (§5.4) unless a fixed period is configured; an epoch
@@ -20,6 +20,9 @@
 //        committed checkpoint activates on the secondary hypervisor; the
 //        guest agent switches device families; unreleased outbound packets
 //        are dropped (never seen by clients — output commit).
+//     -> a primary that returns (repair or microreboot) holds its guest and
+//        arbitrates: it resumes output commit if the replica never took
+//        over, and is demoted (its stale VM destroyed) if it did.
 //
 // Hardening knobs live in FaultToleranceConfig; every default preserves the
 // original fail-stop behaviour bit-for-bit, so fault-free runs are
@@ -77,8 +80,8 @@ inline constexpr std::uint32_t kResumeGrantKind = 0xbef3;
 inline constexpr std::uint32_t kResumeDenyKind = 0xbef4;
 
 // Backoff before re-attempting an aborted checkpoint, counted from the
-// aborted epoch's resume (same exponential rule as seeding, capped at the
-// period ceiling t_max).
+// aborted epoch's resume, doubled per consecutive abort (up to 64x) and
+// capped at the period ceiling t_max.
 inline constexpr sim::Duration kCheckpointRetryBackoff = sim::from_millis(100);
 // Checkpoint-stream integrity: rounds of selective retransmission for regions
 // whose frames fail CRC verification, before the epoch falls back to
@@ -92,15 +95,6 @@ inline constexpr sim::Duration kProbeTimeout = sim::from_millis(50);
 // Engine-hardening knobs. Zero-valued durations disable the corresponding
 // mechanism; the defaults reproduce the original fail-stop engine exactly.
 struct FaultToleranceConfig {
-  // Seeding: total attempts (1 = the original single-shot behaviour). A
-  // failed attempt tears down its seeder/staging and rebuilds from scratch.
-  std::uint32_t seed_max_attempts = 1;
-  // Per-attempt deadline; 0 disables. Without a deadline a primary crash
-  // mid-seeding silently abandons protection (there is no completion event
-  // to observe), so retries only engage when this is set.
-  sim::Duration seed_attempt_timeout{};
-  // Backoff before attempt n+1: seed_retry_backoff << min(n-1, 6).
-  sim::Duration seed_retry_backoff = sim::from_millis(250);
   // Abort a checkpoint whose projected pause + background transfer exceeds
   // this; 0 disables. The epoch's state folds back into the running epoch.
   sim::Duration checkpoint_timeout{};
@@ -221,7 +215,7 @@ struct EngineStats {
 
   // Hardening counters (all zero on the fault-free path).
   std::uint32_t seed_attempts = 0;    // begun attempts, incl. the first
-  std::uint64_t seed_retries = 0;     // retries scheduled after a failed one
+  std::uint64_t seed_retries = 0;     // attempts begun after the first
   std::uint64_t epochs_aborted = 0;   // checkpoints aborted and retried
   std::uint64_t failovers_fenced = 0; // activations cancelled by fencing
 
@@ -308,9 +302,9 @@ struct EngineCounterRow {
 // can overlap an armed failover on the replica side. Terminal phases sort
 // last.
 enum class PrimaryPhase : std::uint8_t {
-  kSeeding,      // until epoch 0 commits (attempts, retries, delta seed)
+  kSeeding,      // until epoch 0 commits (attempts, restarts, delta seed)
   kReplicating,  // continuous checkpointing
-  kArbitrating,  // back from a microreboot: guest held paused, probe out
+  kArbitrating,  // back from an outage: guest held paused, probe out
   kDemoted,      // lost the arbitration: stale VM destroyed (terminal)
   kDrained,      // generation retired: inert except for reads (terminal)
 };
@@ -480,10 +474,11 @@ class ReplicationEngine {
     return failover_in_progress() || failed_over();
   }
 
-  // --- Seeding (with retry) --------------------------------------------------
+  // --- Seeding --------------------------------------------------------------
+  // Tears down any previous attempt and, with both hosts up, begins a fresh
+  // one (a delta seed where the durable store allows). With a host down it
+  // begins nothing: that host's return calls it again. No-op once seeded.
   void begin_seed_attempt();
-  void schedule_seed_retry(const char* why);
-  void on_seed_attempt_timeout();
   void on_seeded(const SeedResult& result);
   // Commits the seeded (fresh or delta) image as `epoch`, with machine state
   // and program. Returns the modelled state cost, or the commit's refusal.
@@ -616,12 +611,14 @@ class ReplicationEngine {
   void on_secondary_rebooted();
 
   // --- Recovered-primary arbitration (ReHype microreboot race) ----------------
-  // A primary back from a microreboot must not silently resume output
-  // commit: the secondary may have failed over (or be mid-failover) while it
-  // was dark. The recovered side holds its VM paused and probes; the
-  // secondary's event-serialized packet handler is the linearization point
-  // — grant (cancelling any armed-but-unfired failover) or deny (it already
-  // activated). Exactly one side ends up authoritative.
+  // A primary back from an outage (repair or microreboot) must not silently
+  // resume output commit: the secondary may have failed over (or be
+  // mid-failover) while it was dark. The recovered side holds its VM paused
+  // and probes; the secondary's event-serialized packet handler is the
+  // linearization point — grant (cancelling any armed-but-unfired failover)
+  // or deny (it already activated). Exactly one side ends up authoritative.
+  // A primary that returns while still seeding begins a fresh seed attempt
+  // instead.
   void on_primary_recovered();
   void send_resume_probe();
   void on_resume_probe(const net::Packet& packet);  // secondary side
@@ -711,8 +708,8 @@ class ReplicationEngine {
   sim::EventId checkpoint_event_;
   sim::EventId heartbeat_event_;
   sim::EventId watchdog_event_;
-  // The next seeding step: the attempt deadline, the retry backoff or the
-  // epoch-0 commit. At most one of them is ever pending.
+  // The engine's pending seeding step outside the seeder: the epoch-0 commit
+  // (fresh or delta) or, after a refused seed commit, the fresh attempt.
   sim::EventId seed_event_;
   sim::EventId probe_event_;
   sim::EventId failover_activate_event_;

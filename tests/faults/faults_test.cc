@@ -23,8 +23,6 @@ rep::TestbedConfig chaos_testbed_config() {
   config.engine.mode = rep::EngineMode::kHere;
   config.engine.checkpoint_threads = 2;
   config.engine.period.t_max = sim::from_millis(500);
-  config.engine.ft.seed_max_attempts = 8;
-  config.engine.ft.seed_attempt_timeout = sim::from_seconds(30);
   config.engine.ft.checkpoint_timeout = sim::from_seconds(5);
   return config;
 }
@@ -211,9 +209,6 @@ TEST(EngineHardening, WatchdogProbeClassifiesPartitionVsCrash) {
 
 TEST(EngineHardening, CrashMidSeedingRetriesUntilProtected) {
   rep::TestbedConfig config = chaos_testbed_config();
-  config.engine.ft.seed_max_attempts = 10;
-  config.engine.ft.seed_attempt_timeout = sim::from_seconds(5);
-  config.engine.ft.seed_retry_backoff = sim::from_millis(250);
   rep::Testbed bed(config);
   hv::Vm& vm = bed.create_vm(
       std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));

@@ -1,5 +1,6 @@
 // Chaos property test: random sequences of faults, load changes, partitions
-// and repairs, with system-wide invariants checked throughout:
+// and repairs (primary crashes end in a microreboot or an operator repair),
+// with system-wide invariants checked throughout:
 //   * the simulation stays live (no exceptions, no stuck state);
 //   * if a failover happened, the replica activated exactly the committed
 //     image (memory and disk digests match);
@@ -133,11 +134,25 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
         bed.engine().inject_secondary_crash(
             sim::from_millis(chaos.uniform_real(50.0, 1000.0)));
         break;
-      case 7:  // primary crash + microreboot (resume-probe arbitration)
+      case 7:  // primary crash, then a microreboot or a repair: either
+               // return goes through the resume-probe arbitration
         if (!primary_killed && bed.primary().alive()) {
           bed.primary().inject_fault(hv::FaultKind::kCrash);
-          EXPECT_TRUE(bed.primary().begin_microreboot(
-              sim::from_millis(chaos.uniform_real(20.0, 600.0))));
+          const bool microreboot = chaos.bernoulli(0.5);
+          const sim::Duration outage =
+              sim::from_millis(chaos.uniform_real(20.0, 600.0));
+          if (microreboot) {
+            EXPECT_TRUE(bed.primary().begin_microreboot(outage));
+          } else {
+            // Like a fault that aborts a reboot window, a zero-day landing
+            // mid-outage keeps the host down.
+            bed.simulation().schedule_after(
+                outage,
+                [&] {
+                  if (!primary_killed) bed.primary().repair();
+                },
+                "chaos-repair");
+          }
           discontinuity_allowed_at =
               std::min(discontinuity_allowed_at, seen.size());
         }

@@ -9,8 +9,15 @@
 // whichever VM ends up authoritative carries the pre-fault image — the
 // preserved in-place memory on a grant, the last committed checkpoint on a
 // failover.
+//
+// A fail-stop return (Host::repair) reaches the engine exactly as a completed
+// microreboot does, so the same arbitration, and the same fresh seed attempt
+// while seeding, follow either ending of an outage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/trace.h"
 #include "replication/testbed.h"
 #include "sim/rng.h"
 #include "workload/synthetic.h"
@@ -39,11 +46,7 @@ TEST(Microreboot, RestartsHypervisorUnderPreservedGuests) {
   EXPECT_FALSE(host.begin_microreboot(sim::from_millis(100)));
 
   bool recovered = false;
-  bool via_microreboot = false;
-  host.add_recovery_listener(&recovered, [&](bool microreboot) {
-    recovered = true;
-    via_microreboot = microreboot;
-  });
+  host.add_recovery_listener(&recovered, [&] { recovered = true; });
 
   host.inject_fault(hv::FaultKind::kCrash);
   EXPECT_EQ(host.recovery_state(), hv::Host::RecoveryState::kFailed);
@@ -61,15 +64,14 @@ TEST(Microreboot, RestartsHypervisorUnderPreservedGuests) {
   bed.simulation().run_for(sim::from_millis(20));
   EXPECT_EQ(vm.memory().full_digest(), frozen);
 
-  // Window closes: fault cleared, guest running again, listener told it was
-  // a microreboot (not an operator repair).
+  // Window closes: fault cleared, guest running again, the reboot counted
+  // and the return heard.
   bed.simulation().run_for(sim::from_millis(50));
   EXPECT_TRUE(host.alive());
   EXPECT_EQ(host.recovery_state(), hv::Host::RecoveryState::kOperational);
   EXPECT_EQ(vm.state(), hv::VmState::kRunning);
   EXPECT_EQ(host.microreboots(), 1u);
   EXPECT_TRUE(recovered);
-  EXPECT_TRUE(via_microreboot);
 }
 
 TEST(Microreboot, RepairDuringWindowCancelsIt) {
@@ -338,8 +340,6 @@ TestbedConfig seed_race_config() {
   config.engine.period.t_max = sim::from_millis(500);
   // Big enough that the initial seed is a window worth racing into.
   config.vm_spec = hv::make_vm_spec("svc", 2, 256ULL << 20);
-  // Interrupted attempts may retry (the default is give-up-after-one).
-  config.engine.ft.seed_max_attempts = 5;
   return config;
 }
 
@@ -401,6 +401,214 @@ TEST(RecoveryRace, SecondaryMicrorebootDuringSeedAbortsAndRetriesCleanly) {
   EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_at_seed);
   EXPECT_EQ(vm.state(), hv::VmState::kRunning);
   EXPECT_EQ(bed.engine().stats().replica_digest_at_activation, 0u);
+}
+
+// --- A fail-stop return: repair() --------------------------------------------
+//
+// The same arbitration follows an operator repair(): a primary that comes
+// back before the replica took over resumes protection, one that comes back
+// after it is demoted, and a seed attempt an outage stopped starts afresh.
+
+// Emits one packet per guest tick to `client`, so every epoch buffers output.
+class TickEmitter final : public hv::GuestProgram {
+ public:
+  explicit TickEmitter(net::NodeId client) : client_(client) {}
+  void start(hv::GuestEnv& env) override { inner_.start(env); }
+  void tick(hv::GuestEnv& env, sim::Duration dt) override {
+    inner_.tick(env, dt);
+    env.send_packet(client_, 64, 0, next_seq_++);
+  }
+  [[nodiscard]] std::unique_ptr<GuestProgram> clone() const override {
+    return std::make_unique<TickEmitter>(*this);
+  }
+
+ private:
+  wl::SyntheticProgram inner_{wl::memory_microbench(15)};
+  net::NodeId client_;
+  std::uint64_t next_seq_ = 0;
+};
+
+// Output-commit witness on the live trace: every io.release names an epoch
+// that the seed (epoch 0) or an epoch.commit already committed.
+class ReleaseAudit final : public obs::TraceSink {
+ public:
+  void record(obs::TraceEvent event) override {
+    if (event.name == "epoch.seeded") {
+      committed_ = std::max<std::int64_t>(committed_, 0);
+    } else if (event.name == "epoch.commit") {
+      committed_ = std::max(committed_, epoch_of(event));
+    } else if (event.name == "io.release") {
+      if (event.ts_ns >= since_ns) ++released_since;
+      if (epoch_of(event) > committed_) ++uncommitted;
+    }
+  }
+
+  std::int64_t since_ns = 0;         // count releases from here on
+  std::uint64_t released_since = 0;  // releases at or after since_ns
+  std::uint64_t uncommitted = 0;     // releases ahead of their commit
+
+ private:
+  static std::int64_t epoch_of(const obs::TraceEvent& event) {
+    for (const auto& [key, value] : event.args) {
+      if (key == "epoch") return value.as_int64();
+    }
+    return -1;
+  }
+  std::int64_t committed_ = -1;
+};
+
+// 64 MiB guest, fixed T = 200 ms, every other setting at its default.
+TestbedConfig outage_config(obs::Tracer* tracer) {
+  TestbedConfig config;
+  config.engine.period.t_max = sim::from_millis(200);
+  config.engine.tracer = tracer;
+  config.vm_spec = hv::make_vm_spec("svc", 2, 64ULL << 20);
+  return config;
+}
+
+// Protects an emitting guest and runs it for a second past its seed.
+hv::Vm& protect_emitter(Testbed& bed) {
+  hv::Vm& vm = bed.create_vm(nullptr);
+  bed.protect(vm);
+  const net::NodeId client = bed.add_client("client", {});
+  vm.attach_program(std::make_unique<TickEmitter>(client));
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(1));
+  return vm;
+}
+
+// Runs event by event until the guest enters `state` (within a second).
+void step_until(Testbed& bed, hv::Vm& vm, hv::VmState state) {
+  const sim::TimePoint limit = bed.simulation().now() + sim::from_seconds(1);
+  while (vm.state() != state && bed.simulation().now() < limit) {
+    ASSERT_TRUE(bed.simulation().step());
+  }
+  ASSERT_EQ(vm.state(), state);
+}
+
+// After a short outage and its repair the primary must win the arbitration:
+// checkpoints resume, the guest runs, and output released after the return
+// belongs to committed epochs only.
+void expect_protection_resumes(Testbed& bed, hv::Vm& vm, ReleaseAudit& audit) {
+  const EngineStats& stats = bed.engine().stats();
+  audit.since_ns = bed.simulation().now().ns();
+  const std::size_t at_repair = stats.checkpoints.size();
+  bed.simulation().run_for(sim::from_seconds(5));
+  EXPECT_EQ(stats.resume_grants, 1u);
+  EXPECT_EQ(stats.primary_demotions, 0u);
+  EXPECT_FALSE(bed.engine().failed_over());
+  EXPECT_GT(stats.checkpoints.size(), at_repair + 10);
+  EXPECT_TRUE(bed.run_until([&] { return vm.state() == hv::VmState::kRunning; },
+                            sim::from_seconds(1)));
+  EXPECT_GT(audit.released_since, 0u);
+  EXPECT_EQ(audit.uncommitted, 0u);
+}
+
+// The crash lands while an epoch holds the guest paused for its capture.
+TEST(RepairRace, CrashInsidePauseThenRepairResumesProtection) {
+  ReleaseAudit audit;
+  obs::Tracer tracer(&audit);
+  Testbed bed(outage_config(&tracer));
+  hv::Vm& vm = protect_emitter(bed);
+
+  ASSERT_NO_FATAL_FAILURE(step_until(bed, vm, hv::VmState::kPaused));
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().run_for(sim::from_millis(40));
+  bed.primary().repair();
+  expect_protection_resumes(bed, vm, audit);
+}
+
+// The crash lands between epochs and the next checkpoint run falls inside
+// the outage, where it finds the primary dead.
+TEST(RepairRace, CrashAcrossScheduledRunThenRepairResumesProtection) {
+  ReleaseAudit audit;
+  obs::Tracer tracer(&audit);
+  Testbed bed(outage_config(&tracer));
+  hv::Vm& vm = protect_emitter(bed);
+
+  // An epoch settles as its guest resumes; the next run is one fixed period
+  // (200 ms) later, inside the 180-220 ms outage.
+  ASSERT_NO_FATAL_FAILURE(step_until(bed, vm, hv::VmState::kPaused));
+  ASSERT_NO_FATAL_FAILURE(step_until(bed, vm, hv::VmState::kRunning));
+  bed.simulation().run_for(sim::from_millis(180));
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().run_for(sim::from_millis(40));
+  bed.primary().repair();
+  expect_protection_resumes(bed, vm, audit);
+}
+
+// The outage outlasts detection: the replica is active when the primary is
+// repaired, so the stale primary VM is demoted and destroyed.
+TEST(RepairRace, RepairAfterActivationDemotesStalePrimary) {
+  Testbed bed(outage_config(nullptr));
+  (void)protect_emitter(bed);
+
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  ASSERT_TRUE(bed.run_until([&] { return bed.engine().failed_over(); },
+                            sim::from_seconds(10)));
+  bed.primary().repair();
+  bed.simulation().run_for(sim::from_seconds(1));
+
+  const EngineStats& stats = bed.engine().stats();
+  EXPECT_EQ(stats.primary_demotions, 1u);
+  EXPECT_EQ(stats.resume_grants, 0u);
+  EXPECT_TRUE(bed.engine().primary_demoted());
+  EXPECT_TRUE(bed.primary().hypervisor().vms().empty());
+  ASSERT_NE(bed.engine().replica_vm(), nullptr);
+  EXPECT_EQ(bed.engine().replica_vm()->state(), hv::VmState::kRunning);
+  EXPECT_TRUE(bed.engine().service_available());
+}
+
+// A primary crash 50 ms into seeding stops the attempt; the repair a second
+// later starts a fresh one, which completes.
+TEST(RecoveryRace, PrimaryRepairDuringSeedSeedsAfresh) {
+  Testbed bed(seed_race_config());
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  bed.protect(vm);
+
+  bed.simulation().run_for(sim::from_millis(50));
+  ASSERT_FALSE(bed.engine().seeded()) << "seed finished before the fault";
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().run_for(sim::from_seconds(1));
+  EXPECT_FALSE(bed.engine().failed_over());
+  bed.primary().repair();
+
+  ASSERT_TRUE(bed.run_until([&] { return bed.engine().seeded(); },
+                            sim::from_seconds(60)));
+  EXPECT_EQ(bed.engine().stats().seed_attempts, 2u);
+  EXPECT_EQ(bed.engine().stats().seed_retries, 1u);
+  EXPECT_FALSE(bed.engine().failed_over());
+  const std::size_t epochs_at_seed = bed.engine().stats().checkpoints.size();
+  bed.simulation().run_for(sim::from_seconds(3));
+  EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_at_seed);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+}
+
+// A secondary crash mid-seed tears the attempt down and lets the guest run;
+// the secondary's repair starts a fresh attempt, which completes.
+TEST(RecoveryRace, SecondaryRepairDuringSeedSeedsAfresh) {
+  Testbed bed(seed_race_config());
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  bed.protect(vm);
+
+  bed.simulation().run_for(sim::from_millis(50));
+  ASSERT_FALSE(bed.engine().seeded()) << "seed finished before the fault";
+  bed.secondary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().run_for(sim::from_seconds(1));
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+  EXPECT_EQ(bed.engine().stats().seed_attempts, 1u);
+  bed.secondary().repair();
+
+  ASSERT_TRUE(bed.run_until([&] { return bed.engine().seeded(); },
+                            sim::from_seconds(60)));
+  EXPECT_EQ(bed.engine().stats().seed_attempts, 2u);
+  EXPECT_FALSE(bed.engine().failed_over());
+  const std::size_t epochs_at_seed = bed.engine().stats().checkpoints.size();
+  bed.simulation().run_for(sim::from_seconds(3));
+  EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_at_seed);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
 }
 
 }  // namespace

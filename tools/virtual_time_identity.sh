@@ -38,7 +38,12 @@ fig17_sockperf|fig17_sockperf|
 sec82_security|sec82_security|
 sec87_overhead|sec87_overhead|
 ablation_threads|ablation_threads|
-ablation_cow|ablation_cow|'
+ablation_cow|ablation_cow|
+sec82_exposure|sec82_exposure|
+sec82_heterogeneity_choice|sec82_heterogeneity_choice|
+table1_vuln_stats|table1_vuln_stats|
+table2_coverage|table2_coverage|
+table5_dos_analysis|table5_dos_analysis|'
 
 status=0
 for side in base head; do
