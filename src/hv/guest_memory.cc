@@ -2,7 +2,6 @@
 
 #include <sys/mman.h>
 
-#include <cassert>
 #include <new>
 #include <stdexcept>
 
@@ -30,10 +29,15 @@ std::uint8_t* map_frames(std::uint64_t pages) {
 GuestMemory::GuestMemory(std::uint64_t pages, std::uint32_t vcpus)
     : pages_(pages), vcpus_(vcpus) {
   if (vcpus == 0) throw std::invalid_argument("GuestMemory: zero vcpus");
+  backed_.assign(pages, 0);
   frames_ = map_frames(pages);
 }
 
 GuestMemory::~GuestMemory() { ::munmap(frames_, pages_ * kPageSize); }
+
+void GuestMemory::throw_out_of_range(const char* what) {
+  throw std::out_of_range(what);
+}
 
 bool is_zero_page(std::span<const std::uint8_t> page) {
   // OR-reduce one 64-byte block of words at a time, then the byte tail.
@@ -53,34 +57,6 @@ bool is_zero_page(std::span<const std::uint8_t> page) {
   return true;
 }
 
-void GuestMemory::write(std::uint32_t vcpu, common::Gfn gfn, std::size_t offset,
-                        std::span<const std::uint8_t> data) {
-  assert(vcpu < vcpus_);
-  if (gfn >= pages_ || offset + data.size() > kPageSize) {
-    throw std::out_of_range("GuestMemory::write out of range");
-  }
-  std::memcpy(frames_ + gfn * kPageSize + offset, data.data(), data.size());
-  ++stores_;
-  if (shadow_log_ != nullptr) shadow_log_->set(gfn);
-  if (!pml_rings_.empty()) pml_rings_[vcpu].log(gfn);
-}
-
-void GuestMemory::write_u64(std::uint32_t vcpu, common::Gfn gfn,
-                            std::size_t offset, std::uint64_t value) {
-  std::uint8_t raw[8];
-  std::memcpy(raw, &value, 8);
-  write(vcpu, gfn, offset, raw);
-}
-
-std::uint64_t GuestMemory::read_u64(common::Gfn gfn, std::size_t offset) const {
-  if (gfn >= pages_ || offset + 8 > kPageSize) {
-    throw std::out_of_range("GuestMemory::read_u64 out of range");
-  }
-  std::uint64_t value;
-  std::memcpy(&value, frames_ + gfn * kPageSize + offset, 8);
-  return value;
-}
-
 std::span<const std::uint8_t> GuestMemory::page(common::Gfn gfn) const {
   if (gfn >= pages_) throw std::out_of_range("GuestMemory::page");
   return {frames_ + gfn * kPageSize, kPageSize};
@@ -88,6 +64,7 @@ std::span<const std::uint8_t> GuestMemory::page(common::Gfn gfn) const {
 
 std::span<std::uint8_t> GuestMemory::page_mut(common::Gfn gfn) {
   if (gfn >= pages_) throw std::out_of_range("GuestMemory::page_mut");
+  backed_[gfn] = 1;
   return {frames_ + gfn * kPageSize, kPageSize};
 }
 
@@ -96,18 +73,32 @@ void GuestMemory::install_page(common::Gfn gfn,
   if (gfn >= pages_ || data.size() != kPageSize) {
     throw std::out_of_range("GuestMemory::install_page");
   }
-  std::uint8_t* dest = frames_ + gfn * kPageSize;
-  if (is_zero_page(data) && is_zero_page({dest, kPageSize})) return;
-  std::memcpy(dest, data.data(), kPageSize);
+  if (backed_[gfn] == 0) {
+    if (is_zero_page(data)) return;
+    backed_[gfn] = 1;
+  }
+  std::memcpy(frames_ + gfn * kPageSize, data.data(), kPageSize);
+}
+
+void GuestMemory::copy_page(common::Gfn gfn, const GuestMemory& from) {
+  if (gfn >= pages_ || gfn >= from.pages_) {
+    throw std::out_of_range("GuestMemory::copy_page");
+  }
+  if (from.backed_[gfn] != 0) {
+    install_page(gfn, {from.frames_ + gfn * kPageSize, kPageSize});
+  } else if (backed_[gfn] != 0) {
+    std::memset(frames_ + gfn * kPageSize, 0, kPageSize);
+  }
 }
 
 std::uint64_t page_digest(std::span<const std::uint8_t> page) {
-  if (page.size() == kPageSize && is_zero_page(page)) return kZeroPageDigest;
   return common::xxh64(page);
 }
 
 std::uint64_t GuestMemory::page_digest(common::Gfn gfn) const {
-  return hv::page_digest(page(gfn));
+  if (gfn >= pages_) throw std::out_of_range("GuestMemory::page_digest");
+  if (backed_[gfn] == 0) return kZeroPageDigest;
+  return hv::page_digest({frames_ + gfn * kPageSize, kPageSize});
 }
 
 std::uint64_t GuestMemory::full_digest() const {

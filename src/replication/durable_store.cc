@@ -172,10 +172,12 @@ std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
                                           const hv::VirtualDisk& disk) {
   // Fresh frames are zeroed at recovery, so only non-zero pages are stored,
   // and the record is sized from them: retained segments never carry
-  // capacity for the whole image.
+  // capacity for the whole image. An unbacked page is zero unread.
   std::vector<common::Gfn> stored;
-  for (std::uint64_t gfn = 0; gfn < memory.pages(); ++gfn) {
-    if (!hv::is_zero_page(memory.page(common::Gfn{gfn}))) stored.push_back(gfn);
+  for (common::Gfn gfn = 0; gfn < memory.pages(); ++gfn) {
+    if (memory.backed(gfn) && !hv::is_zero_page(memory.page(gfn))) {
+      stored.push_back(gfn);
+    }
   }
   const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
                                     8 + 8 + disk.distinct_sectors() * 16;

@@ -143,9 +143,7 @@ void EncoderPipeline::baseline(const hv::GuestMemory& memory) {
     }
   }
   if (config_.delta) {
-    for (common::Gfn g = 0; g < pages_; ++g) {
-      shadow_->install_page(g, memory.page(g));
-    }
+    for (common::Gfn g = 0; g < pages_; ++g) shadow_->copy_page(g, memory);
   }
 }
 
@@ -172,14 +170,14 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
     bool encoded = false;
     if (config_.zero_elide) {
       ++work.zero_scans;
-      if (hv::is_zero_page(page)) {
+      if (!memory.backed(gfn) || hv::is_zero_page(page)) {
         meta.enc = wire::PageEncoding::kZero;
         encoded = true;
         ++local.pages_zero;
       }
     }
     if (!encoded && track_refs && has_ref_[gfn] != 0) {
-      hash = hv::page_digest(page);
+      hash = memory.page_digest(gfn);
       hashed = true;
       ++work.hashes;
       if (config_.hash_skip && hash == committed_hash_[gfn]) {
@@ -217,7 +215,7 @@ void EncoderPipeline::encode_region(const hv::GuestMemory& memory,
       // encoded; kSkip keeps the old reference, everything else re-hashes.
       p.hash = meta.enc == wire::PageEncoding::kSkip ? committed_hash_[gfn]
                : hashed                              ? hash
-                                                     : hv::page_digest(page);
+                                                     : memory.page_digest(gfn);
       if (!hashed && meta.enc != wire::PageEncoding::kSkip) ++work.hashes;
       if (config_.delta) p.content.assign(page.begin(), page.end());
       staged.push_back(std::move(p));

@@ -34,7 +34,7 @@ bool ReplicationEngine::try_delta_seed() {
   committed_digest_mirror_.clear();
   const StoreDiff diff = diff_recovered_image();
   for (const common::Gfn g : diff.pages) {
-    staging_->install_seed_page(g, vm_->memory().page(g));
+    staging_->install_seed_page(g, vm_->memory());
   }
   const std::uint64_t divergent = diff.pages.size();
   const std::uint64_t divergent_sectors = resync_disk();

@@ -56,7 +56,7 @@ void Seeder::copy_pages(const std::vector<common::Gfn>& gfns) {
   if (gfns.empty()) return;
   const hv::GuestMemory& src = vm_.memory();
   pool_.parallel_for(gfns.size(), [&](std::size_t i) {
-    staging_.memory().install_page(gfns[i], src.page(gfns[i]));
+    staging_.memory().copy_page(gfns[i], src);
   });
 }
 

@@ -25,6 +25,13 @@ void ReplicaStaging::install_seed_page(common::Gfn gfn,
   ++seeded_pages_;
 }
 
+void ReplicaStaging::install_seed_page(common::Gfn gfn,
+                                       const hv::GuestMemory& from) {
+  memory_.copy_page(gfn, from);
+  page_digest_valid_[gfn] = 0;
+  ++seeded_pages_;
+}
+
 void ReplicaStaging::begin_epoch(std::uint64_t epoch) {
   std::lock_guard lock(commit_mu_);
   open_epoch_ = epoch;
@@ -312,7 +319,7 @@ hv::Vm& activate_staged_image(hv::Hypervisor& target,
                               std::unique_ptr<hv::GuestProgram> program) {
   hv::Vm& vm = target.create_vm(staging.spec());
   for (common::Gfn g = 0; g < staging.memory().pages(); ++g) {
-    vm.memory().install_page(g, staging.memory().page(g));
+    vm.memory().copy_page(g, staging.memory());
   }
   target.disk(vm) = staging.disk();
   target.load_machine_state(vm, state);

@@ -53,6 +53,8 @@ class ReplicaStaging {
   // --- Seeding phase: pages land directly in the image -----------------------
 
   void install_seed_page(common::Gfn gfn, std::span<const std::uint8_t> bytes);
+  // The same page of another image (GuestMemory::copy_page).
+  void install_seed_page(common::Gfn gfn, const hv::GuestMemory& from);
   [[nodiscard]] std::uint64_t seeded_pages() const { return seeded_pages_; }
 
   // Clones the primary's full disk image (done at the seeding stop-and-copy

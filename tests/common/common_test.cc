@@ -124,9 +124,9 @@ TEST(PageDigest, GuestMemoryDigestsThePageBytes) {
   EXPECT_EQ(mem.page_digest(2), 0xe21174be82dc78d9ULL);
 }
 
-// The zero-page shortcut returns exactly what hashing would: the pinned
-// constant is XXH64 of 4,096 zero bytes, and a page one byte away from zero
-// at any offset is hashed, not short-cut.
+// The pinned zero-page constant, which GuestMemory returns for a page it
+// never backed, is exactly what hashing would return: XXH64 of 4,096 zero
+// bytes. A page one byte away from zero at any offset is hashed.
 TEST(PageDigest, ZeroPageConstantIsTheXxh64OfZeros) {
   const std::vector<std::uint8_t> zero(kPageSize, 0);
   EXPECT_EQ(common::xxh64(zero), 0xac869b6f32d8bbdbULL);

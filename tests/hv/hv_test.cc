@@ -6,10 +6,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/xxh64.h"
+#include "hv/disk.h"
 #include "hv/dirty_logs.h"
 #include "hv/guest_memory.h"
 #include "hv/pml_ring.h"
 #include "hv/vm.h"
+#include "replication/durable_store.h"
+#include "sim/rng.h"
 #include "tests/resident_memory.h"
 #include "xensim/xen_hypervisor.h"
 
@@ -111,6 +115,136 @@ TEST(GuestMemory, InstallZeroOverZeroStaysZero) {
   EXPECT_TRUE(std::all_of(page.begin(), page.end(),
                           [](std::uint8_t b) { return b == 0; }));
   EXPECT_EQ(mem.page_digest(1), kZeroPageDigest);
+}
+
+// --- Backed flag ----------------------------------------------------------------
+
+TEST(GuestMemory, BackedFlagFollowsStoresAndNonZeroInstalls) {
+  GuestMemory mem(8, 1);
+  for (common::Gfn g = 0; g < 8; ++g) EXPECT_FALSE(mem.backed(g)) << g;
+  mem.write_u64(0, 1, 0, 0);  // a store backs the page, whatever it stores
+  mem.install_page(2, std::vector<std::uint8_t>(common::kPageSize, 0));
+  mem.install_page(3, std::vector<std::uint8_t>(common::kPageSize, 0x11));
+  (void)mem.page_mut(4);
+  (void)mem.page(5);
+  EXPECT_TRUE(mem.backed(1));
+  EXPECT_FALSE(mem.backed(2));
+  EXPECT_TRUE(mem.backed(3));
+  EXPECT_TRUE(mem.backed(4));
+  EXPECT_FALSE(mem.backed(5));
+  // Nothing clears the flag; the zeroed page still digests as zero.
+  mem.install_page(3, std::vector<std::uint8_t>(common::kPageSize, 0));
+  EXPECT_TRUE(mem.backed(3));
+  EXPECT_EQ(mem.page_digest(3), kZeroPageDigest);
+  EXPECT_THROW((void)mem.backed(8), std::out_of_range);
+  EXPECT_THROW((void)mem.page_digest(8), std::out_of_range);
+}
+
+TEST(GuestMemory, CopyPageCopiesContentAndBacking) {
+  GuestMemory src(4, 1), dst(4, 1);
+  src.write_u64(0, 1, 64, 0x1234);
+  dst.install_page(2, std::vector<std::uint8_t>(common::kPageSize, 0x77));
+  for (common::Gfn g = 0; g < 4; ++g) dst.copy_page(g, src);
+  EXPECT_FALSE(dst.backed(0));  // both ends untouched: nothing happens
+  EXPECT_TRUE(dst.backed(1));
+  EXPECT_TRUE(dst.backed(2));   // zeroed from an unbacked source
+  EXPECT_FALSE(dst.backed(3));
+  EXPECT_TRUE(std::ranges::equal(dst.page(1), src.page(1)));
+  EXPECT_TRUE(is_zero_page(dst.page(2)));
+  EXPECT_EQ(dst.full_digest(), src.full_digest());
+  // A backed source holding zeros leaves an unbacked destination unbacked.
+  src.install_page(1, std::vector<std::uint8_t>(common::kPageSize, 0));
+  GuestMemory fresh(4, 1);
+  fresh.copy_page(1, src);
+  EXPECT_FALSE(fresh.backed(1));
+  GuestMemory small(2, 1);
+  EXPECT_THROW(small.copy_page(3, src), std::out_of_range);
+  EXPECT_THROW(src.copy_page(3, small), std::out_of_range);
+}
+
+// A page written and then zeroed stays backed but holds no data, so the
+// snapshot, which stores only non-zero pages, leaves it out.
+TEST(GuestMemory, ZeroedBackedPageStaysOutOfSnapshot) {
+  GuestMemory mem(4, 1);
+  mem.write_u64(0, 2, 0, 9);
+  mem.write_u64(0, 2, 0, 0);
+  mem.write_u64(0, 3, 8, 5);
+  ASSERT_TRUE(mem.backed(2));
+  const auto snap = rep::decode_snapshot(
+      rep::encode_snapshot(1, mem, VirtualDisk(64)));
+  ASSERT_TRUE(snap.ok());
+  ASSERT_EQ((*snap).pages.size(), 1u);
+  EXPECT_EQ((*snap).pages[0].first, 3u);
+}
+
+// Differential oracle for the backed flag: a seeded random mix of guest
+// stores, installs (zero and non-zero, over backed and unbacked pages),
+// image-to-image copies and host writes through page_mut, after which every
+// flag-answered digest must equal XXH64 of the bytes, every page holding a
+// non-zero byte must be backed, and the snapshot must hold exactly the pages
+// a full scan finds non-zero.
+TEST(GuestMemory, BackedFlagAgreesWithBytesUnderRandomOperations) {
+  constexpr std::uint64_t kPages = 24;
+  GuestMemory a(kPages, 2), b(kPages, 1);
+  GuestMemory* images[] = {&a, &b};
+  const VirtualDisk disk(64);
+  sim::Rng rng(2606);
+  std::vector<std::uint8_t> data(common::kPageSize);
+  const auto check = [&](int step) {
+    for (const GuestMemory* m : images) {
+      for (common::Gfn g = 0; g < kPages; ++g) {
+        ASSERT_EQ(m->page_digest(g), common::xxh64(m->page(g)))
+            << "step " << step << " gfn " << g;
+        if (!is_zero_page(m->page(g))) {
+          ASSERT_TRUE(m->backed(g)) << "step " << step << " gfn " << g;
+        }
+      }
+    }
+    std::vector<std::pair<common::Gfn, std::vector<std::uint8_t>>> scanned;
+    for (common::Gfn g = 0; g < kPages; ++g) {
+      if (!is_zero_page(a.page(g))) {
+        scanned.emplace_back(g, std::vector<std::uint8_t>(a.page(g).begin(),
+                                                          a.page(g).end()));
+      }
+    }
+    const auto snap =
+        rep::decode_snapshot(rep::encode_snapshot(step, a, disk));
+    ASSERT_TRUE(snap.ok()) << "step " << step;
+    ASSERT_EQ((*snap).pages, scanned) << "step " << step;
+  };
+  for (int step = 0; step < 600; ++step) {
+    GuestMemory& m = *images[rng.uniform(2)];
+    const common::Gfn g = rng.uniform(kPages);
+    switch (rng.uniform(5)) {
+      case 0:  // a guest store, zero one time in three
+        m.write_u64(0, g, 8 * rng.uniform(common::kPageSize / 8),
+                    rng.uniform(3) == 0 ? 0 : rng.next_u64());
+        break;
+      case 1:  // install of an all-zero page
+        std::ranges::fill(data, 0);
+        m.install_page(g, data);
+        break;
+      case 2: {  // install of a page with a few non-zero bytes
+        std::ranges::fill(data, 0);
+        for (std::uint64_t i = 1 + rng.uniform(3); i > 0; --i) {
+          data[rng.uniform(common::kPageSize)] =
+              static_cast<std::uint8_t>(1 + rng.uniform(255));
+        }
+        m.install_page(g, data);
+        break;
+      }
+      case 3:  // copy the same page from the other image
+        m.copy_page(g, &m == &a ? b : a);
+        break;
+      default:  // a host write through page_mut, zero one time in four
+        m.page_mut(g)[rng.uniform(common::kPageSize)] =
+            static_cast<std::uint8_t>(rng.uniform(4) == 0 ? 0
+                                                          : rng.next_u64());
+        break;
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // Over a zero page, a page with one non-zero byte at any offset is copied

@@ -281,6 +281,48 @@ TEST(StreamIntegrity, ScrubRepairsRotInLastByteOfPage) {
   expect_scrub_repairs_rot_at(common::kPageSize - 1, 0x80);
 }
 
+// Rot on a replica page nothing ever wrote: the page is unbacked, so the
+// digests answer it from GuestMemory's backed flag without reading it. The
+// rot goes through page_mut, which backs the page, so the audit reads the
+// rotted bytes and the region re-send zeroes them again.
+TEST(StreamIntegrity, ScrubRepairsRotOnANeverWrittenPage) {
+  TestbedConfig config = integrity_config();
+  config.engine.ft.scrub_interval = sim::from_millis(250);
+  Testbed bed(config);
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(10)));
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(1));
+
+  ReplicaStaging* staging = bed.engine().staging();
+  ASSERT_NE(staging, nullptr);
+  common::Gfn gfn = vm.memory().pages() - 1;
+  while (gfn > 0 && staging->memory().backed(gfn)) --gfn;
+  ASSERT_FALSE(staging->memory().backed(gfn));
+  const std::uint32_t region =
+      static_cast<std::uint32_t>(gfn / common::kPagesPerRegion);
+  ASSERT_EQ(staging->committed_region_digest(region),
+            staging->live_region_digest(region));
+
+  staging->memory().page_mut(gfn)[common::kPageSize / 2] ^= 0x01;
+  ASSERT_NE(staging->committed_region_digest(region),
+            staging->live_region_digest(region));
+
+  ASSERT_TRUE(bed.run_until(
+      [&] { return bed.engine().stats().scrub_repairs > 0; },
+      sim::from_seconds(5)));
+  EXPECT_TRUE(bed.run_until(
+      [&] {
+        return staging->committed_region_digest(region) ==
+               staging->live_region_digest(region);
+      },
+      sim::from_seconds(5)));
+  EXPECT_EQ(staging->memory().page_digest(gfn),
+            vm.memory().page_digest(gfn));
+  EXPECT_FALSE(bed.engine().failed_over());
+}
+
 // The scrub loop parks while a failover is in progress; a fenced failover
 // re-enters the continuous phase, scrubbing included.
 TEST(StreamIntegrity, ScrubResumesAfterFencedFailover) {
