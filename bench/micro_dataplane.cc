@@ -1,11 +1,13 @@
 // Data-plane microbenchmarks (google-benchmark): the real-work primitives
 // under the simulation's virtual-time shell — page copies, CRC32C, page
-// digests, the zero-page test, replica commits, dirty-bitmap scans, PML ring
+// digests, the zero-page test, the XOR-delta encoder, replica commits (raw
+// and delta), dirty-bitmap scans, PML ring
 // operations and the cross-hypervisor state translation. Anything that runs
 // on worker threads or is compared against them is timed in real time, not
 // the calling thread's CPU time.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -255,6 +257,124 @@ void BM_StagingCommit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRegions);
 }
 BENCHMARK(BM_StagingCommit)->UseRealTime();
+
+// A random page with `words` of its 512 u64 words rewritten at random
+// offsets, as key-value stores dirty pages.
+std::vector<std::uint8_t> rewritten_words(const std::vector<std::uint8_t>& base,
+                                          std::int64_t words, sim::Rng& rng) {
+  std::vector<std::uint8_t> page = base;
+  for (std::int64_t i = 0; i < words; ++i) {
+    const std::uint64_t at = 8 * rng.uniform(common::kPageSize / 8);
+    const std::uint64_t v = rng.next_u64();
+    std::memcpy(page.data() + at, &v, 8);
+  }
+  return page;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, sim::Rng& rng) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+// The XOR+RLE delta of 64 pages against their bases: Arg = u64 words
+// rewritten per page, 4 (sparse: a few records) or 128 (dense: a quarter of
+// the page, records every few dozen bytes).
+void BM_XorRleEncode(benchmark::State& state) {
+  constexpr std::size_t kPages = 64;
+  sim::Rng rng(29);
+  std::vector<std::vector<std::uint8_t>> bases;
+  std::vector<std::vector<std::uint8_t>> pages;
+  for (std::size_t i = 0; i < kPages; ++i) {
+    bases.push_back(random_bytes(common::kPageSize, rng));
+    pages.push_back(rewritten_words(bases.back(), state.range(0), rng));
+  }
+  std::uint64_t out_bytes = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kPages; ++i) {
+      const std::vector<std::uint8_t> delta =
+          rep::xor_rle_encode(pages[i], bases[i]);
+      out_bytes += delta.size();
+      benchmark::DoNotOptimize(delta.data());
+    }
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(kPages * common::kPageSize));
+  state.counters["delta_bytes_per_page"] = benchmark::Counter(
+      static_cast<double>(out_bytes) /
+      static_cast<double>(state.iterations() * kPages));
+}
+BENCHMARK(BM_XorRleEncode)->Arg(4)->Arg(128)->UseRealTime();
+
+// A verified replica commit of a version-1 epoch of delta pages: 64 pages
+// in each of 8 regions, 4 u64 words rewritten per page. Verify hashes each
+// base, apply XORs the delta in place and hashes the result. Epochs
+// alternate between two images: an XOR delta is its own inverse, so the
+// same payloads take the image there and back, each under its own base
+// digest.
+void BM_StagingCommitDelta(benchmark::State& state) {
+  constexpr std::uint32_t kRegions = 8;
+  constexpr std::uint32_t kPagesPerFrame = 64;
+  hv::VmSpec spec;
+  spec.name = "bench";
+  spec.vcpus = 1;
+  spec.pages = std::uint64_t{kRegions} * common::kPagesPerRegion;
+  rep::ReplicaStaging staging(spec, 1);
+  sim::Rng rng(31);
+  std::vector<rep::wire::RegionFrame> there;
+  std::vector<rep::wire::RegionFrame> back;
+  for (std::uint32_t r = 0; r < kRegions; ++r) {
+    rep::wire::RegionFrame f;
+    f.seq = r;
+    f.region = r;
+    f.version = rep::wire::kWireVersionEncoded;
+    rep::wire::RegionFrame g = f;
+    for (std::uint32_t i = 0; i < kPagesPerFrame; ++i) {
+      const common::Gfn gfn =
+          std::uint64_t{r} * common::kPagesPerRegion + 3 * i;
+      const std::vector<std::uint8_t> a = random_bytes(common::kPageSize, rng);
+      const std::vector<std::uint8_t> b = rewritten_words(a, 4, rng);
+      staging.install_seed_page(gfn, a);
+      const std::vector<std::uint8_t> delta = rep::xor_rle_encode(b, a);
+      const auto length = static_cast<std::uint32_t>(delta.size());
+      f.gfns.push_back(gfn);
+      g.gfns.push_back(gfn);
+      f.pages.push_back(
+          {rep::wire::PageEncoding::kDelta, length, hv::page_digest(a)});
+      g.pages.push_back(
+          {rep::wire::PageEncoding::kDelta, length, hv::page_digest(b)});
+      f.bytes.insert(f.bytes.end(), delta.begin(), delta.end());
+      g.bytes.insert(g.bytes.end(), delta.begin(), delta.end());
+    }
+    there.push_back(std::move(f));
+    back.push_back(std::move(g));
+  }
+  staging.begin_epoch(0);
+  if (!staging.commit().ok()) throw std::runtime_error("seed commit refused");
+  std::uint64_t epoch = 0;
+  const auto commit_epoch = [&](std::vector<rep::wire::RegionFrame>& frames) {
+    ++epoch;
+    rep::wire::EpochHeader header{epoch, frames.size(),
+                                  rep::wire::digest_init(),
+                                  rep::wire::kWireVersionEncoded};
+    for (auto& f : frames) {
+      f.epoch = epoch;
+      rep::wire::seal_frame(f);
+      header.digest = rep::wire::digest_fold(header.digest, f);
+    }
+    staging.begin_epoch(epoch);
+    staging.expect_epoch(header);
+    for (const auto& f : frames) {
+      benchmark::DoNotOptimize(staging.receive_frame(f));
+    }
+    const Expected<std::uint64_t> applied = staging.commit();
+    if (!applied.ok()) throw std::runtime_error("delta commit refused");
+  };
+  for (auto _ : state) commit_epoch(epoch % 2 == 0 ? there : back);
+  state.SetItemsProcessed(state.iterations() * kRegions * kPagesPerFrame);
+}
+BENCHMARK(BM_StagingCommitDelta)->UseRealTime();
 
 void BM_StateTranslationXenToKvm(benchmark::State& state) {
   hv::GuestCpuContext cpu;

@@ -37,7 +37,7 @@ inline std::uint64_t fnv1a(std::string_view text,
 }
 
 // Folds the eight little-endian bytes of `value` into `h`.
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
+constexpr std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t value) {
   for (int i = 0; i < 8; ++i) {
     h ^= (value >> (i * 8)) & 0xFFu;
     h *= kFnvPrime;

@@ -68,6 +68,15 @@ std::span<std::uint8_t> GuestMemory::page_mut(common::Gfn gfn) {
   return {frames_ + gfn * kPageSize, kPageSize};
 }
 
+bool GuestMemory::any_backed(common::Gfn first, std::uint64_t count) const {
+  if (count == 0) return false;
+  if (first >= pages_ || count > pages_ - first) {
+    throw std::out_of_range("GuestMemory::any_backed");
+  }
+  // The flags are bytes, so the zero-page scan answers over them too.
+  return !is_zero_page({backed_.data() + first, count});
+}
+
 void GuestMemory::install_page(common::Gfn gfn,
                                std::span<const std::uint8_t> data) {
   if (gfn >= pages_ || data.size() != kPageSize) {

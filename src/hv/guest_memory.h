@@ -26,6 +26,7 @@
 // instead of 4 KiB ones.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -46,6 +47,9 @@ namespace here::hv {
 
 // XXH64 (seed 0) of a 4 KiB all-zero page.
 inline constexpr std::uint64_t kZeroPageDigest = 0xac869b6f32d8bbdbULL;
+
+// The bytes of that page: what install_page() takes to clear a page.
+inline constexpr std::array<std::uint8_t, common::kPageSize> kZeroPage{};
 
 // The page-content digest: XXH64 (seed 0) over the page's bytes. It is the
 // one function behind every page reference, so the primary's encoder
@@ -110,6 +114,10 @@ class GuestMemory {
     if (gfn >= pages_) throw_out_of_range("GuestMemory::backed");
     return backed_[gfn] != 0;
   }
+
+  // False when no page in [first, first + count) is backed: the whole range
+  // reads as zeros. Reads only the flags.
+  [[nodiscard]] bool any_backed(common::Gfn first, std::uint64_t count) const;
 
   // Raw store that bypasses dirty logging — used when the *replica* engine
   // applies a received checkpoint (those writes must not look like guest

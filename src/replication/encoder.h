@@ -17,11 +17,19 @@
 // (content hashes always; a full byte shadow only when delta is enabled).
 // References are staged during encode and promoted only when the epoch
 // commits, so aborted epochs leave the references consistent with the
-// replica's image. Delta and skip frames carry the base hash; the replica
-// verifies it against its committed image before applying anything
-// (refuse-before-apply extends to stale encoder bases), so a diverged base
-// can corrupt nothing. When the scrubber finds post-commit divergence it
-// invalidates the region's references and the repair ships raw.
+// replica's image. The shadow stage holds what each page needs to catch up:
+// a raw page's content, a delta page's records (XOR'd into the shadow in
+// place at commit, so a sparse write costs its changed bytes), nothing for
+// a zero or skip page.
+//
+// Delta and skip frames carry the base hash. The replica commits in two
+// phases: it first verifies every frame of the epoch — each delta/skip base
+// hashed from its committed bytes, each delta's records bounds-checked
+// (xor_rle_verify) — writing nothing, and only then applies each page's last
+// writer in place (xor_rle_apply_in_place for deltas). Refuse-before-apply
+// thus extends to stale encoder bases, so a diverged base can corrupt
+// nothing. When the scrubber finds post-commit divergence it invalidates the
+// region's references and the repair ships raw.
 //
 // Every encoder declares its cycle cost (TimeModelConfig::*_per_page) so the
 // engine reports the *real* — usually cheaper — copy cost to PeriodManager
@@ -68,23 +76,22 @@ struct EncodeStats {
 
 // XOR+RLE delta transform. Encode XORs `page` against `base` and emits
 // [u16 zero-run][u16 literal-len][literal bytes] records (little-endian);
-// trailing zeros are implicit. Returns an encoding of size >= kPageSize when
-// the delta would not pay for itself (caller ships raw instead).
+// trailing zeros are implicit. Equal runs are found a 64-bit word at a time.
+// Returns an encoding of size >= kPageSize when the delta would not pay for
+// itself (caller ships raw instead).
 [[nodiscard]] std::vector<std::uint8_t> xor_rle_encode(
     std::span<const std::uint8_t> page, std::span<const std::uint8_t> base);
 
-// Reconstructs a page from `delta` against `base` into `out` (kPageSize
-// bytes). Fails on malformed records (overrun, truncated literal).
-[[nodiscard]] Status xor_rle_apply(std::span<const std::uint8_t> delta,
-                                   std::span<const std::uint8_t> base,
-                                   std::span<std::uint8_t> out);
+// Checks that `delta` is a well-formed record stream for one page: no
+// truncated record header, no record past the page. Reads only `delta`.
+[[nodiscard]] Status xor_rle_verify(std::span<const std::uint8_t> delta);
 
-// Replica-side decode of one version-1 frame against the committed image.
-// Returns the raw page payload (frame.gfns.size() * kPageSize bytes, in gfn
-// order) or kDataLoss when a delta/skip base hash disagrees with the
-// committed page — the caller refuses the epoch before applying anything.
-[[nodiscard]] Expected<std::vector<std::uint8_t>> decode_frame(
-    const wire::RegionFrame& frame, const hv::GuestMemory& committed);
+// XORs `delta`'s literals into `page` (kPageSize bytes) in place: applied to
+// the base it was encoded against, the page becomes the encoded page. An
+// empty delta writes nothing. `delta` must have passed xor_rle_verify;
+// throws std::out_of_range otherwise, having written a prefix.
+void xor_rle_apply_in_place(std::span<const std::uint8_t> delta,
+                            std::span<std::uint8_t> page);
 
 // Primary-side encoder state: per-page committed references plus the
 // per-epoch pending updates. encode_region() is called concurrently from
@@ -106,13 +113,16 @@ class EncoderPipeline {
   // frame.pages / frame.bytes (version 1) and folds this worker's cycle
   // costs into `work`. Thread-safe across distinct frames. Stages the
   // epoch's reference updates; nothing becomes visible to later epochs until
-  // commit_epoch().
+  // commit_epoch(). A gfn is encoded at most once per epoch: its staged
+  // delta is against the shadow as the epoch began.
   void encode_region(const hv::GuestMemory& memory, wire::RegionFrame& frame,
                      EncodeWork& work);
 
   // Epoch outcome: promote (commit) or discard (abort) the staged
-  // references. The engine pairs these with ReplicaStaging's commit/abort so
-  // references always describe what the replica has actually committed.
+  // references; commit installs raw and zero pages into the shadow and XORs
+  // delta pages into it in place. The engine pairs these with
+  // ReplicaStaging's commit/abort so references always describe what the
+  // replica has actually committed.
   void commit_epoch();
   void abort_epoch();
 
@@ -127,7 +137,9 @@ class EncoderPipeline {
   struct PendingPage {
     common::Gfn gfn = 0;
     std::uint64_t hash = 0;
-    std::vector<std::uint8_t> content;  // non-empty only when delta is on
+    wire::PageEncoding enc = wire::PageEncoding::kRaw;
+    // Delta on only: a raw page's content or a delta page's records.
+    std::vector<std::uint8_t> bytes;
   };
 
   EncoderConfig config_;

@@ -1,6 +1,8 @@
 #include "replication/staging.h"
 
 #include <algorithm>
+#include <span>
+#include <string>
 
 #include "common/fnv.h"
 #include "replication/durable_store.h"
@@ -114,12 +116,36 @@ std::uint64_t ReplicaStaging::committed_region_digest(
   return committed_region_digests_[region];
 }
 
-std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
-  // The scrubber's audit: always a full rehash of the bytes as they are now.
+namespace {
+
+// The region digest of `pages` never-written pages.
+constexpr std::uint64_t unbacked_region_digest(std::uint64_t pages) {
   std::uint64_t acc = common::kFnvStreamOffset;
+  for (std::uint64_t i = 0; i < pages; ++i) {
+    acc = common::fnv1a_u64(acc, hv::kZeroPageDigest);
+  }
+  return acc;
+}
+
+constexpr std::uint64_t kUnbackedRegionDigest =
+    unbacked_region_digest(common::kPagesPerRegion);
+
+}  // namespace
+
+std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
+  // The scrubber's audit: a full rehash of the bytes as they are now. A
+  // region no byte was ever written to reads as zeros, so its digest is a
+  // constant of its length, answered from the backed flags alone.
   const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
   const std::uint64_t last =
-      std::min(first + common::kPagesPerRegion, spec_.pages);
+      std::clamp<std::uint64_t>(spec_.pages, first,
+                                first + common::kPagesPerRegion);
+  if (!memory_.any_backed(first, last - first)) {
+    return last - first == common::kPagesPerRegion
+               ? kUnbackedRegionDigest
+               : unbacked_region_digest(last - first);
+  }
+  std::uint64_t acc = common::kFnvStreamOffset;
   for (std::uint64_t gfn = first; gfn < last; ++gfn) {
     acc = common::fnv1a_u64(acc, memory_.page_digest(common::Gfn{gfn}));
   }
@@ -127,12 +153,14 @@ std::uint64_t ReplicaStaging::live_region_digest(std::uint32_t region) const {
 }
 
 // detlint: verified-by(ReplicaStaging::commit)
-// Only commit() (after the expectation/digest/decode refusals all pass) and
+// Only commit() (after the expectation/digest/verify refusals all pass) and
 // adopt_recovered() (itself blessed by RecoveryManager::recover) reach this;
 // the digest being folded is of pages that already survived verification.
-// Only pages installed since the region's last refresh are rehashed; every
-// other page contributes the digest it had when it was installed, so bytes
-// that changed after commit (rot, stray writes) never enter the reference.
+// A commit caches the digest of each page it lands, so after a commit this
+// only folds; it rehashes just the pages a seed or rejoin installed since
+// the region's last refresh. Every other page contributes the digest it had
+// when it landed, so bytes that changed after commit (rot, stray writes)
+// never enter the reference.
 void ReplicaStaging::refresh_region_digest(std::uint32_t region) {
   if (committed_region_digests_.size() < region_count()) {
     committed_region_digests_.resize(region_count(), 0);
@@ -154,6 +182,101 @@ void ReplicaStaging::refresh_region_digest(std::uint32_t region) {
 void ReplicaStaging::baseline_region_digests() {
   std::fill(page_digest_valid_.begin(), page_digest_valid_.end(), 0);
   for (std::uint32_t r = 0; r < region_count(); ++r) refresh_region_digest(r);
+}
+
+Status ReplicaStaging::verify_encoded_frames() const {
+  for (const auto& [seq, frame] : frames_) {
+    if (frame.version == wire::kWireVersionRaw) continue;
+    const auto refuse = [&](const std::string& why) {
+      return Status::data_loss("epoch " + std::to_string(open_epoch_) +
+                               ": frame seq " + std::to_string(seq) +
+                               " refused: " + why);
+    };
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < frame.gfns.size(); ++i) {
+      const common::Gfn gfn = frame.gfns[i];
+      const wire::PageMeta& meta = frame.pages[i];
+      switch (meta.enc) {
+        case wire::PageEncoding::kRaw:
+        case wire::PageEncoding::kZero:
+          break;
+        case wire::PageEncoding::kSkip:
+          if (memory_.page_digest(gfn) != meta.aux) {
+            return refuse("encoder: hash-skip base mismatch at gfn " +
+                          std::to_string(gfn) +
+                          " (committed image diverged from the primary's "
+                          "reference)");
+          }
+          break;
+        case wire::PageEncoding::kDelta:
+          if (memory_.page_digest(gfn) != meta.aux) {
+            return refuse("encoder: delta base stale at gfn " +
+                          std::to_string(gfn) +
+                          " (committed image diverged from the primary's "
+                          "reference)");
+          }
+          if (const Status s = xor_rle_verify(
+                  {frame.bytes.data() + off, meta.length});
+              !s.ok()) {
+            return refuse(s.message());
+          }
+          break;
+        default:
+          return refuse("encoder: unknown page encoding " +
+                        std::to_string(static_cast<int>(meta.enc)));
+      }
+      off += meta.length;
+    }
+  }
+  return Status::ok_status();
+}
+
+// Only commit() reaches this, after the expectation, digest and
+// verify_encoded_frames refusals all passed.
+void ReplicaStaging::apply_frames() {
+  // Only each gfn's last writer lands: the highest seq, and within a frame
+  // the later entry (a retransmit repeats its region under a higher seq).
+  // Walking backwards, a gfn lands the first time it is met; the valid flag
+  // of its digest cache entry, cleared for every gfn up front, marks it.
+  for (const auto& [seq, frame] : frames_) {
+    for (const common::Gfn gfn : frame.gfns) page_digest_valid_[gfn] = 0;
+  }
+  for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
+    const wire::RegionFrame& frame = it->second;
+    const bool encoded = frame.version != wire::kWireVersionRaw;
+    std::size_t end = frame.bytes.size();
+    for (std::size_t i = frame.gfns.size(); i-- > 0;) {
+      const common::Gfn gfn = frame.gfns[i];
+      const wire::PageEncoding enc =
+          encoded ? frame.pages[i].enc : wire::PageEncoding::kRaw;
+      const std::size_t length = encoded ? frame.pages[i].length : kPageSize;
+      end -= length;
+      if (page_digest_valid_[gfn] != 0) continue;  // a later writer landed
+      const std::span<const std::uint8_t> payload{frame.bytes.data() + end,
+                                                  length};
+      // Each written page is hashed while it is in cache; a skip page keeps
+      // its bytes, whose digest verify_encoded_frames matched to `aux`.
+      switch (enc) {
+        case wire::PageEncoding::kRaw:
+          memory_.install_page(gfn, payload);
+          break;
+        case wire::PageEncoding::kZero:
+          memory_.install_page(gfn, hv::kZeroPage);
+          break;
+        case wire::PageEncoding::kDelta:
+          if (!payload.empty()) {
+            xor_rle_apply_in_place(payload, memory_.page_mut(gfn));
+          }
+          break;
+        case wire::PageEncoding::kSkip:
+          break;
+      }
+      page_digests_[gfn] = enc == wire::PageEncoding::kSkip
+                               ? frame.pages[i].aux
+                               : memory_.page_digest(gfn);
+      page_digest_valid_[gfn] = 1;
+    }
+  }
 }
 
 Expected<std::uint64_t> ReplicaStaging::commit() {
@@ -190,21 +313,12 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
                                ": rolling digest mismatch");
     }
   }
-  // Decode encoded frames against the committed image *before* anything is
-  // applied: a delta/skip whose base hash disagrees with the image (stale
-  // reference, post-commit rot) refuses the whole epoch — refuse-before-apply
-  // extends to the encoder layer.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> decoded;
-  for (const auto& [seq, frame] : frames_) {
-    if (frame.version == wire::kWireVersionRaw) continue;
-    Expected<std::vector<std::uint8_t>> d = decode_frame(frame, memory_);
-    if (!d.ok()) {
-      return Status::data_loss("epoch " + std::to_string(open_epoch_) +
-                               ": frame seq " + std::to_string(seq) +
-                               " refused: " + std::string(d.status().message()));
-    }
-    decoded.emplace(seq, std::move(*d));
-  }
+  // Phase 1, verify: every encoded page is checked against the committed
+  // image before anything is applied. A delta/skip whose base hash
+  // disagrees with the image (stale reference, post-commit rot) or a
+  // malformed delta refuses the whole epoch — refuse-before-apply extends
+  // to the encoder layer.
+  if (const Status s = verify_encoded_frames(); !s.ok()) return s;
   // Durable capture: a verified epoch is re-described as a WAL record; a
   // seed commit (no header) persists as a full snapshot. The record takes
   // the epoch header now and the frames and disk writes once the apply
@@ -218,20 +332,12 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
   }
   std::uint64_t applied = 0;
   std::set<std::uint32_t> touched;
-  // Seq order: a retransmitted frame (higher seq, same region) lands after
-  // the original, so the last writer wins deterministically.
   for (const auto& [seq, frame] : frames_) {
-    const auto it = decoded.find(seq);
-    const std::uint8_t* payload =
-        it != decoded.end() ? it->second.data() : frame.bytes.data();
-    for (std::size_t i = 0; i < frame.gfns.size(); ++i) {
-      memory_.install_page(frame.gfns[i],
-                           {payload + i * kPageSize, kPageSize});
-      page_digest_valid_[frame.gfns[i]] = 0;
-      ++applied;
-    }
+    applied += frame.gfns.size();
     touched.insert(frame.region);
   }
+  // Phase 2, apply: each gfn's last writer lands in place.
+  apply_frames();
   if (log_epoch) {
     durable_record.frames.reserve(frames_.size());
     for (auto& [seq, frame] : frames_) {

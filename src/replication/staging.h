@@ -118,13 +118,19 @@ class ReplicaStaging {
   void set_pending_state(std::unique_ptr<hv::SavedMachineState> state);
   void set_pending_program(std::unique_ptr<hv::GuestProgram> program);
 
-  // Atomically applies the open epoch and returns pages applied. The commit
-  // is refused — nothing applied, kDataLoss — when frames are missing or
-  // corrupt, the recomputed rolling digest disagrees with the epoch header,
-  // or an encoded frame's delta/skip base disagrees with the committed image
-  // (version-1 frames are decoded *before* anything is applied). Without an
-  // armed header only a seed epoch commits: frames that arrived with no
-  // header to verify them against are refused.
+  // Atomically applies the open epoch and returns pages applied (every gfn
+  // of every frame). The commit is refused — nothing applied, kDataLoss —
+  // when frames are missing or corrupt, the recomputed rolling digest
+  // disagrees with the epoch header, or an encoded (version-1) page fails
+  // verification: a delta/skip base hashed from the committed bytes
+  // disagrees with the frame's `aux`, or a delta's records are malformed.
+  // All of that is checked before anything is written. Then each gfn's last
+  // writer (highest seq) lands straight in the image: raw and zero pages
+  // through install_page, deltas XOR'd in place, skip pages untouched. Each
+  // written page's digest is cached as it lands, and a skip page takes the
+  // `aux` just verified against its bytes, so the region references only
+  // fold. Without an armed header only a seed epoch commits: frames that
+  // arrived with no header to verify them against are refused.
   [[nodiscard]] Expected<std::uint64_t> commit();
 
   // Discards a partially received epoch (primary failed mid-checkpoint).
@@ -177,6 +183,11 @@ class ReplicaStaging {
   [[nodiscard]] std::uint64_t peak_buffered_bytes() const { return peak_buffered_; }
 
  private:
+  // Commit phase 1: checks every encoded page against the committed image,
+  // writing nothing.
+  [[nodiscard]] Status verify_encoded_frames() const;
+  // Commit phase 2: lands each gfn's last writer and caches its digest.
+  void apply_frames();
   // Recomputes one region's committed reference from the per-page cache.
   void refresh_region_digest(std::uint32_t region);
   // Drops the whole cache and re-references every region from the bytes.
@@ -221,9 +232,10 @@ class ReplicaStaging {
   std::vector<std::uint64_t> committed_region_digests_;
   // Per-page digest cache behind the region references: each entry is the
   // hv::page_digest of the page as a verified commit (or a baseline)
-  // installed it. Installs clear the valid flag; refresh_region_digest
-  // rehashes only invalid entries, so a commit costs the pages it changed,
-  // not the 512 of every region it touched.
+  // installed it. A commit fills the entries of the pages it lands; seed
+  // installs clear the valid flag, and refresh_region_digest rehashes only
+  // invalid entries, so a commit costs the pages it changed, not the 512 of
+  // every region it touched.
   std::vector<std::uint64_t> page_digests_;
   std::vector<std::uint8_t> page_digest_valid_;
 };

@@ -140,6 +140,20 @@ TEST(GuestMemory, BackedFlagFollowsStoresAndNonZeroInstalls) {
   EXPECT_THROW((void)mem.page_digest(8), std::out_of_range);
 }
 
+TEST(GuestMemory, AnyBackedAnswersARangeFromTheFlags) {
+  GuestMemory mem(100, 1);
+  EXPECT_FALSE(mem.any_backed(0, 100));
+  (void)mem.page_mut(70);  // backed, though it still holds zeros
+  EXPECT_TRUE(mem.any_backed(0, 100));
+  EXPECT_TRUE(mem.any_backed(70, 1));
+  EXPECT_TRUE(mem.any_backed(64, 36));
+  EXPECT_FALSE(mem.any_backed(0, 70));
+  EXPECT_FALSE(mem.any_backed(71, 29));
+  EXPECT_FALSE(mem.any_backed(100, 0));  // an empty range holds nothing
+  EXPECT_THROW((void)mem.any_backed(90, 11), std::out_of_range);
+  EXPECT_THROW((void)mem.any_backed(100, 1), std::out_of_range);
+}
+
 TEST(GuestMemory, CopyPageCopiesContentAndBacking) {
   GuestMemory src(4, 1), dst(4, 1);
   src.write_u64(0, 1, 64, 0x1234);

@@ -12,16 +12,25 @@
 //     references), so the replica never refuses a repair epoch;
 //   * refuse-before-apply covers stale encoder bases: a delta or skip frame
 //     whose base hash disagrees with the committed image is refused at
-//     commit, image untouched.
+//     commit, image untouched;
+//   * the in-place commit verifies the whole epoch first: a malformed delta
+//     or a stale base in any frame, the last one included, refuses the
+//     epoch with the bytes, backed flags and digest cache unchanged; among
+//     deltas for one gfn the highest seq lands; an empty delta leaves an
+//     unbacked page unbacked; the digests cached as pages land keep rot
+//     visible to the scrub.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/status.h"
 #include "common/units.h"
+#include "common/xxh64.h"
 #include "faults/fault_plan.h"
 #include "faults/injector.h"
 #include "obs/metrics.h"
@@ -272,8 +281,8 @@ std::vector<std::uint8_t> patterned_page(std::uint8_t fill) {
 }
 
 // A delta frame built against a base the replica never committed must be
-// refused at commit — CRC-intact frames are not enough; the decode pass
-// verifies the base hash against the committed image before anything lands.
+// refused at commit — CRC-intact frames are not enough; the verify phase
+// checks the base hash against the committed image before anything lands.
 TEST(EncodedStreamIntegrity, StaleDeltaBaseRefusedBeforeApply) {
   hv::VmSpec spec = hv::make_vm_spec("t", 1, 8ULL << 20);
   ReplicaStaging staging(spec, 1);
@@ -349,6 +358,238 @@ TEST(EncodedStreamIntegrity, StaleSkipBaseRefusedBeforeApply) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.code(), StatusCode::kDataLoss);
   EXPECT_EQ(staging.memory().page_digest(5), image_before);
+}
+
+// --- The in-place commit: verify the whole epoch, then apply --------------
+
+// An 8 MiB replica (4 regions) whose committed image holds patterned pages
+// 5 and 600 (regions 0 and 1); every other page is unbacked.
+struct DeltaBed {
+  ReplicaStaging staging{hv::make_vm_spec("t", 1, 8ULL << 20), 1};
+  std::uint64_t next_epoch = 1;
+
+  DeltaBed() {
+    staging.install_seed_page(5, patterned_page(0xa1));
+    staging.install_seed_page(600, patterned_page(0xc3));
+    staging.begin_epoch(0);
+    EXPECT_TRUE(staging.commit().ok());
+  }
+
+  // The committed page, for encoding deltas against.
+  [[nodiscard]] std::vector<std::uint8_t> page(common::Gfn gfn) const {
+    const auto p = staging.memory().page(gfn);
+    return {p.begin(), p.end()};
+  }
+
+  // Offers `frames` (sealed here, seqs in order) as one v1 epoch and
+  // commits it.
+  Expected<std::uint64_t> commit(std::vector<wire::RegionFrame> frames) {
+    const std::uint64_t epoch = next_epoch++;
+    std::uint64_t digest = wire::digest_init();
+    for (wire::RegionFrame& f : frames) {
+      f.epoch = epoch;
+      wire::seal_frame(f);
+      digest = wire::digest_fold(digest, f);
+    }
+    staging.begin_epoch(epoch);
+    staging.expect_epoch(
+        {epoch, frames.size(), digest, wire::kWireVersionEncoded});
+    for (const wire::RegionFrame& f : frames) {
+      EXPECT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+    }
+    return staging.commit();
+  }
+};
+
+// A v1 frame of one page (no seal, no epoch yet: DeltaBed::commit stamps
+// both).
+wire::RegionFrame one_page_frame(std::uint64_t seq, common::Gfn gfn,
+                                 wire::PageEncoding enc, std::uint64_t aux,
+                                 std::vector<std::uint8_t> payload = {}) {
+  wire::RegionFrame f;
+  f.seq = seq;
+  f.region = static_cast<std::uint32_t>(gfn / common::kPagesPerRegion);
+  f.version = wire::kWireVersionEncoded;
+  f.gfns = {gfn};
+  f.pages = {{enc, static_cast<std::uint32_t>(payload.size()), aux}};
+  f.bytes = std::move(payload);
+  return f;
+}
+
+// A well-formed delta turning committed page `gfn` into `target`.
+wire::RegionFrame delta_frame(const DeltaBed& bed, std::uint64_t seq,
+                              common::Gfn gfn,
+                              const std::vector<std::uint8_t>& target) {
+  const std::vector<std::uint8_t> base = bed.page(gfn);
+  return one_page_frame(seq, gfn, wire::PageEncoding::kDelta,
+                        hv::page_digest(base), xor_rle_encode(target, base));
+}
+
+std::vector<std::uint8_t> with_byte(std::vector<std::uint8_t> page,
+                                    std::size_t offset, std::uint8_t value) {
+  page[offset] = value;
+  return page;
+}
+
+// Everything a refused epoch must leave as it was: the bytes and backed
+// flags of the pages it names, and every region reference.
+struct ImageProbe {
+  std::vector<std::uint64_t> digests;
+  std::vector<bool> backed;
+  std::vector<std::uint64_t> references;
+};
+
+ImageProbe probe(const ReplicaStaging& staging,
+                 const std::vector<common::Gfn>& gfns) {
+  ImageProbe p;
+  for (const common::Gfn g : gfns) {
+    p.digests.push_back(staging.memory().page_digest(g));
+    p.backed.push_back(staging.memory().backed(g));
+  }
+  for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+    p.references.push_back(staging.committed_region_digest(r));
+  }
+  return p;
+}
+
+// Checks a refused epoch changed nothing. The digest cache is private, so
+// it is probed through its effect: a later honest raw epoch that touches
+// every region must fold references equal to the live bytes — an entry the
+// refused epoch had overwritten would fold a digest of bytes never landed.
+void expect_refused_untouched(DeltaBed& bed, const Expected<std::uint64_t>& r,
+                              const ImageProbe& before,
+                              const std::vector<common::Gfn>& gfns) {
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.code(), StatusCode::kDataLoss);
+  const ImageProbe after = probe(bed.staging, gfns);
+  EXPECT_EQ(after.digests, before.digests);
+  EXPECT_EQ(after.backed, before.backed);
+  EXPECT_EQ(after.references, before.references);
+  std::vector<wire::RegionFrame> honest;
+  for (std::uint32_t r = 0; r < bed.staging.region_count(); ++r) {
+    honest.push_back(
+        one_page_frame(r, std::uint64_t{r} * common::kPagesPerRegion + 300,
+                       wire::PageEncoding::kRaw, 0,
+                       std::vector<std::uint8_t>(kPageSize, 0x3c)));
+  }
+  ASSERT_TRUE(bed.commit(std::move(honest)).ok());
+  for (std::uint32_t r = 0; r < bed.staging.region_count(); ++r) {
+    EXPECT_EQ(bed.staging.committed_region_digest(r),
+              bed.staging.live_region_digest(r))
+        << "region " << r;
+  }
+}
+
+TEST(InPlaceCommit, TruncatedDeltaHeaderInLastFrameRefusesTheEpoch) {
+  DeltaBed bed;
+  const std::vector<common::Gfn> gfns = {5, 7, 600};
+  const ImageProbe before = probe(bed.staging, gfns);
+  // Honest deltas for a backed and an unbacked page come first; the last
+  // frame's delta ends three bytes into a record header.
+  std::vector<wire::RegionFrame> frames = {
+      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+      delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
+      one_page_frame(2, 600, wire::PageEncoding::kDelta,
+                     hv::page_digest(bed.page(600)), {0x01, 0x00, 0x01})};
+  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+}
+
+TEST(InPlaceCommit, DeltaOverrunningThePageInLastFrameRefusesTheEpoch) {
+  DeltaBed bed;
+  const std::vector<common::Gfn> gfns = {5, 7, 600};
+  const ImageProbe before = probe(bed.staging, gfns);
+  // zero-run 4000 + 200 literal bytes: past the end of the page.
+  std::vector<std::uint8_t> overrun = {0xa0, 0x0f, 0xc8, 0x00};
+  overrun.resize(4 + 200, 0xee);
+  std::vector<wire::RegionFrame> frames = {
+      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+      delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
+      one_page_frame(2, 600, wire::PageEncoding::kDelta,
+                     hv::page_digest(bed.page(600)), std::move(overrun))};
+  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+}
+
+TEST(InPlaceCommit, StaleBaseInOneFrameOfSeveralRefusesTheEpoch) {
+  DeltaBed bed;
+  const std::vector<common::Gfn> gfns = {5, 7, 600, 1100};
+  const ImageProbe before = probe(bed.staging, gfns);
+  // The middle frame's delta is well formed but against a base the replica
+  // never committed.
+  const std::vector<std::uint8_t> stale = patterned_page(0xb2);
+  std::vector<wire::RegionFrame> frames = {
+      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+      one_page_frame(1, 600, wire::PageEncoding::kDelta,
+                     hv::page_digest(stale),
+                     xor_rle_encode(with_byte(stale, 40, 0x01), stale)),
+      delta_frame(bed, 2, 1100, with_byte(bed.page(1100), 9, 0x77))};
+  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+}
+
+// Two encoded frames carry deltas for one gfn against the same committed
+// base (a retransmit under a higher seq): the higher seq lands, and the
+// lower one's delta is never applied on top of it.
+TEST(InPlaceCommit, HighestSeqDeltaWinsForOneGfn) {
+  DeltaBed bed;
+  const std::vector<std::uint8_t> first = with_byte(bed.page(5), 100, 0x01);
+  const std::vector<std::uint8_t> second = with_byte(bed.page(5), 200, 0x02);
+  std::vector<wire::RegionFrame> frames = {delta_frame(bed, 0, 5, first),
+                                           delta_frame(bed, 1, 5, second)};
+  const auto applied = bed.commit(std::move(frames));
+  ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+  EXPECT_EQ(*applied, 2u);
+  EXPECT_EQ(bed.page(5), second);
+  EXPECT_EQ(bed.staging.committed_region_digest(0),
+            bed.staging.live_region_digest(0));
+}
+
+TEST(InPlaceCommit, EmptyDeltaLeavesAnUnbackedPageUnbacked) {
+  DeltaBed bed;
+  ASSERT_FALSE(bed.staging.memory().backed(7));
+  std::vector<wire::RegionFrame> frames = {one_page_frame(
+      0, 7, wire::PageEncoding::kDelta, hv::kZeroPageDigest)};
+  ASSERT_TRUE(bed.commit(std::move(frames)).ok());
+  EXPECT_FALSE(bed.staging.memory().backed(7));
+  EXPECT_EQ(bed.staging.memory().page_digest(7), hv::kZeroPageDigest);
+  EXPECT_EQ(bed.staging.committed_region_digest(0),
+            bed.staging.live_region_digest(0));
+}
+
+// The region reference folds the digests cached as pages landed. Rot on a
+// page the commit did not touch must stay visible after a delta lands on
+// its neighbour.
+TEST(InPlaceCommit, DeltaOnANeighbourDoesNotLaunderRot) {
+  DeltaBed bed;
+  ASSERT_TRUE(bed.commit({delta_frame(bed, 0, 600,
+                                      with_byte(bed.page(600), 8, 0x42))})
+                  .ok());
+  bed.staging.memory().page_mut(600)[1000] ^= 0x10;  // rot after commit
+  bed.staging.install_seed_page(601, patterned_page(0x99));
+  ASSERT_TRUE(bed.commit({delta_frame(bed, 0, 601,
+                                      with_byte(bed.page(601), 8, 0x43))})
+                  .ok());
+  EXPECT_NE(bed.staging.committed_region_digest(1),
+            bed.staging.live_region_digest(1));
+  bed.staging.memory().page_mut(600)[1000] ^= 0x10;  // undo the rot
+  EXPECT_EQ(bed.staging.committed_region_digest(1),
+            bed.staging.live_region_digest(1));
+}
+
+// A skip page is not rehashed at commit: its cached digest is the `aux`
+// the verify phase matched against its bytes, which is XXH64 of them. The
+// page is seed-installed first, so the commit is what fills its entry.
+TEST(InPlaceCommit, SkipPageCachesTheXxh64OfItsBytes) {
+  DeltaBed bed;
+  bed.staging.install_seed_page(601, patterned_page(0x99));
+  ASSERT_TRUE(bed.commit({one_page_frame(0, 601, wire::PageEncoding::kSkip,
+                                         common::xxh64(bed.page(601)))})
+                  .ok());
+  std::uint64_t expected = common::kFnvStreamOffset;
+  for (common::Gfn g = common::kPagesPerRegion;
+       g < 2 * common::kPagesPerRegion; ++g) {
+    expected = common::fnv1a_u64(
+        expected, common::xxh64(bed.staging.memory().page(g)));
+  }
+  EXPECT_EQ(bed.staging.committed_region_digest(1), expected);
 }
 
 }  // namespace

@@ -6,6 +6,12 @@
 //   * per-class savings: the right encoder collapses the right content, and
 //     nothing ever inflates (bytes_out <= bytes_in by construction);
 //   * the zero test sees one non-zero byte at any offset of a page;
+//   * the word-wise XOR+RLE encoder emits exactly the records of the
+//     byte-at-a-time reference loop, and its records XOR'd into the base in
+//     place rebuild the page; malformed records are refused by
+//     xor_rle_verify;
+//   * the primary's shadow tracks the replica's image across epochs of
+//     in-place deltas;
 //   * encoding is deterministic: same content, same frames, bit for bit;
 //   * the version-0 wire stays byte-identical to the PR 3 framing (golden
 //     recompute of the seal and the rolling digest);
@@ -20,6 +26,8 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -246,6 +254,183 @@ TEST(EncoderRoundtrip, StackedEncodersPickTheRightTransformPerPage) {
       run_roundtrip(9, ContentClass::kSparseDirty, EncoderConfig::all());
   EXPECT_GT(r.stats.pages_delta, 0u);
   EXPECT_LT(r.stats.bytes_out, r.stats.bytes_in);
+}
+
+// --- The word-wise XOR+RLE encoder against the byte-loop reference -----------
+
+// The original byte-at-a-time encoder, kept here as the oracle: the
+// word-wise one must emit the same records byte for byte.
+std::vector<std::uint8_t> reference_xor_rle_encode(
+    const std::vector<std::uint8_t>& page,
+    const std::vector<std::uint8_t>& base) {
+  constexpr std::size_t kBreakEven = 4;
+  const auto put_u16 = [](std::vector<std::uint8_t>& out, std::size_t v) {
+    out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
+    out.push_back(static_cast<std::uint8_t>(v >> 8));
+  };
+  std::vector<std::uint8_t> out;
+  std::size_t i = 0;
+  while (i < kPageSize && out.size() < kPageSize) {
+    std::size_t zeros = 0;
+    while (i + zeros < kPageSize && page[i + zeros] == base[i + zeros]) ++zeros;
+    if (i + zeros >= kPageSize) break;
+    std::size_t lit_end = i + zeros;
+    std::size_t gap = 0;
+    while (lit_end + gap < kPageSize) {
+      if (page[lit_end + gap] == base[lit_end + gap]) {
+        ++gap;
+        if (gap >= kBreakEven) break;
+      } else {
+        lit_end += gap + 1;
+        gap = 0;
+      }
+    }
+    put_u16(out, zeros);
+    put_u16(out, lit_end - (i + zeros));
+    for (std::size_t k = i + zeros; k < lit_end; ++k) {
+      out.push_back(static_cast<std::uint8_t>(page[k] ^ base[k]));
+    }
+    i = lit_end;
+  }
+  return out;
+}
+
+// Encodes `page` against `base` with both encoders, requires identical
+// records, and, when the delta pays, that it rebuilds the page in place.
+void expect_matches_reference(const std::vector<std::uint8_t>& page,
+                              const std::vector<std::uint8_t>& base,
+                              const std::string& what) {
+  const std::vector<std::uint8_t> got = xor_rle_encode(page, base);
+  ASSERT_EQ(got, reference_xor_rle_encode(page, base)) << what;
+  if (got.size() >= kPageSize) return;  // the caller ships raw
+  ASSERT_TRUE(xor_rle_verify(got).ok()) << what;
+  std::vector<std::uint8_t> rebuilt = base;
+  xor_rle_apply_in_place(got, rebuilt);
+  ASSERT_EQ(rebuilt, page) << what;
+}
+
+TEST(XorRleOracle, SeededPagesMatchTheByteLoopReference) {
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    sim::Rng rng(0x51ed270b27ULL ^ seed);
+    const std::vector<std::uint8_t> base =
+        seed % 3 == 0 ? std::vector<std::uint8_t>(kPageSize, 0)
+                      : random_page(rng);
+    std::vector<std::uint8_t> page = base;
+    // From one touched byte up to most of the page, in runs of 1-16 bytes
+    // at random offsets, so gaps of every length up to a word and beyond
+    // occur.
+    const std::uint64_t runs = 1 + rng.uniform(seed % 5 == 0 ? 600 : 24);
+    for (std::uint64_t r = 0; r < runs; ++r) {
+      const std::size_t at = rng.uniform(kPageSize);
+      const std::size_t len = 1 + rng.uniform(16);
+      for (std::size_t k = at; k < std::min(at + len, kPageSize); ++k) {
+        page[k] ^= static_cast<std::uint8_t>(1 + rng.uniform(255));
+      }
+    }
+    expect_matches_reference(page, base, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(XorRleOracle, EdgeCasesMatchTheByteLoopReference) {
+  sim::Rng rng(77);
+  const std::vector<std::uint8_t> base = random_page(rng);
+  const auto changed = [&](std::initializer_list<std::size_t> offsets) {
+    std::vector<std::uint8_t> page = base;
+    for (const std::size_t o : offsets) page[o] ^= 0x5a;
+    return page;
+  };
+  expect_matches_reference(changed({0}), base, "first byte");
+  expect_matches_reference(changed({kPageSize - 1}), base, "last byte");
+  expect_matches_reference(changed({0, kPageSize - 1}), base, "both ends");
+  // A gap of 3 equal bytes stays inside one literal; a gap of 4 splits it.
+  expect_matches_reference(changed({100, 104}), base, "gap of 3");
+  expect_matches_reference(changed({100, 105}), base, "gap of 4");
+  expect_matches_reference(changed({4090, 4094}), base, "gap of 3 at the end");
+  expect_matches_reference(changed({7, 8, 15, 16}), base, "word edges");
+  EXPECT_EQ(xor_rle_encode(changed({100, 104}), base).size(), 4u + 5u);
+  EXPECT_EQ(xor_rle_encode(changed({100, 105}), base).size(), 2 * (4u + 1u));
+
+  // Identical pages encode to nothing.
+  expect_matches_reference(base, base, "identical");
+  EXPECT_TRUE(xor_rle_encode(base, base).empty());
+
+  // Every byte differs: the output reaches kPageSize and the caller ships
+  // raw.
+  std::vector<std::uint8_t> inverted = base;
+  for (std::uint8_t& b : inverted) b = static_cast<std::uint8_t>(~b);
+  expect_matches_reference(inverted, base, "all different");
+  EXPECT_GE(xor_rle_encode(inverted, base).size(), kPageSize);
+}
+
+TEST(XorRleOracle, VerifyRefusesMalformedRecords) {
+  EXPECT_TRUE(xor_rle_verify({}).ok());
+  // A header cut short.
+  const std::vector<std::uint8_t> truncated = {0x01, 0x00, 0x01};
+  EXPECT_EQ(xor_rle_verify(truncated).code(), StatusCode::kDataLoss);
+  // zero-run 4000 + literal 200 runs past the page.
+  const std::vector<std::uint8_t> overrun = {0xa0, 0x0f, 0xc8, 0x00};
+  EXPECT_EQ(xor_rle_verify(overrun).code(), StatusCode::kDataLoss);
+  // A literal longer than the bytes that follow it.
+  const std::vector<std::uint8_t> short_literal = {0x00, 0x00, 0x03, 0x00,
+                                                   0x01};
+  EXPECT_EQ(xor_rle_verify(short_literal).code(), StatusCode::kDataLoss);
+  std::vector<std::uint8_t> page(kPageSize, 0);
+  EXPECT_THROW(xor_rle_apply_in_place(overrun, page), std::out_of_range);
+}
+
+// Three epochs of sparse writes to the same pages: every epoch's deltas are
+// against the shadow the previous commit left by XOR'ing in place, so the
+// replica accepts each epoch's bases and ends byte-identical.
+TEST(EncoderRoundtrip, ShadowTracksTheReplicaAcrossDeltaEpochs) {
+  hv::VmSpec spec = hv::make_vm_spec("t", 1, kPages * kPageSize);
+  hv::GuestMemory primary(kPages, 1);
+  ReplicaStaging staging(spec, 1);
+  sim::Rng rng(2024);
+  for (const common::Gfn g : {3, 4, 600}) {
+    const std::vector<std::uint8_t> content = random_page(rng);
+    primary.install_page(g, content);
+    staging.install_seed_page(g, content);
+  }
+  staging.begin_epoch(0);
+  ASSERT_TRUE(staging.commit().ok());
+  EncoderPipeline enc(EncoderConfig::all(), kPages);
+  enc.baseline(primary);
+
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    // Pages 3 and 600 change sparsely, 4 is rewritten unchanged, and 9
+    // gets its first bytes.
+    for (const common::Gfn g : {3, 600, 9}) {
+      primary.page_mut(g)[rng.uniform(kPageSize)] ^= 0x11;
+    }
+    std::vector<wire::RegionFrame> frames;
+    std::uint64_t digest = wire::digest_init();
+    EncodeWork work;
+    for (const std::vector<common::Gfn>& gfns :
+         {std::vector<common::Gfn>{3, 4, 9}, std::vector<common::Gfn>{600}}) {
+      wire::RegionFrame f;
+      f.epoch = epoch;
+      f.seq = frames.size();
+      f.region = static_cast<std::uint32_t>(gfns.front() / kPagesPerRegion);
+      f.gfns = gfns;
+      enc.encode_region(primary, f, work);
+      wire::seal_frame(f);
+      digest = wire::digest_fold(digest, f);
+      frames.push_back(std::move(f));
+    }
+    staging.begin_epoch(epoch);
+    staging.expect_epoch(
+        {epoch, frames.size(), digest, wire::kWireVersionEncoded});
+    for (const wire::RegionFrame& f : frames) {
+      ASSERT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+    }
+    const auto committed = staging.commit();
+    ASSERT_TRUE(committed.ok()) << committed.status().to_string();
+    enc.commit_epoch();
+    EXPECT_EQ(staging.memory().full_digest(), primary.full_digest())
+        << "epoch " << epoch;
+  }
+  EXPECT_GT(enc.stats().pages_delta, 0u);
+  EXPECT_GT(enc.stats().pages_skipped, 0u);
 }
 
 // --- Determinism: same content encodes to bit-identical frames ----------------

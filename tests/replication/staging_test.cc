@@ -3,13 +3,16 @@
 // frames and NACK bookkeeping, frames that do not fit their region or the
 // VM, commit refusal on missing frames, digest mismatch or an unarmed
 // header, and per-region digest references for the scrubber, which
-// post-commit rot must never enter; a seeded replica backs only the pages
-// its guest wrote.
+// post-commit rot must never enter; the scrub's audit digest of a region
+// with no backed page, answered from the flags, equals the digest of its
+// bytes; a seeded replica backs only the pages its guest wrote.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "hv/hypervisor.h"
@@ -284,6 +287,50 @@ TEST(ReplicaStagingEdge, SeedInstallAfterCommitEntersNextRegionReference) {
     EXPECT_EQ(staging.committed_region_digest(r), staging.live_region_digest(r))
         << "region " << r;
   }
+}
+
+// --- The scrub's audit digest ------------------------------------------------
+
+// live_region_digest as its definition reads: every page of the region
+// hashed from its bytes, the digests folded in gfn order.
+std::uint64_t region_digest_of_bytes(const ReplicaStaging& staging,
+                                     std::uint32_t region) {
+  const hv::GuestMemory& memory = staging.memory();
+  const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
+  const std::uint64_t last =
+      std::min<std::uint64_t>(first + common::kPagesPerRegion, memory.pages());
+  std::uint64_t acc = common::kFnvStreamOffset;
+  for (common::Gfn g = first; g < last; ++g) {
+    acc = common::fnv1a_u64(acc, hv::page_digest(memory.page(g)));
+  }
+  return acc;
+}
+
+TEST(ReplicaStagingScrub, AuditDigestEqualsTheBytesWithAndWithoutBackedPages) {
+  // 8 MiB plus 100 pages: four full regions and a 100-page last one.
+  ReplicaStaging staging(
+      hv::make_vm_spec("t", 1, (8ULL << 20) + 100 * common::kPageSize), 1);
+  ASSERT_EQ(staging.region_count(), 5u);
+  // Nothing backed: full regions and the partial last one.
+  for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+    EXPECT_EQ(staging.live_region_digest(r), region_digest_of_bytes(staging, r))
+        << "region " << r;
+  }
+  EXPECT_EQ(staging.live_region_digest(0), staging.live_region_digest(3));
+  EXPECT_NE(staging.live_region_digest(4), staging.live_region_digest(0));
+
+  // One backed page in region 1 and one in the partial region 4; region 2
+  // gets a backed page that still holds zeros.
+  staging.install_seed_page(700, filled_page(0x5a));
+  staging.install_seed_page(2100, filled_page(0x5b));
+  (void)staging.memory().page_mut(1100);
+  ASSERT_TRUE(staging.memory().backed(1100));
+  for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+    EXPECT_EQ(staging.live_region_digest(r), region_digest_of_bytes(staging, r))
+        << "region " << r;
+  }
+  EXPECT_NE(staging.live_region_digest(1), staging.live_region_digest(0));
+  EXPECT_EQ(staging.live_region_digest(2), staging.live_region_digest(0));
 }
 
 // --- Frames that do not fit the VM -------------------------------------------

@@ -622,7 +622,7 @@ FileFacts extract_facts(const std::string& display_path,
       add_event(std::move(e));
     }
     static const std::regex kGate(
-        R"(\b(frame_intact|digest_fold|digest_init|decode_frame|receive_frame|expect_epoch|page_digest|region_digest|verify\w*|validate\w*|crc32c\w*)\s*\()");
+        R"(\b(frame_intact|digest_fold|digest_init|receive_frame|expect_epoch|page_digest|region_digest|verify\w*|validate\w*|crc32c\w*)\s*\()");
     for (auto it = std::sregex_iterator(code.begin(), code.end(), kGate);
          it != std::sregex_iterator(); ++it) {
       Event e;
