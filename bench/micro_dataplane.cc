@@ -94,26 +94,32 @@ void BM_ParallelPageCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelPageCopy)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// One 2 MiB region frame's CRC32C: Arg 1 = the dispatched path (SSE4.2 where
-// the CPU has it), Arg 0 = the portable table loop.
+// CRC32C over one buffer of Arg 1 bytes: a 4 KiB page, a 2 MiB region
+// frame, and 64 MiB, past the caches like a durable snapshot record. Arg 0
+// = 1 is the dispatched kernel (three-way SSE4.2 where the CPU has it),
+// 0 the portable table loop.
 void BM_Crc32c(benchmark::State& state) {
   const bool dispatched = state.range(0) != 0;
-  std::vector<std::uint8_t> frame(common::kPagesPerRegion * common::kPageSize);
+  std::vector<std::uint8_t> buffer(static_cast<std::size_t>(state.range(1)));
   sim::Rng rng(13);
-  for (auto& b : frame) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
   for (auto _ : state) {
     const std::uint32_t crc =
-        dispatched ? common::crc32c_update(common::crc32c_init(), frame)
+        dispatched ? common::crc32c_update(common::crc32c_init(), buffer)
                    : common::detail::crc32c_update_table(
-                         common::crc32c_init(), frame);
+                         common::crc32c_init(), buffer);
     benchmark::DoNotOptimize(crc);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(frame.size()));
-  state.SetLabel(dispatched && common::detail::crc32c_hardware() ? "sse4.2"
-                                                                 : "table");
+                          static_cast<std::int64_t>(buffer.size()));
+  state.SetLabel(dispatched ? common::detail::crc32c_kernel_name() : "table");
 }
-BENCHMARK(BM_Crc32c)->Arg(1)->Arg(0)->UseRealTime();
+BENCHMARK(BM_Crc32c)
+    ->Args({1, 4 << 10})
+    ->Args({1, 2 << 20})
+    ->Args({1, 64 << 20})
+    ->Args({0, 2 << 20})
+    ->UseRealTime();
 
 // The XXH64 page digest (hv::page_digest) behind region references, the
 // encoder references and the scrub audit.
@@ -446,8 +452,11 @@ BENCHMARK(BM_DiskApply);
 
 // One durable snapshot rotation (DurableStore::write_snapshot) of a 32 MiB
 // image with every page non-zero plus a dense 4 M-sector disk: ~100 MB of
-// framed record per iteration.
+// framed record per iteration. Arg 0 writes each record into a fresh buffer
+// and drops the retired one, as a one-off snapshot does; Arg 1 passes the
+// retired segment back as the next spare, as ReplicaStaging's rotations do.
 void BM_SnapshotWrite(benchmark::State& state) {
+  const bool reuse = state.range(0) != 0;
   const std::uint64_t pages = (32ULL << 20) / common::kPageSize;
   hv::GuestMemory mem(pages, 1);
   for (common::Gfn g = 0; g < pages; ++g) mem.write_u64(0, g, 0, g + 1);
@@ -456,14 +465,23 @@ void BM_SnapshotWrite(benchmark::State& state) {
     disk.apply({s, 8, s * 31});
   }
   rep::DurableStore store;
+  rep::SnapshotSegment spare;
   for (auto _ : state) {
-    store.write_snapshot(1, mem, disk);
+    if (reuse) {
+      spare = store.write_snapshot(1, mem, disk, std::move(spare));
+    } else {
+      store.write_snapshot(1, mem, disk);
+    }
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(store.snapshot_bytes()));
 }
-BENCHMARK(BM_SnapshotWrite)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SnapshotWrite)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -2,12 +2,18 @@
 // checksum the checkpoint wire layer stamps on every 2 MiB region frame and
 // the durable store stamps on every record.
 //
-// crc32c_update() runs on the CPU's SSE4.2 `crc32` instruction when CPUID
-// reports it, chosen once at first use, and otherwise on a one-lookup-per-byte
-// table loop. Both paths compute the same function, so every stamped CRC is
-// bit-identical whichever one a host takes (the integrity tests
-// golden-compare digests across runs); detail::crc32c_update_table() exposes
-// the table loop as the reference the tests check the dispatched path against.
+// crc32c_update() picks its kernel once, at first use, from CPUID:
+//   * x86-64 with SSE4.2 and PCLMULQDQ: a three-way kernel. Each block of
+//     3 x 1,360 bytes runs as three independent `crc32` streams, merged with
+//     two carry-less multiplies by x^(8n) mod P shift constants (Gopal et
+//     al., Intel 2011; Linux `crc32c-pcl-intel`). Input shorter than a block,
+//     and the tail after the last block, runs as one stream;
+//   * x86-64 with SSE4.2 only: one `crc32` stream, eight bytes a step;
+//   * anything else: a one-lookup-per-byte table loop.
+// All three compute the same function, so every stamped CRC is bit-identical
+// whichever one a host takes (the integrity tests golden-compare digests
+// across runs); detail::crc32c_update_table() exposes the table loop as the
+// reference the tests check the dispatched kernel against.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +44,9 @@ namespace detail {
 [[nodiscard]] std::uint32_t crc32c_update_table(
     std::uint32_t state, std::span<const std::uint8_t> data);
 
-// Whether crc32c_update() dispatches to the SSE4.2 instruction on this CPU.
-[[nodiscard]] bool crc32c_hardware();
+// The kernel crc32c_update() runs on this CPU: "sse4.2x3", "sse4.2" or
+// "table" (benchmark labels).
+[[nodiscard]] const char* crc32c_kernel_name();
 
 }  // namespace detail
 }  // namespace here::common

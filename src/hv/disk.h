@@ -56,13 +56,23 @@ class VirtualDisk {
   [[nodiscard]] std::uint64_t distinct_sectors() const { return distinct_; }
 
   // Calls visit(sector, stamp) for every written sector, ascending by sector.
+  // A fully written 64-sector word is visited in a straight loop; other
+  // words one set bit at a time.
   template <typename Visit>
   void for_each_stamp(Visit&& visit) const {
     for (const auto& [index, chunk] : chunks_) {
+      const std::uint64_t base = index * kChunkSectors;
       for (std::uint64_t w = 0; w < chunk.present.size(); ++w) {
-        for (std::uint64_t bits = chunk.present[w]; bits != 0; bits &= bits - 1) {
+        std::uint64_t bits = chunk.present[w];
+        if (bits == ~std::uint64_t{0}) {
+          for (std::uint64_t offset = w * 64; offset < w * 64 + 64; ++offset) {
+            visit(base + offset, chunk.stamps[offset]);
+          }
+          continue;
+        }
+        for (; bits != 0; bits &= bits - 1) {
           const std::uint64_t offset = w * 64 + std::countr_zero(bits);
-          visit(index * kChunkSectors + offset, chunk.stamps[offset]);
+          visit(base + offset, chunk.stamps[offset]);
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -26,6 +27,9 @@ constexpr std::uint64_t kRecordOverhead = 4 + 4 + 8 + 4;
 constexpr std::size_t kMinFrameBytes = 8 + 4 + 2 + 4 + 4 + 8 + 4;
 // One page's meta in a WAL frame: encoding, length, aux.
 constexpr std::size_t kPageMetaBytes = 1 + 4 + 8;
+// The snapshot writer folds its CRC over the stamps it has written every
+// 16 KiB (1,024 sector/stamp pairs): small enough to be read back from L1/L2.
+constexpr std::ptrdiff_t kStampSealBytes = 16 << 10;
 
 // --- Little-endian serialization ---------------------------------------------
 
@@ -167,12 +171,11 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
-                                          const hv::GuestMemory& memory,
-                                          const hv::VirtualDisk& disk) {
+void encode_snapshot_into(SnapshotSegment& record, std::uint64_t epoch,
+                          const hv::GuestMemory& memory,
+                          const hv::VirtualDisk& disk) {
   // Fresh frames are zeroed at recovery, so only non-zero pages are stored,
-  // and the record is sized from them: retained segments never carry
-  // capacity for the whole image. An unbacked page is zero unread.
+  // and the record is sized from them. An unbacked page is zero unread.
   std::vector<common::Gfn> stored;
   for (common::Gfn gfn = 0; gfn < memory.pages(); ++gfn) {
     if (memory.backed(gfn) && !hv::is_zero_page(memory.page(gfn))) {
@@ -181,26 +184,45 @@ std::vector<std::uint8_t> encode_snapshot(std::uint64_t epoch,
   }
   const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
                                     8 + 8 + disk.distinct_sectors() * 16;
-  std::vector<std::uint8_t> record(kRecordOverhead + payload_len);
+  const std::uint64_t size = kRecordOverhead + payload_len;
+  if (record.capacity() < size) SnapshotSegment().swap(record);
+  record.resize(size);
   std::uint8_t* out = store_le<std::uint32_t>(record.data(), kRecordMagic);
   out = store_le<std::uint32_t>(out, kKindSnapshot);
   out = store_le<std::uint64_t>(out, payload_len);
-  std::uint8_t* const payload = out;
+  // The payload CRC runs right behind the cursor: `seal` folds what was
+  // written since the last fold.
+  std::uint32_t crc = common::crc32c_init();
+  const std::uint8_t* sealed = out;
+  const auto seal = [&crc, &sealed](const std::uint8_t* end) {
+    crc = common::crc32c_update(
+        crc, {sealed, static_cast<std::size_t>(end - sealed)});
+    sealed = end;
+  };
   out = store_le<std::uint64_t>(out, epoch);
   out = store_le<std::uint64_t>(out, stored.size());
   for (const common::Gfn gfn : stored) {
     out = store_le<std::uint64_t>(out, gfn);
     std::memcpy(out, memory.page(gfn).data(), kPageSize);
     out += kPageSize;
+    seal(out);
   }
   out = store_le<std::uint64_t>(out, disk.total_sectors());
   out = store_le<std::uint64_t>(out, disk.distinct_sectors());
-  disk.for_each_stamp([&out](std::uint64_t sector, std::uint64_t stamp) {
+  disk.for_each_stamp([&](std::uint64_t sector, std::uint64_t stamp) {
     out = store_le<std::uint64_t>(out, sector);
     out = store_le<std::uint64_t>(out, stamp);
+    if (out - sealed >= kStampSealBytes) seal(out);
   });
-  store_le<std::uint32_t>(
-      out, common::crc32c({payload, static_cast<std::size_t>(payload_len)}));
+  seal(out);
+  store_le<std::uint32_t>(out, common::crc32c_final(crc));
+}
+
+SnapshotSegment encode_snapshot(std::uint64_t epoch,
+                                const hv::GuestMemory& memory,
+                                const hv::VirtualDisk& disk) {
+  SnapshotSegment record;
+  encode_snapshot_into(record, epoch, memory, disk);
   return record;
 }
 
@@ -288,18 +310,20 @@ Expected<DurableStore::Snapshot> decode_snapshot(
 
 DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
 
-void DurableStore::write_snapshot(std::uint64_t epoch,
-                                  const hv::GuestMemory& memory,
-                                  const hv::VirtualDisk& disk) {
-  std::vector<std::uint8_t> segment = encode_snapshot(epoch, memory, disk);
+SnapshotSegment DurableStore::write_snapshot(std::uint64_t epoch,
+                                             const hv::GuestMemory& memory,
+                                             const hv::VirtualDisk& disk,
+                                             SnapshotSegment spare) {
+  encode_snapshot_into(spare, epoch, memory, disk);
   std::lock_guard lock(mu_);
   // Atomic rotation: the fresh snapshot is fully serialized and CRC-sealed
   // before it replaces the old segment; only then is the WAL cleared.
-  stats_.bytes_appended += segment.size();
-  snapshot_seg_ = std::move(segment);
+  stats_.bytes_appended += spare.size();
+  snapshot_seg_.swap(spare);
   wal_seg_.clear();
   wal_records_ = 0;
   ++stats_.snapshots;
+  return spare;
 }
 
 void DurableStore::append_epoch(const WalRecord& record) {

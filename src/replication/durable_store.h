@@ -11,7 +11,11 @@
 //                      epoch) and a WAL segment (one CRC-sealed record per
 //                      committed epoch since that snapshot). Rotation is
 //                      atomic: a fresh snapshot is serialized to the side
-//                      and swapped in before the WAL is cleared.
+//                      and swapped in before the WAL is cleared. The side
+//                      buffer is the caller's: write_snapshot hands the
+//                      retired segment back, and ReplicaStaging keeps it as
+//                      the spare its next rotation writes into, so a steady
+//                      rotation allocates and faults in nothing.
 //   * RecoveryManager — replays the WAL onto the latest snapshot through
 //                      the normal verified-frame staging path (expect_epoch /
 //                      receive_frame / commit), so every integrity check the
@@ -38,6 +42,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,6 +61,32 @@ class GuestMemory;
 namespace here::rep {
 
 class ReplicaStaging;
+
+// An allocator whose construct() without arguments default-initializes, so
+// a byte vector grows without a zero-filling pass. The snapshot writer
+// overwrites every byte it sizes; zeroing them first would touch each page
+// twice.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+// One framed snapshot record (encode_snapshot, DurableStore::write_snapshot).
+using SnapshotSegment = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
 
 // One committed epoch, as captured by ReplicaStaging::commit() immediately
 // before its transient state is cleared. `region_digests` holds the
@@ -102,11 +134,20 @@ class DurableStore {
 
   // --- Write path (ReplicaStaging::commit) -----------------------------------
 
-  // Serializes the full committed image as a fresh snapshot segment and
-  // clears the WAL (atomic rotation: the old snapshot stays in place until
-  // the new one is fully serialized and sealed).
-  void write_snapshot(std::uint64_t epoch, const hv::GuestMemory& memory,
-                      const hv::VirtualDisk& disk);
+  // Serializes the full committed image as a fresh snapshot segment into
+  // `spare` and clears the WAL, then returns the retired segment (atomic
+  // rotation: the old snapshot stays in place until the new one is fully
+  // serialized and sealed, and the swap happens under the lock). A caller
+  // that rotates again — ReplicaStaging::commit — passes the returned
+  // segment back as the next `spare`, so the rotation reuses its capacity;
+  // a one-off snapshot (the seed commit, a rejoin's post-recovery snapshot)
+  // passes nothing and drops the return. The store itself keeps no spare:
+  // it outlives the staging through a rejoin and a failover, and a spare
+  // there would stack on those phases' memory.
+  SnapshotSegment write_snapshot(std::uint64_t epoch,
+                                 const hv::GuestMemory& memory,
+                                 const hv::VirtualDisk& disk,
+                                 SnapshotSegment spare = {});
 
   // Appends one committed epoch to the WAL. The caller checks
   // rotation_due() afterwards and, if set, follows up with write_snapshot —
@@ -147,7 +188,7 @@ class DurableStore {
                                   "rep.durable_store"};
 
   DurableStoreConfig config_;
-  std::vector<std::uint8_t> snapshot_seg_;
+  SnapshotSegment snapshot_seg_;
   std::vector<std::uint8_t> wal_seg_;
   std::uint64_t wal_records_ = 0;
   Stats stats_;
@@ -158,11 +199,23 @@ class DurableStore {
 // Pure functions over one framed kind-1 record; DurableStore::write_snapshot
 // and read_snapshot add only the segment rotation and the lock.
 
-// Serializes the committed image as one framed snapshot record, built in a
-// single buffer sized exactly from the non-zero pages and written stamps.
-[[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
-    std::uint64_t epoch, const hv::GuestMemory& memory,
-    const hv::VirtualDisk& disk);
+// Serializes the committed image as one framed snapshot record into
+// `record`, resized to exactly the record's length (non-zero pages plus
+// written stamps) without zero-filling. Every byte of the new length is
+// written, so nothing of what the buffer held before survives. A buffer
+// whose capacity is too small is released before the new allocation, so a
+// rotation never holds more than the live segment and this one. The record
+// CRC is folded over each piece — header fields, a page, a run of stamps —
+// right after it is written, while it is still in cache, instead of in a
+// second pass over the record.
+void encode_snapshot_into(SnapshotSegment& record, std::uint64_t epoch,
+                          const hv::GuestMemory& memory,
+                          const hv::VirtualDisk& disk);
+
+// encode_snapshot_into a fresh buffer.
+[[nodiscard]] SnapshotSegment encode_snapshot(std::uint64_t epoch,
+                                              const hv::GuestMemory& memory,
+                                              const hv::VirtualDisk& disk);
 
 // Parses one framed snapshot record. Untrusted bytes: every failure is a
 // typed kDataLoss, never a throw. Counts never size an allocation beyond

@@ -371,7 +371,8 @@ Expected<std::uint64_t> ReplicaStaging::commit() {
       }
       durable_->append_epoch(durable_record);
       if (durable_->rotation_due()) {
-        durable_->write_snapshot(committed_epoch_, memory_, disk_);
+        snapshot_spare_ = durable_->write_snapshot(
+            committed_epoch_, memory_, disk_, std::move(snapshot_spare_));
       }
     } else {
       durable_->write_snapshot(committed_epoch_, memory_, disk_);

@@ -24,12 +24,11 @@
 #include "hv/guest_program.h"
 #include "hv/hypervisor.h"
 #include "hv/types.h"
+#include "replication/durable_store.h"
 #include "replication/time_model.h"
 #include "replication/wire.h"
 
 namespace here::rep {
-
-class DurableStore;
 
 // Outcome of offering one wire frame to the staging area.
 enum class FrameVerdict : std::uint8_t {
@@ -205,6 +204,10 @@ class ReplicaStaging {
   hv::GuestMemory memory_;
   hv::VirtualDisk disk_;
   DurableStore* durable_ = nullptr;
+  // The segment the store retired at the last rotation, which the next
+  // rotation writes into. Held here, in the secondary's RAM, so it dies with
+  // the staging on a crash; only commit()'s rotations pass it.
+  SnapshotSegment snapshot_spare_;
   std::vector<hv::DiskWrite> pending_disk_writes_;
   std::uint64_t seeded_pages_ = 0;
   std::uint64_t open_epoch_ = 0;

@@ -183,9 +183,9 @@ TEST(Crc32c, KnownVectors) {
   EXPECT_EQ(crc32c({}), 0u);
 }
 
-// The dispatched path (the SSE4.2 instruction where the CPU has it) equals
-// the table loop for every length up to a page and a byte, from every start
-// misalignment, from an arbitrary running state.
+// The dispatched kernel (three-way or single-stream SSE4.2 where the CPU
+// has it) equals the table loop for every length up to a page and a byte,
+// from every start misalignment, from an arbitrary running state.
 TEST(Crc32c, DispatchedMatchesTableAtEveryLengthAndAlignment) {
   const std::vector<std::uint8_t> buf = random_bytes(4097 + 8, 1);
   for (std::size_t offset = 0; offset < 8; ++offset) {
@@ -197,6 +197,45 @@ TEST(Crc32c, DispatchedMatchesTableAtEveryLengthAndAlignment) {
           << "offset " << offset << " length " << len;
     }
   }
+}
+
+// The three-way kernel cuts its input into blocks of three 1,360-byte
+// streams. Every length from 0 to three blocks and 17 bytes past them, from
+// start offsets 0-7, covers no block, one or more whole blocks, and every
+// tail the single stream finishes. The table loop extends its value by one
+// byte per length, so the oracle costs one pass per offset.
+TEST(Crc32c, DispatchedMatchesTablePastThreeBlocks) {
+  constexpr std::size_t kBlock = 3 * 1360;
+  constexpr std::size_t kMaxLen = 3 * kBlock + 17;
+  const std::vector<std::uint8_t> buf = random_bytes(kMaxLen + 8, 2);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const auto state = static_cast<std::uint32_t>(~offset * 0x85EBCA6Bu);
+    std::uint32_t oracle = state;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        oracle = detail::crc32c_update_table(oracle, {&buf[offset + len - 1], 1});
+      }
+      ASSERT_EQ(crc32c_update(state, {buf.data() + offset, len}), oracle)
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+// One stream fed across calls of mixed sizes — bytes, words, pages, whole
+// and partial blocks — equals the one-shot value over the same bytes.
+TEST(Crc32c, ChainedMixedSizesMatchOneShot) {
+  const std::vector<std::uint8_t> buf = random_bytes(1 << 20, 3);
+  const std::size_t sizes[] = {1, 7, 4080, 8, 4096, 0, 12240, 3, 65536, 4104};
+  std::uint32_t state = crc32c_init();
+  std::size_t pos = 0;
+  for (std::size_t i = 0; pos < buf.size(); ++i) {
+    const std::size_t take =
+        std::min(buf.size() - pos, sizes[i % std::size(sizes)]);
+    state = crc32c_update(state, {buf.data() + pos, take});
+    pos += take;
+  }
+  EXPECT_EQ(crc32c_final(state), crc32c(buf));
+  EXPECT_EQ(crc32c(buf), table_crc(buf));
 }
 
 TEST(Crc32c, IncrementalSplitsMatchOneShot) {

@@ -5,6 +5,9 @@
 //   * torn-write / truncated-tail refusal — damaged WAL suffixes are never
 //     replayed; recovery stops at the last intact record;
 //   * snapshot + WAL point-in-time restore across rotation;
+//   * ten rotations, each written into the segment the previous one
+//     retired, still read back as the newest snapshot and recover the live
+//     image region for region;
 //   * engine-level rejoin: a crashed secondary recovers locally, resyncs
 //     only divergent regions by delta, and a later failover still activates
 //     exactly the committed image;
@@ -223,6 +226,32 @@ TEST(Durability, RotationSnapshotsAndPointInTimeRestore) {
   // Scrub references were baselined off the recovered image.
   for (std::uint32_t r = 0; r < rec.region_count(); ++r) {
     EXPECT_EQ(rec.committed_region_digest(r), rec.live_region_digest(r))
+        << "region " << r;
+  }
+}
+
+TEST(Durability, RotationsThroughAReusedSpareRecoverTheLiveImage) {
+  // Interval 2 over 20 epochs: ten rotations after the seed snapshot. From
+  // the second on, each writes into the segment the one before retired.
+  DurableStore store({.snapshot_interval_epochs = 2});
+  ReplicaStaging live(small_spec(), 1);
+  drive_epochs(29, 20, store, live);
+  EXPECT_EQ(store.stats().snapshots, 11u);
+  EXPECT_EQ(store.wal_record_count(), 0u);
+
+  const auto snap = store.read_snapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().message();
+  EXPECT_EQ((*snap).epoch, 20u);
+  EXPECT_EQ((*snap).disk.digest(), live.disk().digest());
+
+  ReplicaStaging rec(small_spec(), 1);
+  const auto result = RecoveryManager(store).recover(rec);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ((*result).recovered_epoch, 20u);
+  EXPECT_EQ(rec.memory().full_digest(), live.memory().full_digest());
+  ASSERT_EQ(rec.region_count(), live.region_count());
+  for (std::uint32_t r = 0; r < rec.region_count(); ++r) {
+    EXPECT_EQ(rec.committed_region_digest(r), live.committed_region_digest(r))
         << "region " << r;
   }
 }

@@ -4,6 +4,10 @@
 //     std::map of stamps, across zero and non-zero pages, chunk-straddling
 //     writes, sector 0, the last sector, a clamped write, a sector written
 //     with stamp 0 and an empty disk;
+//   * reused buffers — encode_snapshot_into a buffer that last held a
+//     longer record, a shorter one or nothing writes the same bytes as a
+//     fresh encode, keeps a large enough buffer's storage and leaves no
+//     stale tail;
 //   * round trip — decode_snapshot gives back the pages and the disk;
 //   * forged records — CRC-valid payloads with lying counts, out-of-order
 //     stamps or stamps past the disk end are refused with kDataLoss, never
@@ -77,6 +81,10 @@ std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch,
   return frame_snapshot(payload);
 }
 
+std::vector<std::uint8_t> bytes(const SnapshotSegment& segment) {
+  return {segment.begin(), segment.end()};
+}
+
 // Applies a write to the disk and to its reference map, clamping alike.
 void write_both(hv::VirtualDisk& disk, Stamps& reference, hv::DiskWrite write) {
   disk.apply(write);
@@ -115,14 +123,68 @@ TEST(SnapshotCodec, MatchesReferenceSerializerByteForByte) {
   }
   ASSERT_EQ(reference.count(2 * kChunk), 1u);  // the stamp-0 sector survives
 
-  EXPECT_EQ(encode_snapshot(12, memory, disk),
+  EXPECT_EQ(bytes(encode_snapshot(12, memory, disk)),
             reference_snapshot(12, memory, kSectors, reference));
+}
+
+// An image with `pages` pages of which every `stride`-th is non-zero, and a
+// disk with `sectors` written sectors from sector 5 on.
+struct Image {
+  Image(std::uint64_t pages, std::uint64_t stride, std::uint64_t sectors)
+      : memory(pages, 1), disk(4 * hv::VirtualDisk::kChunkSectors) {
+    sim::Rng rng(pages + stride);
+    std::vector<std::uint8_t> page(common::kPageSize);
+    for (common::Gfn gfn = 0; gfn < pages; gfn += stride) {
+      for (auto& b : page) b = static_cast<std::uint8_t>(1 + rng.uniform(255));
+      memory.install_page(gfn, page);
+    }
+    for (std::uint64_t s = 5; s < 5 + sectors; ++s) {
+      write_both(disk, stamps, {.sector = s, .sectors = 1, .stamp = s * 3 + 1});
+    }
+  }
+  hv::GuestMemory memory;
+  hv::VirtualDisk disk;
+  Stamps stamps;
+};
+
+TEST(SnapshotCodec, EncodeIntoReusedBufferMatchesFreshAndReference) {
+  const Image image(64, 3, 3000);  // 22 pages, 3,000 stamps: ~138 KB
+  const std::vector<std::uint8_t> golden = reference_snapshot(
+      7, image.memory, image.disk.total_sectors(), image.stamps);
+  ASSERT_EQ(bytes(encode_snapshot(7, image.memory, image.disk)), golden);
+
+  const Image longer(64, 1, 9000);  // every page, 9,000 stamps
+  const Image shorter(64, 16, 100);
+  const SnapshotSegment priors[] = {
+      encode_snapshot(1, longer.memory, longer.disk),
+      encode_snapshot(2, shorter.memory, shorter.disk),
+      SnapshotSegment{},
+  };
+  ASSERT_GT(priors[0].size(), golden.size());
+  ASSERT_LT(priors[1].size(), golden.size());
+  for (const SnapshotSegment& prior : priors) {
+    SnapshotSegment buffer = prior;
+    const std::uint8_t* const storage = buffer.data();
+    const bool fits = buffer.capacity() >= golden.size();
+    encode_snapshot_into(buffer, 7, image.memory, image.disk);
+    EXPECT_EQ(bytes(buffer), golden) << "prior of " << prior.size() << " bytes";
+    if (fits) {
+      EXPECT_EQ(buffer.data(), storage) << "a large enough buffer is reused";
+    } else {
+      EXPECT_EQ(buffer.capacity(), golden.size()) << "a new buffer is exact";
+    }
+    // And the buffer keeps serving: back to a longer record, then this one.
+    encode_snapshot_into(buffer, 1, longer.memory, longer.disk);
+    EXPECT_EQ(buffer, priors[0]);
+    encode_snapshot_into(buffer, 7, image.memory, image.disk);
+    EXPECT_EQ(bytes(buffer), golden);
+  }
 }
 
 TEST(SnapshotCodec, EmptyDiskAndZeroImageMatchReference) {
   hv::GuestMemory memory(16, 1);
   hv::VirtualDisk disk(1000);
-  const std::vector<std::uint8_t> encoded = encode_snapshot(0, memory, disk);
+  const std::vector<std::uint8_t> encoded = bytes(encode_snapshot(0, memory, disk));
   EXPECT_EQ(encoded, reference_snapshot(0, memory, 1000, {}));
   // Framing plus epoch, page count, geometry and stamp count.
   EXPECT_EQ(encoded.size(), 20u + 32u);
