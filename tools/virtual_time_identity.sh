@@ -43,7 +43,11 @@ sec82_exposure|sec82_exposure|
 sec82_heterogeneity_choice|sec82_heterogeneity_choice|
 table1_vuln_stats|table1_vuln_stats|
 table2_coverage|table2_coverage|
-table5_dos_analysis|table5_dos_analysis|'
+table5_dos_analysis|table5_dos_analysis|
+ablation_period_policy|ablation_period_policy|
+fig14_spec_fixed_period|fig14_spec_fixed_period|
+fig15_spec_degradation|fig15_spec_degradation|
+fig16_spec_combined|fig16_spec_combined|'
 
 status=0
 for side in base head; do
