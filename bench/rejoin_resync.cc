@@ -1,4 +1,4 @@
-// Rejoin-by-delta vs full reseed after a secondary crash.
+// Rejoin-by-delta vs full reseed after a secondary host crash.
 //
 // A crashed secondary used to cost a full N-page reseed before protection
 // resumed. With a DurableStore the secondary recovers *locally* from its
@@ -55,8 +55,10 @@ Cell run(double load_percent, std::uint32_t wal_depth, bool durable) {
   // Tear the WAL tail so recovery lands one epoch behind the committed
   // image — a clean crash replays everything and the digest diff finds
   // nothing, which would hide the delta-resync path this sweep measures.
-  if (durable) bed.engine().inject_wal_torn_write(24);
-  bed.engine().inject_secondary_crash(kRebootAfter);
+  if (durable) bed.durable_store()->damage_wal_tail(24);
+  bed.secondary().inject_fault(hv::FaultKind::kCrash);
+  bed.simulation().schedule_after(
+      kRebootAfter, [&bed] { bed.secondary().repair(); }, "secondary-repair");
   const bool recovered = bed.run_until(
       [&] {
         return !bed.engine().rejoining() &&

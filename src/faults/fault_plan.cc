@@ -321,7 +321,7 @@ FaultPlan FaultPlan::random(std::uint64_t seed,
         break;
       case FaultType::kSecondaryCrash:
         spec.target = pick(rng, config.engines);
-        break;  // `duration` (drawn above) doubles as the reboot delay
+        break;  // `duration` (drawn above) doubles as the repair delay
       case FaultType::kWalTornWrite:
       case FaultType::kWalTruncation:
         spec.target = pick(rng, config.engines);

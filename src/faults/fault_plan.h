@@ -44,12 +44,13 @@ enum class FaultType : std::uint8_t {
   kDiskWriteErrors, // writes fail while active; auto-clears
   // Engine faults (target: a registered engine).
   kMigratorStall,   // amount = stall added to the next checkpoint pause
-  // Durability faults (target: a registered engine). The secondary host
-  // process dies and reboots after `duration` (0 means "stay down"); the
-  // engine rejoins from its DurableStore when one is attached, or falls
-  // back to a full resync. The WAL faults damage the durable log's tail so
+  // Durability faults (target: a registered engine). kSecondaryCrash
+  // crashes the engine's secondary host and repairs it after `duration` (0
+  // means "stay down"); the host's return rejoins the replica from its
+  // DurableStore when one is attached, or by a full resync. The WAL faults
+  // damage the engine's durable log tail (no-ops without a store) so
   // recovery must refuse the torn/truncated records.
-  kSecondaryCrash,  // duration = reboot delay; one-shot (engine self-heals)
+  kSecondaryCrash,  // duration = repair delay
   kWalTornWrite,    // magnitude = bytes scribbled over the WAL tail
   kWalTruncation,   // magnitude = bytes chopped off the WAL tail
   // Primary-recovery faults (target: a registered host). ReHype-style
@@ -112,7 +113,7 @@ struct RandomPlanConfig {
   // types, which re-maps every (seed, config) pair — existing seeded plans
   // stay stable as long as this is false.
   bool data_faults = false;
-  // Durability faults (secondary crash/reboot, WAL tail damage) are opt-in
+  // Durability faults (secondary crash/repair, WAL tail damage) are opt-in
   // for the same reason; their candidates append after the data faults.
   bool durability_faults = false;
   // Primary-recovery faults (host microreboot / recovery race) are opt-in;

@@ -179,15 +179,17 @@ void FaultInjector::apply(const FaultSpec& spec) {
       engine_for(spec).inject_migrator_stall(spec.amount);
       break;
     case FaultType::kSecondaryCrash:
-      engine_for(spec).inject_secondary_crash(spec.duration);
+      engine_for(spec).secondary_host().inject_fault(hv::FaultKind::kCrash);
       break;
     case FaultType::kWalTornWrite:
-      engine_for(spec).inject_wal_torn_write(
-          static_cast<std::uint64_t>(spec.magnitude));
+      if (rep::DurableStore* store = engine_for(spec).env().durable_store) {
+        store->damage_wal_tail(static_cast<std::uint64_t>(spec.magnitude));
+      }
       break;
     case FaultType::kWalTruncation:
-      engine_for(spec).inject_wal_truncation(
-          static_cast<std::uint64_t>(spec.magnitude));
+      if (rep::DurableStore* store = engine_for(spec).env().durable_store) {
+        store->truncate_wal_tail(static_cast<std::uint64_t>(spec.magnitude));
+      }
       break;
     case FaultType::kHypervisorMicroreboot:
       // Only meaningful on an already-failed host; a no-op otherwise (the
@@ -211,6 +213,9 @@ void FaultInjector::clear(const FaultSpec& spec) {
     case FaultType::kHostCrash:
     case FaultType::kHostHang:
       host_for(spec).repair();
+      break;
+    case FaultType::kSecondaryCrash:
+      engine_for(spec).secondary_host().repair();
       break;
     case FaultType::kLinkPartition: {
       const Link& link = link_for(spec);
@@ -269,7 +274,6 @@ void FaultInjector::clear(const FaultSpec& spec) {
     case FaultType::kHostRepair:
     case FaultType::kLinkHeal:
     case FaultType::kMigratorStall:
-    case FaultType::kSecondaryCrash:  // reboot is self-scheduled by the engine
     case FaultType::kWalTornWrite:
     case FaultType::kWalTruncation:
     case FaultType::kHypervisorMicroreboot:  // recovery completes itself

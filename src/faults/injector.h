@@ -2,9 +2,10 @@
 //
 // The injector owns a registry of named targets (hosts, links, engines) and
 // translates each FaultSpec into concrete hook calls — hv::Host fault
-// injection, net::Fabric link impairments, hv::VirtualDisk degradation, and
-// rep::ReplicationEngine migrator stalls — scheduled as ordinary simulation
-// events. Arming is fully deterministic: events are scheduled in the plan's
+// injection (an engine's secondary host, for secondary crashes), net::Fabric
+// link impairments, hv::VirtualDisk degradation, damage to an engine's
+// rep::DurableStore, and rep::ReplicationEngine migrator stalls — scheduled
+// as ordinary simulation events. Arming is fully deterministic: events are scheduled in the plan's
 // stable order at arm() time, so two runs with the same plan and topology
 // interleave identically with the workload.
 #pragma once

@@ -9,10 +9,10 @@ namespace here::rep {
 // --- Heartbeat / failover -----------------------------------------------------
 
 void ReplicationEngine::send_heartbeat() {
-  // Keep beating while a failover is merely *in progress*: a healed
-  // partition must be able to deliver the fencing signal. Only replica
-  // activation (which a lost arbitration implies) or a drain cancels the
-  // loop for good.
+  // Keep beating while a failover is in progress, and after it: a healed
+  // partition must be able to deliver the fencing signal, and a primary that
+  // outlived the activation learns it lost from the answer to its beat. Only
+  // a demotion or a drain cancels the loop for good.
   if (primary_.alive() && primary_phase_ != PrimaryPhase::kArbitrating) {
     // While the resume probe is pending the recovered primary stays silent:
     // a heartbeat would fence an in-progress failover *around* the
@@ -34,7 +34,7 @@ void ReplicationEngine::add_detector(std::unique_ptr<FailureDetector> detector) 
 void ReplicationEngine::watchdog_check() {
   // Only a standby replica watches: a down or rejoining one holds no
   // committed image to fail over to.
-  if (replica_phase_ == ReplicaPhase::kStandby && secondary_.alive() &&
+  if (replica_phase_ == ReplicaPhase::kStandby &&
       primary_phase_ != PrimaryPhase::kSeeding) {
     if (sim_.now() - last_heartbeat_rx_ > config_.heartbeat_timeout) {
       on_heartbeat_lost();
@@ -260,12 +260,9 @@ void ReplicationEngine::send_resume_probe() {
     config_.tracer->instant(sim_.now(), "resume.probe", "fo",
                             {{"probes", stats_.resume_probes}});
   }
-  // A dead secondary cannot arbitrate — and cannot have activated either, so
-  // the recovered primary is trivially authoritative (self-grant).
-  if (!secondary_.alive() && !taking_over()) {
-    on_resume_grant();
-    return;
-  }
+  // A replica its host's failure took down can neither arbitrate nor have
+  // activated, so the recovered primary is authoritative (self-grant).
+  if (replica_phase_ == ReplicaPhase::kDown) return on_resume_grant();
   send_control(primary_.ic_node(), secondary_.ic_node(), kResumeProbeKind,
                probe_token_);
   // Keep probing (partition, drop, hung secondary) until a verdict arrives.
@@ -274,10 +271,10 @@ void ReplicationEngine::send_resume_probe() {
 }
 
 void ReplicationEngine::on_resume_probe(const net::Packet& packet) {
-  // A dead replication process cannot answer (the probe retries); a drained
-  // generation no longer speaks for this VM — the successor engine (same
-  // probe token) answers the arbitration instead.
-  if (replica_phase_ == ReplicaPhase::kDown || drained()) return;
+  // A drained generation no longer speaks for this VM — the successor
+  // engine (same probe token) answers the arbitration instead. (A down
+  // replica's host delivers nothing, so the probe retries.)
+  if (drained()) return;
   // Linearization point: this handler runs atomically on the event queue, so
   // the verdict below is consistent with any failover armed or completed.
   // Once activation happened the answer is deny — forever; before it, the
@@ -323,15 +320,18 @@ void ReplicationEngine::demote_primary(const char* reason) {
                             {{"reason", reason}});
   }
   // The stale instance must never run again: its state forked from the
-  // authoritative replica at the last committed epoch. Destroy it; the
-  // control plane re-seeds protection for the activated replica, using this
-  // host's surviving durable store for a delta seed where possible.
+  // authoritative replica at the last committed epoch. Destroy it, unless the
+  // control plane already did; the control plane re-seeds protection for the
+  // activated replica, using this host's surviving durable store for a delta
+  // seed where possible.
   hv::Vm& stale = *std::exchange(vm_, nullptr);
-  if (stale.state() == hv::VmState::kRunning) primary_.hypervisor().pause(stale);
-  if (stale.state() != hv::VmState::kDestroyed) {
+  if (primary_.hypervisor().owns(stale)) {
+    if (stale.state() == hv::VmState::kRunning) {
+      primary_.hypervisor().pause(stale);
+    }
     primary_.hypervisor().destroy_vm(stale);
   }
-  HERE_LOG(kInfo, "recovered primary demoted (%s); re-seed candidate", reason);
+  HERE_LOG(kInfo, "stale primary demoted (%s); re-seed candidate", reason);
 }
 
 }  // namespace here::rep

@@ -171,12 +171,9 @@ void ReplicationEngine::baseline_references() {
   }
 }
 
-void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
-  if (!seeded() || drained() || (replica_phase_ != ReplicaPhase::kStandby &&
-                                 replica_phase_ != ReplicaPhase::kRejoining)) {
-    return;
-  }
-  if (reboot_after < sim::Duration::zero()) reboot_after = sim::Duration{};
+void ReplicationEngine::on_secondary_failed() {
+  // An activated replica runs the service; a retired engine holds none.
+  if (primary_phase_ >= PrimaryPhase::kDemoted || failed_over()) return;
   ++stats_.secondary_crashes;
   secondary_crashed_at_ = sim_.now();
   // The in-flight epoch (if any) dies with the replica's RAM: discard both
@@ -188,16 +185,18 @@ void ReplicationEngine::inject_secondary_crash(sim::Duration reboot_after) {
   staging_.reset();
   resume_guest();  // held paused instead while an arbitration is pending
   if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.secondary_crash", "fo",
-                            {{"reboot_after_ns", reboot_after.count()},
+    config_.tracer->instant(sim_.now(), "replica.down", "fo",
+                            {{"vm", vm_->spec().name},
                              {"durable", env_.durable_store != nullptr}});
   }
-  secondary_reboot_event_ = sim_.schedule_after(
-      reboot_after, [this] { on_secondary_rebooted(); }, "secondary-reboot");
 }
 
-void ReplicationEngine::on_secondary_rebooted() {
+void ReplicationEngine::on_secondary_returned() {
   enter(ReplicaPhase::kRejoining);
+  // The returned secondary's watchdog starts afresh: heartbeats the dead
+  // host dropped are no evidence against the primary.
+  last_heartbeat_rx_ = sim_.now();
+  watchdog_check();
   reset_staging();
   common::DirtyBitmap* bm = primary_.hypervisor().dirty_bitmap(*vm_);
   const std::uint64_t scale = vm_->spec().model_scale;
@@ -263,27 +262,9 @@ void ReplicationEngine::on_secondary_rebooted() {
   // Checkpointing resumes once the local replay has (in modelled time)
   // finished; the first epoch then carries the resync set. A pending
   // arbitration restarts it on its grant instead.
-  secondary_reboot_event_ = sim_.schedule_after(
+  rejoin_resume_event_ = sim_.schedule_after(
       recovery_cost,
       [this] { restart_checkpointing(); }, "rejoin-resume");
-}
-
-void ReplicationEngine::inject_wal_torn_write(std::uint64_t bytes) {
-  if (env_.durable_store == nullptr || bytes == 0) return;
-  env_.durable_store->damage_wal_tail(bytes);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.wal_torn_write", "fo",
-                            {{"bytes", bytes}});
-  }
-}
-
-void ReplicationEngine::inject_wal_truncation(std::uint64_t bytes) {
-  if (env_.durable_store == nullptr || bytes == 0) return;
-  env_.durable_store->truncate_wal_tail(bytes);
-  if (config_.tracer != nullptr) {
-    config_.tracer->instant(sim_.now(), "fault.wal_truncation", "fo",
-                            {{"bytes", bytes}});
-  }
 }
 
 }  // namespace here::rep

@@ -184,7 +184,7 @@ void ReplicationEngine::enter(PrimaryPhase next) {
       return cancel_events(
           {checkpoint_event_, epoch_step(), heartbeat_event_,
            watchdog_event_, seed_event_, probe_event_,
-           failover_activate_event_, scrub_event_, secondary_reboot_event_,
+           failover_activate_event_, scrub_event_, rejoin_resume_event_,
            resume_probe_event_});
   }
 }
@@ -194,21 +194,23 @@ void ReplicationEngine::enter(ReplicaPhase next) {
   switch (next) {
     case ReplicaPhase::kStandby:
       return cancel_events(
-          {failover_activate_event_, secondary_reboot_event_, probe_event_});
+          {failover_activate_event_, rejoin_resume_event_, probe_event_});
     case ReplicaPhase::kProbing:
     case ReplicaPhase::kProbeAnswered:
     case ReplicaPhase::kRejoining:
+    case ReplicaPhase::kActive:  // a stale primary's beats get denied
       return;
     case ReplicaPhase::kDown:
+      // Everything the secondary host ran dies with it, its watchdog and an
+      // armed activation included; the host's return restarts the watchdog.
       return cancel_events({checkpoint_event_, epoch_step(), scrub_event_,
-                            secondary_reboot_event_});
+                            rejoin_resume_event_, failover_activate_event_,
+                            probe_event_, watchdog_event_});
     case ReplicaPhase::kFailingOver:
     case ReplicaPhase::kFencing:
       // The watchdog parks until a stand-down restarts it.
       return cancel_events({checkpoint_event_, epoch_step(), scrub_event_,
                             probe_event_, watchdog_event_});
-    case ReplicaPhase::kActive:
-      return cancel_events({heartbeat_event_});
   }
 }
 
@@ -305,9 +307,10 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
   }
 
   // Heartbeating starts with protection. A heartbeat arriving while a
-  // fenced failover is pending means the primary is back: cancel it. The
-  // source filter matters on a shared secondary: several engines listen on
-  // the same host, and a neighbour VM's heartbeat must not refresh ours.
+  // fenced failover is pending means the primary is back: cancel it; one
+  // after activation is from a stale primary, denied until it is demoted.
+  // The source filter matters on a shared secondary: several engines listen
+  // on the same host, and a neighbour VM's heartbeat must not refresh ours.
   // Resume-probe arbitration: the secondary answers a recovered primary's
   // probe; this handler — serialized with every other event on the sim's
   // queue — is the race's linearization point. The token filter keeps a
@@ -319,6 +322,9 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
       last_heartbeat_rx_ = sim_.now();
       if (replica_phase_ == ReplicaPhase::kFencing) {
         stand_down_failover(/*by_probe=*/false);
+      } else if (failed_over() && primary_phase_ < PrimaryPhase::kDemoted) {
+        send_control(secondary_.ic_node(), p.src, kResumeDenyKind,
+                     probe_token_);
       }
     } else if (p.kind == kResumeProbeKind && p.tag == probe_token_) {
       on_resume_probe(p);
@@ -329,15 +335,22 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
     if (p.kind == kResumeGrantKind) {
       on_resume_grant();
     } else if (p.kind == kResumeDenyKind) {
-      demote_primary("secondary denied resume (replica already active)");
+      demote_primary("denied: replica already active");
     }
   });
   // A host's return, whether a repair or a microreboot ended the outage: a
   // returning primary must win the arbitration before its guest runs again
   // (or, still seeding, starts a fresh attempt); a returning secondary
-  // restarts the seed attempt its failure tore down.
+  // restarts the seed attempt its failure tore down, or rejoins the replica
+  // its failure took down.
   primary_.add_recovery_listener(this, [this] { on_primary_recovered(); });
-  secondary_.add_recovery_listener(this, [this] { begin_seed_attempt(); });
+  secondary_.add_recovery_listener(this, [this] {
+    if (primary_phase_ == PrimaryPhase::kSeeding) return begin_seed_attempt();
+    if (replica_phase_ == ReplicaPhase::kDown &&
+        primary_phase_ < PrimaryPhase::kDemoted) {
+      on_secondary_returned();
+    }
+  });
   // Watchdog probes ride the management network, so an interconnect-only
   // partition can be told apart from a dead host (which answers nothing).
   primary_.add_eth_handler(this, [this](const net::Packet& p) {
@@ -351,11 +364,12 @@ Status ReplicationEngine::start_protection(hv::Vm& vm) {
       enter(ReplicaPhase::kProbeAnswered);
     }
   });
-  // The seed target dying mid-copy tears the attempt down immediately — a
-  // half-written staging image must never survive to look activatable, and
-  // the paused guest must not wait for the target's return to run again.
+  // The secondary host's failure. The seed target dying mid-copy tears the
+  // attempt down immediately — a half-written staging image must never
+  // survive to look activatable, and the paused guest must not wait for the
+  // target's return to run again. Past seeding it takes the replica down.
   secondary_.add_failure_listener(this, [this](hv::FaultKind) {
-    if (primary_phase_ != PrimaryPhase::kSeeding || seeder_ == nullptr) return;
+    if (primary_phase_ != PrimaryPhase::kSeeding) return on_secondary_failed();
     sim_.cancel(seed_event_);
     seeder_.reset();  // the destructor cancels the in-flight seeding event
     staging_.reset();

@@ -22,7 +22,9 @@
 //        are dropped (never seen by clients — output commit).
 //     -> a primary that returns (repair or microreboot) holds its guest and
 //        arbitrates: it resumes output commit if the replica never took
-//        over, and is demoted (its stale VM destroyed) if it did.
+//        over, and is demoted (its stale VM destroyed) if it did, as is one
+//        that outlived the failover, by the replica's answer to its beat
+//     -> a failed secondary host commits nothing until its return rejoins it
 //
 // Hardening knobs live in FaultToleranceConfig; every default preserves the
 // original fail-stop behaviour bit-for-bit, so fault-free runs are
@@ -132,9 +134,10 @@ struct EngineEnv {
   net::LinkArbiter* link_arbiter = nullptr;
   // Secondary-local durable store (durable_store.h): when set, every
   // committed epoch is WAL-appended before the commit is acked, and a
-  // crashed secondary (inject_secondary_crash) rejoins from snapshot+WAL
+  // secondary host that returns from an outage rejoins from snapshot+WAL
   // with per-region delta resync instead of a full re-send. Null means a
-  // secondary crash costs the full-reseed-equivalent resync.
+  // secondary outage costs the full-reseed-equivalent resync. The store
+  // survives the host's failure; WAL faults are injected on it directly.
   DurableStore* durable_store = nullptr;
 };
 
@@ -232,8 +235,9 @@ struct EngineStats {
   // Refreshed from the encoder at each commit.
   EncodeStats encode;
 
-  // Durable-rejoin accounting (all zero without secondary crashes).
-  std::uint64_t secondary_crashes = 0;  // injected secondary process crashes
+  // Durable-rejoin accounting (all zero without secondary host outages).
+  std::uint64_t secondary_crashes = 0;  // secondary host failures (crash or
+                                        // hang) that took the replica down
   std::uint64_t rejoins = 0;            // local snapshot+WAL recoveries
   std::uint64_t full_resyncs = 0;       // rejoins that fell back to re-send-all
   std::uint64_t wal_appends = 0;        // epochs persisted before their ack
@@ -312,8 +316,8 @@ enum class ReplicaPhase : std::uint8_t {
   kStandby,        // watching heartbeats
   kProbing,        // heartbeats lost: management-network probe out
   kProbeAnswered,  // the primary answered the probe (partition suspected)
-  kDown,           // replication process crashed: staging lost
-  kRejoining,      // rebooted: protection returns at the first commit
+  kDown,           // secondary host failed: staging lost, store survives
+  kRejoining,      // host returned: protection returns at the first commit
   kFailingOver,    // replica activation scheduled
   kFencing,        // activation held for the fencing window
   kActive,         // the replica runs the service (terminal)
@@ -349,7 +353,8 @@ class ReplicationEngine {
   [[nodiscard]] net::NodeId service_node() const { return service_node_; }
 
   // Force a failover now (e.g. an attack detector fired, §8.2). Operator
-  // failovers are deliberate: they bypass the fencing window.
+  // failovers are deliberate: they bypass the fencing window. A primary
+  // still alive is demoted by the replica's answer to its next heartbeat.
   void trigger_failover(const std::string& reason);
 
   // Registers a failure detector, polled on the watchdog cadence once the
@@ -360,25 +365,6 @@ class ReplicationEngine {
   // `stall` to the next checkpoint's pause (a wedged copy thread in the real
   // system holds the VM paused exactly this way).
   void inject_migrator_stall(sim::Duration stall);
-
-  // Fault-injection hook (src/faults): the secondary's replication process
-  // crashes now and reboots after `reboot_after`. The staging area (replica
-  // RAM) is lost immediately; the in-flight epoch folds back into the
-  // running one and checkpointing stops. On reboot the engine rejoins:
-  // with a durable store it recovers locally from snapshot+WAL and re-sends
-  // only digest-divergent regions; without one every page is re-sent (the
-  // full-reseed-equivalent baseline). Protection (failover eligibility) is
-  // restored at the first post-rejoin commit. A guest held paused by a
-  // pending resume arbitration stays paused. No-op before epoch 0 commits,
-  // while the replica is down or probing a silent primary, and once failover
-  // began.
-  void inject_secondary_crash(sim::Duration reboot_after);
-
-  // Fault-injection hooks (src/faults): damage the durable WAL tail, as a
-  // torn write (XOR corruption) or a truncation (power cut mid-append).
-  // No-ops without a durable store.
-  void inject_wal_torn_write(std::uint64_t bytes);
-  void inject_wal_truncation(std::uint64_t bytes);
 
   // Retires this engine generation in place so a successor can take over the
   // same (still-running) primary VM toward a different secondary — the
@@ -398,7 +384,7 @@ class ReplicationEngine {
     return primary_phase_ == PrimaryPhase::kDrained;
   }
 
-  // True from a secondary crash to the first post-rejoin commit.
+  // True from a secondary host failure to the first post-rejoin commit.
   [[nodiscard]] bool rejoining() const {
     return replica_phase_ == ReplicaPhase::kDown ||
            replica_phase_ == ReplicaPhase::kRejoining;
@@ -424,6 +410,8 @@ class ReplicationEngine {
   }
 
   [[nodiscard]] hv::Vm* primary_vm() { return vm_; }
+  // The host the replica lives on; its failure and return drive the rejoin.
+  [[nodiscard]] hv::Host& secondary_host() { return secondary_; }
   // Null once the twin no longer exists on the secondary (a newer engine
   // generation demoted and destroyed it) — callers get a validated pointer,
   // never a dangling one.
@@ -503,7 +491,7 @@ class ReplicationEngine {
   // The epoch in flight, owned from its capture until it settles. A primary
   // that dies mid-epoch, or a failover that begins mid-epoch, leaves it in
   // flight with no step pending until a stand-down, a won arbitration, a
-  // secondary crash or a drain folds it back.
+  // secondary failure or a drain folds it back.
   struct InflightEpoch {
     std::vector<common::Gfn> gfns;           // the captured dirty set
     std::vector<hv::DiskWrite> disk_writes;  // its mirrored disk writes
@@ -604,11 +592,16 @@ class ReplicationEngine {
   void stand_down_failover(bool by_probe);
   void activate_replica();
 
-  // --- Secondary crash / rejoin ----------------------------------------------
-  // Rebuilds staging on secondary reboot: local recovery (durable store) or
-  // full resync, then the digest-diff that schedules divergent regions for
-  // re-send. Checkpointing resumes after the modelled recovery time.
-  void on_secondary_rebooted();
+  // --- Secondary outage / rejoin ---------------------------------------------
+  // The secondary host failed (crash or hang) while holding a replica: the
+  // in-flight epoch folds back, staging (RAM) and an armed activation die,
+  // and nothing commits (output stays held) until the host returns.
+  void on_secondary_failed();
+  // Rebuilds staging when the secondary host returns: local recovery
+  // (durable store) or full resync, then the digest-diff that schedules
+  // divergent regions for re-send. Checkpointing resumes after the modelled
+  // recovery time; a pending arbitration restarts it on its grant instead.
+  void on_secondary_returned();
 
   // --- Recovered-primary arbitration (ReHype microreboot race) ----------------
   // A primary back from an outage (repair or microreboot) must not silently
@@ -653,7 +646,7 @@ class ReplicationEngine {
   // and snapshots the reconciled image, superseding the old WAL.
   void reattach_store();
   // Re-mirrors the replica's committed per-region digests on the engine side
-  // (durable store only): staging dies with a secondary crash, and the rejoin
+  // (durable store only): staging dies with the secondary host, and the rejoin
   // diff needs the last-acked references.
   void mirror_committed_digests();
   // Mirror plus encoder baseline, taken while the VM is paused and the
@@ -714,9 +707,9 @@ class ReplicationEngine {
   sim::EventId probe_event_;
   sim::EventId failover_activate_event_;
   sim::EventId scrub_event_;
-  sim::EventId secondary_reboot_event_;
+  sim::EventId rejoin_resume_event_;  // restarts checkpoints after recovery
 
-  // Secondary crash / rejoin state. The digest mirror tracks the replica's
+  // Secondary outage / rejoin state. The digest mirror tracks the replica's
   // committed per-region digests on the *engine* side: staging dies with the
   // secondary, and the rejoin diff needs the last-acked references to decide
   // which regions the recovered image is missing.

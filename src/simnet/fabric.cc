@@ -199,7 +199,8 @@ FrameFate Fabric::transmit(NodeId a, NodeId b, std::size_t bytes,
   if (m_frame_bytes_ != nullptr) {
     m_frame_bytes_->add(static_cast<double>(bytes));
   }
-  if (dir->down) {
+  // A cut link or a down node at either end loses the frame, as a packet.
+  if (dir->down || nodes_[a].down || nodes_[b].down) {
     fate.lost = true;
     fate.delivered_bytes = 0;
     return fate;

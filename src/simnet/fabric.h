@@ -79,8 +79,8 @@ class Fabric {
   // dropped (delivery time is still returned for accounting).
   sim::TimePoint send(Packet packet);
 
-  // A node that is down drops all packets addressed to it (used to model a
-  // crashed host).
+  // A node that is down drops all packets addressed to it and loses every
+  // checkpoint frame to or from it (used to model a crashed host).
   void set_node_down(NodeId node, bool down);
   [[nodiscard]] bool node_down(NodeId node) const;
 
@@ -124,9 +124,10 @@ class Fabric {
 
   // Pushes one checkpoint frame's payload through the a->b data plane,
   // applying bit errors / truncation in place and reporting duplication /
-  // reordering for the caller's delivery loop. Does NOT occupy the wire or
-  // advance time — the replication time model charges transfer costs
-  // separately. Throws std::invalid_argument when not connected.
+  // reordering for the caller's delivery loop; a cut link or a down node at
+  // either end loses it. Does NOT occupy the wire or advance time — the
+  // replication time model charges transfer costs separately. Throws
+  // std::invalid_argument when not connected.
   FrameFate transmit_frame(NodeId a, NodeId b,
                            std::span<std::uint8_t> payload);
   // transmit_frame for a direction whose link_quality() does not

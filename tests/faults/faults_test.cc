@@ -4,6 +4,8 @@
 // crash, and a combined seeded chaos plan ending in a verified failover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -406,6 +408,112 @@ TEST(FaultInjector, RecoveryRaceCrashesThenMicroreboots) {
   EXPECT_FALSE(bed.engine().failed_over());
   EXPECT_EQ(vm.state(), hv::VmState::kRunning);
 }
+
+
+// --- Dispatch coverage --------------------------------------------------------
+
+// One row per kind that no other test dispatches: the plan that schedules it
+// (with any precondition it needs) from t0, and the effect it must leave on
+// the target by t0 + 100 ms.
+struct DispatchRow {
+  const char* name;
+  FaultType type;
+  std::function<void(FaultPlan&, sim::TimePoint)> plan;
+  std::function<bool(rep::Testbed&)> effect;
+};
+
+class FaultDispatch : public ::testing::TestWithParam<DispatchRow> {};
+
+TEST_P(FaultDispatch, KindReachesItsTarget) {
+  const DispatchRow& row = GetParam();
+  rep::TestbedConfig config = chaos_testbed_config();
+  config.durable_replica = true;
+  config.durable.snapshot_interval_epochs = 1000;  // the WAL keeps records
+  rep::Testbed bed(config);
+  hv::Vm& vm = bed.create_vm(
+      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(20)));
+  bed.protect(vm);
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(2));
+
+  FaultPlan plan;
+  const sim::TimePoint t0 = bed.simulation().now();
+  row.plan(plan, t0);
+  FaultInjector injector(bed.simulation(), bed.fabric());
+  injector.register_testbed(bed);
+  injector.arm(plan);
+  bed.simulation().run_for(sim::from_millis(100));
+
+  EXPECT_TRUE(std::ranges::any_of(injector.log(), [&](const auto& applied) {
+    return applied.spec.type == row.type && !applied.clear;
+  }));
+  EXPECT_TRUE(row.effect(bed));
+}
+
+net::LinkQuality ic_quality(rep::Testbed& bed) {
+  return bed.fabric().link_quality(bed.primary().ic_node(),
+                                   bed.secondary().ic_node());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, FaultDispatch,
+    ::testing::Values(
+        DispatchRow{"host_repair", FaultType::kHostRepair,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.crash_host("host-b", t0 + sim::from_millis(10))
+                          .repair_host("host-b", t0 + sim::from_millis(50));
+                    },
+                    [](rep::Testbed& bed) {
+                      // Down and back: the replica went down and rejoins.
+                      return bed.secondary().alive() &&
+                             bed.engine().stats().secondary_crashes == 1;
+                    }},
+        DispatchRow{"link_heal", FaultType::kLinkHeal,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.partition_link("ic", t0 + sim::from_millis(10))
+                          .heal_link("ic", t0 + sim::from_millis(50));
+                    },
+                    [](rep::Testbed& bed) { return !ic_quality(bed).down; }},
+        DispatchRow{"truncation", FaultType::kLinkTruncation,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.link_truncation("ic", t0, 0.25);
+                    },
+                    [](rep::Testbed& bed) {
+                      return ic_quality(bed).truncate_prob == 0.25;
+                    }},
+        DispatchRow{"duplication", FaultType::kLinkDuplication,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.link_duplication("ic", t0, 0.25);
+                    },
+                    [](rep::Testbed& bed) {
+                      return ic_quality(bed).duplicate_prob == 0.25;
+                    }},
+        DispatchRow{"reordering", FaultType::kLinkReordering,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.link_reordering("ic", t0, 0.25);
+                    },
+                    [](rep::Testbed& bed) {
+                      return ic_quality(bed).reorder_prob == 0.25;
+                    }},
+        DispatchRow{"wal_truncation", FaultType::kWalTruncation,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.wal_truncation("engine", t0, 24);
+                    },
+                    [](rep::Testbed& bed) {
+                      return bed.durable_store()->read_log().damaged_tail;
+                    }},
+        DispatchRow{"microreboot", FaultType::kHypervisorMicroreboot,
+                    [](FaultPlan& plan, sim::TimePoint t0) {
+                      plan.crash_host("host-a", t0 + sim::from_millis(10))
+                          .hypervisor_microreboot("host-a",
+                                                  t0 + sim::from_millis(20),
+                                                  sim::from_millis(40));
+                    },
+                    [](rep::Testbed& bed) {
+                      return bed.primary().microreboots() == 1 &&
+                             bed.primary().alive();
+                    }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace here::faults

@@ -1,14 +1,20 @@
 // Chaos property test: random sequences of faults, load changes, partitions
-// and repairs (primary crashes end in a microreboot or an operator repair),
-// with system-wide invariants checked throughout:
+// and repairs (primary crashes end in a microreboot or an operator repair;
+// secondary host outages, from a crash, a hang or a KVM exploit, end in a
+// repair), with system-wide invariants checked throughout:
 //   * the simulation stays live (no exceptions, no stuck state);
 //   * if a failover happened, the replica activated exactly the committed
 //     image (memory and disk digests match);
 //   * the client-observed packet sequence is a gapless committed prefix,
 //     with at most one (re-emission) discontinuity at failover;
 //   * service availability implies an alive host with a runnable VM;
+//   * no epoch commits while the secondary host is down;
 //   * after every step the engine's lifecycle getters describe one state.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "replication/testbed.h"
 #include "security/exploit.h"
@@ -87,6 +93,18 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
 
   std::size_t discontinuity_allowed_at = ~std::size_t{0};
   bool primary_killed = false;
+  // Secondary host outages as (down, up] intervals: `fail` takes the host
+  // down now and a repair brings it back 50-1000 ms later.
+  std::vector<std::pair<sim::TimePoint, sim::TimePoint>> outages;
+  auto secondary_outage = [&](const std::function<void()>& fail) {
+    const sim::Duration outage =
+        sim::from_millis(chaos.uniform_real(50.0, 1000.0));
+    fail();
+    const sim::TimePoint now = bed.simulation().now();
+    outages.emplace_back(now, now + outage);
+    bed.simulation().schedule_after(
+        outage, [&] { bed.secondary().repair(); }, "chaos-secondary-repair");
+  };
 
   for (int step = 0; step < 12; ++step) {
     bed.simulation().run_for(
@@ -121,18 +139,33 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
         bed.fabric().set_link_down(bed.primary().ic_node(),
                                    bed.secondary().ic_node(), false);
         break;
-      case 4: {  // exploit against the secondary (should bounce off KVM)
+      case 4: {  // exploit against the secondary: a Xen one bounces off
+                 // KVM, a KVM one takes the host down until its repair
         sec::Exploit exploit;
-        exploit.vulnerable_kind = hv::HvKind::kXen;
-        const auto result = sec::launch_exploit(exploit, bed.secondary());
-        EXPECT_EQ(result.effect, sec::ExploitEffect::kNoEffect);
+        exploit.vulnerable_kind =
+            chaos.bernoulli(0.5) ? hv::HvKind::kXen : hv::HvKind::kKvm;
+        exploit.outcome =
+            chaos.bernoulli(0.5) ? hv::FaultKind::kCrash : hv::FaultKind::kHang;
+        if (exploit.vulnerable_kind == hv::HvKind::kXen) {
+          EXPECT_EQ(sec::launch_exploit(exploit, bed.secondary()).effect,
+                    sec::ExploitEffect::kNoEffect);
+        } else if (bed.secondary().alive()) {
+          secondary_outage([&] {
+            EXPECT_EQ(sec::launch_exploit(exploit, bed.secondary()).effect,
+                      sec::ExploitEffect::kDos);
+          });
+        }
         break;
       }
       case 5:  // quiet step
         break;
-      case 6:  // secondary replication process crash (rejoins on reboot)
-        bed.engine().inject_secondary_crash(
-            sim::from_millis(chaos.uniform_real(50.0, 1000.0)));
+      case 6:  // secondary host crash or hang (the replica rejoins on repair)
+        if (bed.secondary().alive()) {
+          const hv::FaultKind fault = chaos.bernoulli(0.5)
+                                          ? hv::FaultKind::kCrash
+                                          : hv::FaultKind::kHang;
+          secondary_outage([&] { bed.secondary().inject_fault(fault); });
+        }
         break;
       case 7:  // primary crash, then a microreboot or a repair: either
                // return goes through the resume-probe arbitration
@@ -181,6 +214,15 @@ TEST_P(ChaosMonkey, InvariantsHoldUnderRandomFaults) {
         << "sequence skipped forward at " << i << " (seed " << seed << ")";
   }
   EXPECT_LE(discontinuities, 1u) << "seed " << seed;
+
+  // Invariant: a dead secondary acknowledges nothing.
+  for (const CheckpointRecord& record : bed.engine().stats().checkpoints) {
+    for (const auto& [down, up] : outages) {
+      EXPECT_FALSE(record.completed_at > down && record.completed_at <= up)
+          << "epoch " << record.epoch << " committed while the secondary "
+          << "was down (seed " << seed << ")";
+    }
+  }
 
   // Invariant: availability implies a live host with a runnable VM.
   if (bed.engine().service_available()) {

@@ -9,6 +9,7 @@
 #include "replication/staging.h"
 #include "replication/testbed.h"
 #include "sim/rng.h"
+#include "tests/replication/secondary_outage.h"
 #include "workload/synthetic.h"
 #include "workload/ycsb.h"
 
@@ -313,7 +314,7 @@ TEST(DiskReplication, RejoinDiskDiffCountIsPinned) {
   bed.protect(vm);
   bed.run_until_seeded();
   bed.simulation().run_for(sim::from_seconds(2));
-  bed.engine().inject_secondary_crash(sim::from_millis(400));
+  fail_secondary_for(bed, sim::from_millis(400));
   bed.simulation().run_for(sim::from_seconds(4));
 
   ASSERT_EQ(bed.engine().stats().rejoins, 1u);

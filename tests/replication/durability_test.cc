@@ -30,6 +30,7 @@
 #include "replication/testbed.h"
 #include "replication/wire.h"
 #include "sim/rng.h"
+#include "tests/replication/secondary_outage.h"
 #include "workload/synthetic.h"
 
 namespace here::rep {
@@ -328,7 +329,7 @@ TEST(DurabilityRejoin, WithoutStoreRejoinFallsBackToFullResync) {
   bed.run_until_seeded();
   bed.simulation().run_for(sim::from_seconds(2));
 
-  bed.engine().inject_secondary_crash(sim::from_millis(400));
+  fail_secondary_for(bed, sim::from_millis(400));
   bed.simulation().run_for(sim::from_seconds(5));
 
   const EngineStats& stats = bed.engine().stats();
@@ -354,7 +355,7 @@ TEST(DurabilityRejoin, RejoinDeterministicAcrossRuns) {
     bed.protect(vm);
     bed.run_until_seeded();
     bed.simulation().run_for(sim::from_seconds(2));
-    bed.engine().inject_secondary_crash(sim::from_millis(300));
+    fail_secondary_for(bed, sim::from_millis(300));
     bed.simulation().run_for(sim::from_seconds(4));
     const EngineStats& stats = bed.engine().stats();
     return std::tuple{stats.resync_regions, stats.wal_records_replayed,

@@ -102,9 +102,10 @@ TEST(Partition, HealedLinkDoesNotResurrectThePrimary) {
   config.vm_spec = hv::make_vm_spec("vm", 2, 48ULL << 20);
   config.engine.period.t_max = sim::from_millis(500);
   Testbed bed(config);
-  hv::Vm& vm = bed.create_vm(
-      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(15)));
+  hv::Vm& vm = bed.create_vm(nullptr);
   bed.protect(vm);
+  vm.attach_program(
+      std::make_unique<SequencedEmitter>(bed.add_client("client", {})));
   bed.run_until_seeded();
   bed.simulation().run_for(sim::from_seconds(2));
 
@@ -112,15 +113,26 @@ TEST(Partition, HealedLinkDoesNotResurrectThePrimary) {
                              true);
   bed.run_until([&] { return bed.engine().failed_over(); },
                 sim::from_seconds(10));
+  // The stale primary outlived the failover and buffers what it emits.
+  const std::uint64_t released = bed.engine().outbound().released_total();
+  EXPECT_EQ(bed.engine().stats().primary_demotions, 0u);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
   bed.fabric().set_link_down(bed.primary().ic_node(), bed.secondary().ic_node(),
                              false);
   bed.simulation().run_for(sim::from_seconds(3));
   // Failover is final for this engine: the replica stays authoritative and
-  // the service address stays on it (fencing the stale primary is operator
-  // policy, e.g. via Host::inject_fault).
+  // the service address stays on it.
   EXPECT_TRUE(bed.engine().failed_over());
   EXPECT_EQ(bed.engine().active_vm(), bed.engine().replica_vm());
   EXPECT_TRUE(bed.engine().service_available());
+  // The heal is the stale primary's return: the activated replica denies its
+  // first heartbeat, and it is demoted exactly once, its VM destroyed and
+  // its buffered output never released.
+  EXPECT_EQ(bed.engine().stats().primary_demotions, 1u);
+  EXPECT_TRUE(bed.engine().primary_demoted());
+  EXPECT_EQ(bed.engine().primary_vm(), nullptr);
+  EXPECT_TRUE(bed.primary().hypervisor().vms().empty());
+  EXPECT_EQ(bed.engine().outbound().released_total(), released);
 }
 
 TEST(Partition, FabricLinkSemantics) {

@@ -201,53 +201,6 @@ TEST(RecoveryRace, ProbeFencesArmedActivation) {
   EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_before);
 }
 
-// A secondary process crash while the recovered primary's probe is pending
-// must not run the held guest: it stays paused until a verdict arrives. The
-// partition keeps every probe from the secondary until it is healed, after
-// the secondary rebooted; the rejoined secondary then grants.
-TEST(RecoveryRace, SecondaryCrashDuringArbitrationKeepsGuestPaused) {
-  Testbed bed(race_config());
-  hv::Vm& vm = bed.create_vm(
-      std::make_unique<wl::SyntheticProgram>(wl::memory_microbench(15)));
-  bed.protect(vm);
-  bed.run_until_seeded();
-  bed.simulation().run_for(sim::from_seconds(2));
-
-  bed.fabric().set_link_down(bed.primary().ic_node(),
-                             bed.secondary().ic_node(), true);
-  bed.primary().inject_fault(hv::FaultKind::kCrash);
-  ASSERT_TRUE(bed.primary().begin_microreboot(sim::from_millis(40)));
-  bed.simulation().run_for(sim::from_millis(50));
-  const EngineStats& stats = bed.engine().stats();
-  ASSERT_EQ(stats.resume_probes, 1u);
-  ASSERT_EQ(stats.resume_grants, 0u);
-  ASSERT_EQ(vm.state(), hv::VmState::kPaused);
-
-  bed.engine().inject_secondary_crash(sim::from_millis(500));
-  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
-  EXPECT_TRUE(bed.engine().rejoining());
-  // The secondary reboots and recovers; still no verdict, still held.
-  bed.simulation().run_for(sim::from_seconds(1));
-  EXPECT_EQ(vm.state(), hv::VmState::kPaused);
-  EXPECT_EQ(stats.resume_grants + stats.primary_demotions, 0u);
-  EXPECT_FALSE(bed.engine().failover_in_progress());
-
-  bed.fabric().set_link_down(bed.primary().ic_node(),
-                             bed.secondary().ic_node(), false);
-  ASSERT_TRUE(bed.run_until([&] { return stats.resume_grants == 1; },
-                            sim::from_seconds(10)));
-  EXPECT_EQ(stats.primary_demotions, 0u);
-  EXPECT_FALSE(bed.engine().failed_over());
-  // The rejoin completes at the first post-grant commit.
-  const std::size_t epochs_at_grant = stats.checkpoints.size();
-  ASSERT_TRUE(bed.run_until([&] { return !bed.engine().rejoining(); },
-                            sim::from_seconds(10)));
-  EXPECT_GT(stats.checkpoints.size(), epochs_at_grant);
-  EXPECT_TRUE(bed.run_until(
-      [&] { return vm.state() == hv::VmState::kRunning; },
-      sim::from_seconds(2)));
-}
-
 // --- The 50-seed interleaving sweep ------------------------------------------
 
 // Sweeps the recovery latency across the detection/activation window (and
@@ -608,6 +561,68 @@ TEST(RecoveryRace, SecondaryRepairDuringSeedSeedsAfresh) {
   const std::size_t epochs_at_seed = bed.engine().stats().checkpoints.size();
   bed.simulation().run_for(sim::from_seconds(3));
   EXPECT_GT(bed.engine().stats().checkpoints.size(), epochs_at_seed);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+}
+
+// --- A secondary outage mid-arbitration ---------------------------------------
+
+// A secondary host outage while the recovered primary's probe is pending:
+// a dead secondary can neither arbitrate nor have activated, so the primary
+// grants itself (the self-grant rule) and its guest runs again. Exactly one
+// side stays authoritative, and no output is released while the replica is
+// down: it waits for the first commit after the secondary's return and
+// rejoin. The partition keeps the first probe from the secondary.
+TEST(RecoveryRace, SecondaryOutageDuringArbitrationSelfGrantsAndHoldsOutput) {
+  Testbed bed(race_config());
+  hv::Vm& vm = bed.create_vm(nullptr);
+  bed.protect(vm);
+  const net::NodeId client = bed.add_client("client", {});
+  vm.attach_program(std::make_unique<TickEmitter>(client));
+  bed.run_until_seeded();
+  bed.simulation().run_for(sim::from_seconds(2));
+
+  bed.fabric().set_link_down(bed.primary().ic_node(),
+                             bed.secondary().ic_node(), true);
+  bed.primary().inject_fault(hv::FaultKind::kCrash);
+  ASSERT_TRUE(bed.primary().begin_microreboot(sim::from_millis(40)));
+  bed.simulation().run_for(sim::from_millis(50));
+  const EngineStats& stats = bed.engine().stats();
+  ASSERT_EQ(stats.resume_probes, 1u);
+  ASSERT_EQ(stats.resume_grants, 0u);
+  ASSERT_EQ(vm.state(), hv::VmState::kPaused);
+
+  const std::uint64_t released = bed.engine().outbound().released_total();
+  const std::uint64_t committed = stats.epochs_committed;
+  bed.secondary().inject_fault(hv::FaultKind::kCrash);
+  EXPECT_TRUE(bed.engine().rejoining());
+  // The next probe finds the secondary dead and grants itself.
+  bed.simulation().run_for(sim::from_millis(500));
+  EXPECT_EQ(stats.resume_grants, 1u);
+  EXPECT_EQ(stats.primary_demotions, 0u);
+  EXPECT_EQ(vm.state(), hv::VmState::kRunning);
+  EXPECT_FALSE(bed.engine().failover_in_progress());
+  EXPECT_FALSE(bed.engine().failed_over());
+  // The guest runs, but nothing commits and its output stays buffered.
+  EXPECT_EQ(stats.epochs_committed, committed);
+  EXPECT_EQ(bed.engine().outbound().released_total(), released);
+  EXPECT_GT(bed.engine().outbound().pending(), 0u);
+
+  bed.fabric().set_link_down(bed.primary().ic_node(),
+                             bed.secondary().ic_node(), false);
+  bed.secondary().repair();
+  // Nothing is released before the rejoin commit; that commit releases it.
+  ASSERT_TRUE(bed.run_until(
+      [&] {
+        if (bed.engine().rejoining()) {
+          EXPECT_EQ(bed.engine().outbound().released_total(), released);
+        }
+        return !bed.engine().rejoining();
+      },
+      sim::from_seconds(10), sim::from_millis(1)));
+  EXPECT_GT(stats.epochs_committed, committed);
+  EXPECT_GT(bed.engine().outbound().released_total(), released);
+  EXPECT_EQ(stats.resume_grants + stats.primary_demotions, 1u);
+  EXPECT_FALSE(bed.engine().failed_over());
   EXPECT_EQ(vm.state(), hv::VmState::kRunning);
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "replication/testbed.h"
+#include "tests/replication/secondary_outage.h"
 #include "workload/synthetic.h"
 
 namespace here::rep {
@@ -74,7 +75,7 @@ TEST(RollingUpgrade, PinSurvivesSecondaryCrashAndRejoin) {
 
   // The rejoin rebuilds staging from scratch; a rebuild that forgot the pin
   // would advertise v1 and the next epochs would go out encoded.
-  bed.engine().inject_secondary_crash(sim::from_millis(400));
+  fail_secondary_for(bed, sim::from_millis(400));
   ASSERT_TRUE(bed.run_until(
       [&] { return bed.engine().stats().rejoins == 1; },
       sim::from_seconds(10)));

@@ -14,6 +14,7 @@
 #include "mgmt/virt.h"
 #include "obs/metrics.h"
 #include "replication/testbed.h"
+#include "tests/replication/secondary_outage.h"
 #include "workload/synthetic.h"
 #include "xensim/xen_hypervisor.h"
 
@@ -137,7 +138,7 @@ TEST(StatsInvariants, CountersEqualTheirStatsFieldsUnderFaults) {
   bed.simulation().run_for(sim::from_seconds(3));
 
   // A durable secondary crashes and rejoins from snapshot+WAL.
-  bed.engine().inject_secondary_crash(sim::from_millis(300));
+  fail_secondary_for(bed, sim::from_millis(300));
   bed.simulation().run_for(sim::from_seconds(4));
 
   const EngineStats& stats = bed.engine().stats();

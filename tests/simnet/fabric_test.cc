@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "simnet/fabric.h"
@@ -93,6 +94,27 @@ TEST(Fabric, DownNodeDropsPackets) {
   t.fabric.send(t.packet(100));
   t.sim.run();
   EXPECT_EQ(t.received_b.size(), 1u);
+}
+
+// A checkpoint frame follows the packets: a down node at either end of the
+// direction loses it, and the node's return delivers again.
+TEST(Fabric, DownNodeLosesFramesBothWays) {
+  TwoNodes t;
+  std::vector<std::uint8_t> payload(4096, 0x5a);
+  t.fabric.set_node_down(t.b, true);
+  EXPECT_TRUE(t.fabric.node_down(t.b));
+  EXPECT_FALSE(t.fabric.node_down(t.a));
+  for (const auto& [src, dst] : {std::pair{t.a, t.b}, std::pair{t.b, t.a}}) {
+    const FrameFate fate = t.fabric.transmit_readonly_frame(src, dst, payload);
+    EXPECT_TRUE(fate.lost);
+    EXPECT_EQ(fate.delivered_bytes, 0u);
+  }
+
+  t.fabric.set_node_down(t.b, false);
+  EXPECT_FALSE(t.fabric.node_down(t.b));
+  const FrameFate fate = t.fabric.transmit_frame(t.a, t.b, payload);
+  EXPECT_FALSE(fate.lost);
+  EXPECT_EQ(fate.delivered_bytes, payload.size());
 }
 
 TEST(Fabric, SendBetweenUnconnectedNodesThrows) {
