@@ -11,8 +11,9 @@ namespace here::rep {
 void ReplicationEngine::send_heartbeat() {
   // Keep beating while a failover is in progress, and after it: a healed
   // partition must be able to deliver the fencing signal, and a primary that
-  // outlived the activation learns it lost from the answer to its beat. Only
-  // a demotion or a drain cancels the loop for good.
+  // outlived the activation learns it lost from the answer to its beat. A
+  // demotion or a drain cancels the loop for good; it also ends once the
+  // replica is active and the primary dead, whose return demotes it.
   if (primary_.alive() && primary_phase_ != PrimaryPhase::kArbitrating) {
     // While the resume probe is pending the recovered primary stays silent:
     // a heartbeat would fence an in-progress failover *around* the
@@ -22,6 +23,7 @@ void ReplicationEngine::send_heartbeat() {
     send_control(primary_.ic_node(), secondary_.ic_node(), kHeartbeatKind);
     bump(&EngineStats::heartbeats_sent);
   }
+  if (failed_over() && !primary_.alive()) return;
   heartbeat_event_ = sim_.schedule_after(config_.heartbeat_interval,
                                          [this] { send_heartbeat(); },
                                          "heartbeat");
