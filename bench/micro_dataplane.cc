@@ -19,8 +19,10 @@
 #include "kvmsim/kvm_state.h"
 #include "replication/durable_store.h"
 #include "replication/encoder.h"
+#include "replication/migrator_pool.h"
 #include "replication/staging.h"
 #include "replication/wire.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "workload/zipfian.h"
 #include "xensim/xen_state.h"
@@ -318,15 +320,21 @@ BENCHMARK(BM_XorRleEncode)->Arg(4)->Arg(128)->UseRealTime();
 // base, apply XORs the delta in place and hashes the result. Epochs
 // alternate between two images: an XOR delta is its own inverse, so the
 // same payloads take the image there and back, each under its own base
-// digest.
+// digest. The arg is the shard count P on a 4-worker migrator pool: the
+// epoch lands 512 pages across 8 regions, so it passes the sharding gate
+// (P = 1 runs on the calling thread).
 void BM_StagingCommitDelta(benchmark::State& state) {
   constexpr std::uint32_t kRegions = 8;
   constexpr std::uint32_t kPagesPerFrame = 64;
+  const auto shards = static_cast<std::uint32_t>(state.range(0));
   hv::VmSpec spec;
   spec.name = "bench";
   spec.vcpus = 1;
   spec.pages = std::uint64_t{kRegions} * common::kPagesPerRegion;
-  rep::ReplicaStaging staging(spec, 1);
+  sim::Simulation sim;
+  rep::MigratorPool pool(sim, 4);
+  rep::ReplicaStaging staging(spec, 4);
+  staging.attach_pool({&pool, pool.register_client("bench", shards), shards});
   sim::Rng rng(31);
   std::vector<rep::wire::RegionFrame> there;
   std::vector<rep::wire::RegionFrame> back;
@@ -380,7 +388,7 @@ void BM_StagingCommitDelta(benchmark::State& state) {
   for (auto _ : state) commit_epoch(epoch % 2 == 0 ? there : back);
   state.SetItemsProcessed(state.iterations() * kRegions * kPagesPerFrame);
 }
-BENCHMARK(BM_StagingCommitDelta)->UseRealTime();
+BENCHMARK(BM_StagingCommitDelta)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_StateTranslationXenToKvm(benchmark::State& state) {
   hv::GuestCpuContext cpu;
@@ -452,11 +460,18 @@ BENCHMARK(BM_DiskApply);
 
 // One durable snapshot rotation (DurableStore::write_snapshot) of a 32 MiB
 // image with every page non-zero plus a dense 4 M-sector disk: ~100 MB of
-// framed record per iteration. Arg 0 writes each record into a fresh buffer
-// and drops the retired one, as a one-off snapshot does; Arg 1 passes the
-// retired segment back as the next spare, as ReplicaStaging's rotations do.
+// framed record per iteration. reuse:0 writes each record into a fresh
+// buffer and drops the retired one, as a one-off snapshot does; reuse:1
+// passes the retired segment back as the next spare, as ReplicaStaging's
+// rotations do. P is the writer's shard count on a 4-worker migrator pool
+// (P = 1 runs on the calling thread).
 void BM_SnapshotWrite(benchmark::State& state) {
   const bool reuse = state.range(0) != 0;
+  const auto shards = static_cast<std::uint32_t>(state.range(1));
+  sim::Simulation sim;
+  rep::MigratorPool pool(sim, 4);
+  const rep::PoolShards on_pool{&pool, pool.register_client("bench", shards),
+                                shards};
   const std::uint64_t pages = (32ULL << 20) / common::kPageSize;
   hv::GuestMemory mem(pages, 1);
   for (common::Gfn g = 0; g < pages; ++g) mem.write_u64(0, g, 0, g + 1);
@@ -468,9 +483,9 @@ void BM_SnapshotWrite(benchmark::State& state) {
   rep::SnapshotSegment spare;
   for (auto _ : state) {
     if (reuse) {
-      spare = store.write_snapshot(1, mem, disk, std::move(spare));
+      spare = store.write_snapshot(1, mem, disk, std::move(spare), on_pool);
     } else {
-      store.write_snapshot(1, mem, disk);
+      store.write_snapshot(1, mem, disk, {}, on_pool);
     }
     benchmark::ClobberMemory();
   }
@@ -478,8 +493,11 @@ void BM_SnapshotWrite(benchmark::State& state) {
                           static_cast<std::int64_t>(store.snapshot_bytes()));
 }
 BENCHMARK(BM_SnapshotWrite)
-    ->Arg(0)
-    ->Arg(1)
+    ->ArgNames({"reuse", "P"})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({1, 2})
+    ->Args({1, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -31,6 +31,29 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 
 constexpr std::array<std::uint32_t, 256> kTable = make_table();
 
+// a * b mod P over reflected operands (x^0 is bit 31), one bit of `a` a
+// step.
+constexpr std::uint32_t multiply_mod(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t product = 0;
+  for (std::uint32_t m = 0x80000000u; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kPolyReflected : b >> 1;
+  }
+  return product;
+}
+
+// kSquares[k] = x^(2^k) mod P, reflected.
+constexpr std::array<std::uint32_t, 64> make_squares() {
+  std::array<std::uint32_t, 64> squares{};
+  squares[0] = 0x40000000u;  // x^1
+  for (std::size_t k = 1; k < squares.size(); ++k) {
+    squares[k] = multiply_mod(squares[k - 1], squares[k - 1]);
+  }
+  return squares;
+}
+
+constexpr std::array<std::uint32_t, 64> kSquares = make_squares();
+
 #ifdef HERE_CRC32C_X86
 // The SSE4.2 `crc32` instruction implements exactly this reflected
 // Castagnoli step. Eight bytes per instruction on x86-64; a little-endian
@@ -171,6 +194,18 @@ std::uint32_t crc32c_update(std::uint32_t state,
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data) {
   return crc32c_final(crc32c_update(crc32c_init(), data));
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) {
+  // x^(8 len_b) mod P from the squares table: bit k of 8 len_b picks
+  // x^(2^k).
+  std::uint32_t shift = 0x80000000u;  // x^0
+  std::size_t k = 0;
+  for (std::uint64_t bits = len_b << 3; bits != 0; bits >>= 1, ++k) {
+    if ((bits & 1u) != 0) shift = multiply_mod(kSquares[k], shift);
+  }
+  return multiply_mod(shift, crc_a) ^ crc_b;
 }
 
 }  // namespace here::common

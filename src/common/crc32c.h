@@ -37,6 +37,15 @@ namespace here::common {
   return state ^ 0xFFFFFFFFu;
 }
 
+// The CRC32C of A followed by B, from crc32c(A), crc32c(B) and B's length:
+// crc32c(A) is multiplied by x^(8 len_b) mod P and XORed with crc32c(B)
+// (zlib's crc32_combine method; the init and final XORs cancel). Lets
+// workers CRC disjoint byte ranges of one record and join the results in
+// order. O(log len_b) carry-less products, no byte is read.
+[[nodiscard]] std::uint32_t crc32c_combine(std::uint32_t crc_a,
+                                           std::uint32_t crc_b,
+                                           std::uint64_t len_b);
+
 namespace detail {
 
 // The portable table loop, same contract as crc32c_update(). It is the

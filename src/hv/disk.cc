@@ -73,6 +73,17 @@ std::uint64_t VirtualDisk::digest() const {
   return acc;
 }
 
+std::vector<std::uint64_t> VirtualDisk::chunk_sector_counts() const {
+  std::vector<std::uint64_t> counts;
+  counts.reserve(chunks_.size());
+  for (const auto& [index, chunk] : chunks_) {
+    std::uint64_t n = 0;
+    for (const std::uint64_t word : chunk.present) n += std::popcount(word);
+    counts.push_back(n);
+  }
+  return counts;
+}
+
 std::uint64_t VirtualDisk::sectors_differing_in(const VirtualDisk& other) const {
   std::uint64_t differing = 0;
   auto theirs = other.chunks_.begin();

@@ -18,10 +18,14 @@
 // workload here writes that sparsely.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <vector>
 
 namespace here::hv {
 
@@ -60,22 +64,28 @@ class VirtualDisk {
   // words one set bit at a time.
   template <typename Visit>
   void for_each_stamp(Visit&& visit) const {
-    for (const auto& [index, chunk] : chunks_) {
-      const std::uint64_t base = index * kChunkSectors;
-      for (std::uint64_t w = 0; w < chunk.present.size(); ++w) {
-        std::uint64_t bits = chunk.present[w];
-        if (bits == ~std::uint64_t{0}) {
-          for (std::uint64_t offset = w * 64; offset < w * 64 + 64; ++offset) {
-            visit(base + offset, chunk.stamps[offset]);
-          }
-          continue;
-        }
-        for (; bits != 0; bits &= bits - 1) {
-          const std::uint64_t offset = w * 64 + std::countr_zero(bits);
-          visit(base + offset, chunk.stamps[offset]);
-        }
-      }
-    }
+    visit_chunks(chunks_.begin(), chunks_.end(), visit);
+  }
+
+  // Chunks holding any written sector; for_each_stamp visits them in
+  // ascending order, and the range overload below names them by position
+  // in that order.
+  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
+
+  // Written sectors of each chunk (a popcount of its presence bitmap), in
+  // for_each_stamp's chunk order. They sum to distinct_sectors(), so their
+  // prefix sums place each chunk's stamps in a serialized run.
+  [[nodiscard]] std::vector<std::uint64_t> chunk_sector_counts() const;
+
+  // for_each_stamp over the chunks at positions [first, last) only, so
+  // disjoint position ranges may be visited from different threads.
+  template <typename Visit>
+  void for_each_stamp(std::size_t first, std::size_t last, Visit&& visit) const {
+    last = std::min(last, chunks_.size());
+    if (first >= last) return;
+    const auto begin = std::next(chunks_.begin(), static_cast<std::ptrdiff_t>(first));
+    visit_chunks(begin, std::next(begin, static_cast<std::ptrdiff_t>(last - first)),
+                 visit);
   }
 
   // This disk's written sectors that `other` never wrote or holds with a
@@ -113,6 +123,27 @@ class VirtualDisk {
     std::array<std::uint64_t, kChunkSectors> stamps{};
     std::array<std::uint64_t, kChunkSectors / 64> present{};
   };
+
+  template <typename Iterator, typename Visit>
+  static void visit_chunks(Iterator begin, Iterator end, Visit& visit) {
+    for (auto it = begin; it != end; ++it) {
+      const Chunk& chunk = it->second;
+      const std::uint64_t base = it->first * kChunkSectors;
+      for (std::uint64_t w = 0; w < chunk.present.size(); ++w) {
+        std::uint64_t bits = chunk.present[w];
+        if (bits == ~std::uint64_t{0}) {
+          for (std::uint64_t offset = w * 64; offset < w * 64 + 64; ++offset) {
+            visit(base + offset, chunk.stamps[offset]);
+          }
+          continue;
+        }
+        for (; bits != 0; bits &= bits - 1) {
+          const std::uint64_t offset = w * 64 + std::countr_zero(bits);
+          visit(base + offset, chunk.stamps[offset]);
+        }
+      }
+    }
+  }
 
   // The chunk holding sectors [index * kChunkSectors, +kChunkSectors),
   // created empty if absent.

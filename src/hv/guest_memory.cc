@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <new>
 #include <stdexcept>
 
@@ -75,6 +76,12 @@ bool GuestMemory::any_backed(common::Gfn first, std::uint64_t count) const {
   }
   // The flags are bytes, so the zero-page scan answers over them too.
   return !is_zero_page({backed_.data() + first, count});
+}
+
+std::uint64_t GuestMemory::backed_pages() const {
+  return static_cast<std::uint64_t>(
+      backed_.size() - static_cast<std::size_t>(
+                           std::count(backed_.begin(), backed_.end(), 0)));
 }
 
 void GuestMemory::install_page(common::Gfn gfn,

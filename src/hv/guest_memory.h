@@ -119,6 +119,10 @@ class GuestMemory {
   // reads as zeros. Reads only the flags.
   [[nodiscard]] bool any_backed(common::Gfn first, std::uint64_t count) const;
 
+  // Pages backed so far: an upper bound on the pages a full rehash reads.
+  // Reads only the flags.
+  [[nodiscard]] std::uint64_t backed_pages() const;
+
   // Raw store that bypasses dirty logging — used when the *replica* engine
   // applies a received checkpoint (those writes must not look like guest
   // activity). A backed destination takes a plain copy; an unbacked one

@@ -30,6 +30,9 @@ constexpr std::size_t kPageMetaBytes = 1 + 4 + 8;
 // The snapshot writer folds its CRC over the stamps it has written every
 // 16 KiB (1,024 sector/stamp pairs): small enough to be read back from L1/L2.
 constexpr std::ptrdiff_t kStampSealBytes = 16 << 10;
+// Smallest image whose snapshot the writer shards across the pool. Below it
+// the two dispatches cost more than the scan and copy they split.
+constexpr std::uint64_t kShardedSnapshotPages = 4096;
 
 // --- Little-endian serialization ---------------------------------------------
 
@@ -173,16 +176,35 @@ bool deserialize_frame(Reader& r, std::uint64_t epoch,
 
 void encode_snapshot_into(SnapshotSegment& record, std::uint64_t epoch,
                           const hv::GuestMemory& memory,
-                          const hv::VirtualDisk& disk) {
+                          const hv::VirtualDisk& disk,
+                          const PoolShards& shards) {
+  const std::uint64_t pages = memory.pages();
+  const std::uint32_t p =
+      pages >= kShardedSnapshotPages ? std::max<std::uint32_t>(1, shards.count)
+                                     : 1;
+  // Shard w owns gfns [pages * w / p, pages * (w + 1) / p) and disk chunks
+  // [chunks * w / p, chunks * (w + 1) / p), so the record is p runs of pages
+  // followed by p runs of stamps, each placed by the counts before it.
+  const auto cut = [p](std::uint64_t n, std::uint32_t w) {
+    return n * w / p;
+  };
   // Fresh frames are zeroed at recovery, so only non-zero pages are stored,
   // and the record is sized from them. An unbacked page is zero unread.
-  std::vector<common::Gfn> stored;
-  for (common::Gfn gfn = 0; gfn < memory.pages(); ++gfn) {
-    if (memory.backed(gfn) && !hv::is_zero_page(memory.page(gfn))) {
-      stored.push_back(gfn);
-    }
+  // Each list is sized here, so the workers allocate nothing.
+  std::vector<std::vector<common::Gfn>> stored(p);
+  for (std::uint32_t w = 0; w < p; ++w) {
+    stored[w].reserve(cut(pages, w + 1) - cut(pages, w));
   }
-  const std::uint64_t payload_len = 8 + 8 + stored.size() * (8 + kPageSize) +
+  shards.run(p, MigratorPool::WorkKind::kCommit, [&](std::uint32_t w) {
+    for (common::Gfn gfn = cut(pages, w); gfn < cut(pages, w + 1); ++gfn) {
+      if (memory.backed(gfn) && !hv::is_zero_page(memory.page(gfn))) {
+        stored[w].push_back(gfn);
+      }
+    }
+  });
+  std::uint64_t stored_pages = 0;
+  for (const std::vector<common::Gfn>& run : stored) stored_pages += run.size();
+  const std::uint64_t payload_len = 8 + 8 + stored_pages * (8 + kPageSize) +
                                     8 + 8 + disk.distinct_sectors() * 16;
   const std::uint64_t size = kRecordOverhead + payload_len;
   if (record.capacity() < size) SnapshotSegment().swap(record);
@@ -190,32 +212,81 @@ void encode_snapshot_into(SnapshotSegment& record, std::uint64_t epoch,
   std::uint8_t* out = store_le<std::uint32_t>(record.data(), kRecordMagic);
   out = store_le<std::uint32_t>(out, kKindSnapshot);
   out = store_le<std::uint64_t>(out, payload_len);
-  // The payload CRC runs right behind the cursor: `seal` folds what was
-  // written since the last fold.
-  std::uint32_t crc = common::crc32c_init();
-  const std::uint8_t* sealed = out;
-  const auto seal = [&crc, &sealed](const std::uint8_t* end) {
-    crc = common::crc32c_update(
-        crc, {sealed, static_cast<std::size_t>(end - sealed)});
-    sealed = end;
-  };
+  std::uint8_t* const payload = out;
   out = store_le<std::uint64_t>(out, epoch);
-  out = store_le<std::uint64_t>(out, stored.size());
-  for (const common::Gfn gfn : stored) {
-    out = store_le<std::uint64_t>(out, gfn);
-    std::memcpy(out, memory.page(gfn).data(), kPageSize);
-    out += kPageSize;
-    seal(out);
-  }
-  out = store_le<std::uint64_t>(out, disk.total_sectors());
+  out = store_le<std::uint64_t>(out, stored_pages);
+  std::uint8_t* const first_page = out;
+  std::uint8_t* const disk_header = first_page + stored_pages * (8 + kPageSize);
+  out = store_le<std::uint64_t>(disk_header, disk.total_sectors());
   out = store_le<std::uint64_t>(out, disk.distinct_sectors());
-  disk.for_each_stamp([&](std::uint64_t sector, std::uint64_t stamp) {
-    out = store_le<std::uint64_t>(out, sector);
-    out = store_le<std::uint64_t>(out, stamp);
-    if (out - sealed >= kStampSealBytes) seal(out);
+  std::uint8_t* const first_stamp = out;
+  std::uint8_t* const payload_end = payload + payload_len;
+
+  // Where each shard's runs start. A chunk's stamps are placed by the
+  // popcounts of the chunks before it; one shard needs no counts at all.
+  const std::size_t chunks = disk.chunk_count();
+  std::vector<std::uint8_t*> page_at(p + 1, disk_header);
+  std::vector<std::uint8_t*> stamp_at(p + 1, payload_end);
+  page_at[0] = first_page;
+  stamp_at[0] = first_stamp;
+  if (p > 1) {
+    const std::vector<std::uint64_t> counts = disk.chunk_sector_counts();
+    std::uint64_t sectors = 0;
+    for (std::uint32_t w = 1; w < p; ++w) {
+      page_at[w] = page_at[w - 1] + stored[w - 1].size() * (8 + kPageSize);
+      for (std::size_t c = cut(chunks, w - 1); c < cut(chunks, w); ++c) {
+        sectors += counts[c];
+      }
+      stamp_at[w] = first_stamp + sectors * 16;
+    }
+  }
+
+  // Each shard CRCs the bytes it writes, right behind its cursor: shard 0's
+  // page run also covers the epoch and page count, its stamp run the disk
+  // geometry. crc32c_combine joins the 2p runs in record order.
+  struct RunCrc {
+    std::uint32_t crc = 0;
+    std::uint64_t length = 0;
+  };
+  std::vector<RunCrc> runs(2 * std::size_t{p});
+  shards.run(p, MigratorPool::WorkKind::kCommit, [&](std::uint32_t w) {
+    std::uint32_t crc = common::crc32c_init();
+    const std::uint8_t* sealed = w == 0 ? payload : page_at[w];
+    const auto seal = [&crc, &sealed](const std::uint8_t* end) {
+      crc = common::crc32c_update(
+          crc, {sealed, static_cast<std::size_t>(end - sealed)});
+      sealed = end;
+    };
+    std::uint8_t* cursor = page_at[w];
+    for (const common::Gfn gfn : stored[w]) {
+      cursor = store_le<std::uint64_t>(cursor, gfn);
+      std::memcpy(cursor, memory.page(gfn).data(), kPageSize);
+      cursor += kPageSize;
+      seal(cursor);
+    }
+    seal(cursor);
+    runs[w] = {common::crc32c_final(crc),
+               static_cast<std::uint64_t>(cursor - (w == 0 ? payload : page_at[w]))};
+
+    crc = common::crc32c_init();
+    sealed = w == 0 ? disk_header : stamp_at[w];
+    const std::uint8_t* const stamps_begin = sealed;
+    cursor = stamp_at[w];
+    disk.for_each_stamp(cut(chunks, w), cut(chunks, w + 1),
+                        [&](std::uint64_t sector, std::uint64_t stamp) {
+                          cursor = store_le<std::uint64_t>(cursor, sector);
+                          cursor = store_le<std::uint64_t>(cursor, stamp);
+                          if (cursor - sealed >= kStampSealBytes) seal(cursor);
+                        });
+    seal(cursor);
+    runs[p + w] = {common::crc32c_final(crc),
+                   static_cast<std::uint64_t>(cursor - stamps_begin)};
   });
-  seal(out);
-  store_le<std::uint32_t>(out, common::crc32c_final(crc));
+  std::uint32_t crc = runs[0].crc;
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    crc = common::crc32c_combine(crc, runs[i].crc, runs[i].length);
+  }
+  store_le<std::uint32_t>(payload_end, crc);
 }
 
 SnapshotSegment encode_snapshot(std::uint64_t epoch,
@@ -313,8 +384,9 @@ DurableStore::DurableStore(DurableStoreConfig config) : config_(config) {}
 SnapshotSegment DurableStore::write_snapshot(std::uint64_t epoch,
                                              const hv::GuestMemory& memory,
                                              const hv::VirtualDisk& disk,
-                                             SnapshotSegment spare) {
-  encode_snapshot_into(spare, epoch, memory, disk);
+                                             SnapshotSegment spare,
+                                             const PoolShards& shards) {
+  encode_snapshot_into(spare, epoch, memory, disk, shards);
   std::lock_guard lock(mu_);
   // Atomic rotation: the fresh snapshot is fully serialized and CRC-sealed
   // before it replaces the old segment; only then is the WAL cleared.

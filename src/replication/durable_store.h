@@ -52,6 +52,7 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "hv/disk.h"
+#include "replication/migrator_pool.h"
 #include "replication/wire.h"
 
 namespace here::hv {
@@ -144,10 +145,13 @@ class DurableStore {
   // passes nothing and drops the return. The store itself keeps no spare:
   // it outlives the staging through a rejoin and a failover, and a spare
   // there would stack on those phases' memory.
+  // `shards` runs the serialization on the pool (encode_snapshot_into); the
+  // lock is taken only for the swap, never across the pool.
   SnapshotSegment write_snapshot(std::uint64_t epoch,
                                  const hv::GuestMemory& memory,
                                  const hv::VirtualDisk& disk,
-                                 SnapshotSegment spare = {});
+                                 SnapshotSegment spare = {},
+                                 const PoolShards& shards = {});
 
   // Appends one committed epoch to the WAL. The caller checks
   // rotation_due() afterwards and, if set, follows up with write_snapshot —
@@ -208,9 +212,17 @@ class DurableStore {
 // CRC is folded over each piece — header fields, a page, a run of stamps —
 // right after it is written, while it is still in cache, instead of in a
 // second pass over the record.
+//
+// An image of 4,096 pages or more is written in `shards.count` shards on
+// the pool: shard w scans and copies a contiguous gfn range and serializes
+// a contiguous range of disk chunks, each placed by the counts of the
+// ranges before it, and CRCs its own bytes; common::crc32c_combine joins
+// the CRCs in record order. The record is byte-identical whatever the
+// shard count.
 void encode_snapshot_into(SnapshotSegment& record, std::uint64_t epoch,
                           const hv::GuestMemory& memory,
-                          const hv::VirtualDisk& disk);
+                          const hv::VirtualDisk& disk,
+                          const PoolShards& shards = {});
 
 // encode_snapshot_into a fresh buffer.
 [[nodiscard]] SnapshotSegment encode_snapshot(std::uint64_t epoch,

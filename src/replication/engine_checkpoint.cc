@@ -317,6 +317,7 @@ ReplicationEngine::EpochCapture ReplicationEngine::capture_epoch(
   const std::uint64_t regions = (pages + kPagesPerRegion - 1) / kPagesPerRegion;
 
   staging_->begin_epoch(current_epoch_);
+  staging_->attach_pool({pool_, pool_client_, p});
   c.worker_pages.assign(p, 0);
   std::vector<std::vector<common::Gfn>> region_gfns(regions);
   pool_->run_shards(pool_client_, p, [&](std::uint32_t w) {

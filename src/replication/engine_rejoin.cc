@@ -92,6 +92,7 @@ bool ReplicationEngine::try_delta_seed() {
 void ReplicationEngine::reset_staging() {
   staging_ = std::make_unique<ReplicaStaging>(vm_->spec(), threads());
   staging_->set_advertised_wire_version(config_.replica_max_wire_version);
+  staging_->attach_pool({pool_, pool_client_, threads()});
 }
 
 Expected<sim::Duration> ReplicationEngine::recover_from_store() {

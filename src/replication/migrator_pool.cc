@@ -85,6 +85,7 @@ void MigratorPool::run_shards(ClientId client, std::uint32_t shards,
       ClientStats& stats = clients_[client].stats;
       ++stats.shards_run;
       if (kind == WorkKind::kEncode) ++stats.encode_shards_run;
+      if (kind == WorkKind::kCommit) ++stats.commit_shards_run;
     }
   });
 }

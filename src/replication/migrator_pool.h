@@ -76,9 +76,10 @@ class MigratorPool {
   void commit_burst(ClientId client, sim::Duration busy_for);
 
   // What a shard batch does, for the per-client accounting: dirty-set
-  // capture/copy work, or content-aware encode passes (the encoder stage is
-  // granted pool work like any other burst phase).
-  enum class WorkKind : std::uint8_t { kCopy, kEncode };
+  // capture/copy work, content-aware encode passes (the encoder stage is
+  // granted pool work like any other burst phase), or the replica's commit
+  // (verify, apply, region references) and its durable snapshot rotation.
+  enum class WorkKind : std::uint8_t { kCopy, kEncode, kCommit };
 
   // Runs fn(shard) for shard in [0, shards) on the real workers and blocks
   // until all complete; shards are tagged to `client` (and `kind`) in the
@@ -102,6 +103,7 @@ class MigratorPool {
     std::uint32_t min_grant = 0;           // smallest grant ever (0 = none yet)
     std::uint64_t shards_run = 0;
     std::uint64_t encode_shards_run = 0;   // subset of shards: WorkKind::kEncode
+    std::uint64_t commit_shards_run = 0;   // subset of shards: WorkKind::kCommit
     sim::TimePoint last_burst_end{};       // end of the latest busy window
   };
 
@@ -136,6 +138,29 @@ class MigratorPool {
   obs::Counter* m_bursts_ = nullptr;
   obs::Counter* m_contended_ = nullptr;
   obs::FixedHistogram* m_grant_threads_ = nullptr;
+};
+
+// One client's handle on the pool for work outside a capture burst: the
+// replica's commit and snapshot writer run their shards through it. `count`
+// is the shard count the client's grant allows; a default handle (no pool)
+// runs everything on the caller's thread.
+struct PoolShards {
+  MigratorPool* pool = nullptr;
+  MigratorPool::ClientId client = MigratorPool::kInvalidClient;
+  std::uint32_t count = 1;
+
+  // Calls fn(w) for w in [0, shards) and returns when all are done: on the
+  // pool's workers (tagged `kind`) when a pool is attached and shards > 1,
+  // else inline in ascending order, with no std::function built. No lock
+  // may be held across it.
+  template <typename Fn>
+  void run(std::uint32_t shards, MigratorPool::WorkKind kind, Fn&& fn) const {
+    if (pool != nullptr && shards > 1) {
+      pool->run_shards(client, shards, fn, kind);
+      return;
+    }
+    for (std::uint32_t w = 0; w < shards; ++w) fn(w);
+  }
 };
 
 }  // namespace here::rep

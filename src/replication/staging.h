@@ -25,6 +25,7 @@
 #include "hv/hypervisor.h"
 #include "hv/types.h"
 #include "replication/durable_store.h"
+#include "replication/migrator_pool.h"
 #include "replication/time_model.h"
 #include "replication/wire.h"
 
@@ -41,9 +42,19 @@ enum class FrameVerdict : std::uint8_t {
 
 class ReplicaStaging {
  public:
-  // `workers` is unused: frames are staged under one lock, so no per-worker
-  // state exists. The parameter stays for existing two-argument callers.
+  // `workers` caps the shards commit(), its snapshot rotation and
+  // adopt_recovered() run on once a pool is attached (attach_pool). Without
+  // a pool, everything runs on the caller's thread, whatever `workers` is.
   ReplicaStaging(const hv::VmSpec& spec, std::uint32_t workers);
+
+  // Runs the commit's verify and apply, the region references and the
+  // durable snapshot writer on `shards` (the count capped at `workers`):
+  // worker w owns regions w, w + P, and so on. The engine attaches its pool
+  // client when it builds the staging and re-attaches each epoch's grant.
+  void attach_pool(const PoolShards& shards) {
+    pool_ = shards;
+    pool_.count = std::clamp<std::uint32_t>(shards.count, 1, workers_);
+  }
 
   [[nodiscard]] const hv::VmSpec& spec() const { return spec_; }
   [[nodiscard]] hv::GuestMemory& memory() { return memory_; }
@@ -130,6 +141,15 @@ class ReplicaStaging {
   // `aux` just verified against its bytes, so the region references only
   // fold. Without an armed header only a seed epoch commits: frames that
   // arrived with no header to verify them against are refused.
+  //
+  // With a pool attached, a large epoch (at least 512 pages landed across
+  // at least 2 regions, its payload under half the landed bytes) and the
+  // first commit's baseline (at least 512 backed pages to rehash, across at
+  // least 2 regions) run in shards by region. Every shard verifies its
+  // regions' frames before any shard applies; the refusal returned is the
+  // lowest seq's, the same one the serial walk meets first. The epoch's
+  // frames leave the staging under the lock, so no lock is held while the
+  // pool runs.
   [[nodiscard]] Expected<std::uint64_t> commit();
 
   // Discards a partially received epoch (primary failed mid-checkpoint).
@@ -182,17 +202,36 @@ class ReplicaStaging {
   [[nodiscard]] std::uint64_t peak_buffered_bytes() const { return peak_buffered_; }
 
  private:
-  // Commit phase 1: checks every encoded page against the committed image,
-  // writing nothing.
-  [[nodiscard]] Status verify_encoded_frames() const;
-  // Commit phase 2: lands each gfn's last writer and caches its digest.
-  void apply_frames();
-  // Recomputes one region's committed reference from the per-page cache.
+  using FrameMap = std::map<std::uint64_t, wire::RegionFrame>;
+
+  // Commit phase 1: checks every encoded page of `frames` against the
+  // committed image, writing nothing; shard w checks the frames of the
+  // regions it owns in seq order.
+  [[nodiscard]] Status verify_encoded_frames(const FrameMap& frames,
+                                             std::uint32_t shards) const;
+  // Phase 1 for one frame.
+  [[nodiscard]] Status verify_frame(std::uint64_t seq,
+                                    const wire::RegionFrame& frame) const;
+  // Commit phase 2 for shard w of `shards`: lands each gfn's last writer
+  // among the frames of its regions, caching each landed page's digest.
+  void apply_frames(const FrameMap& frames, std::uint32_t w,
+                    std::uint32_t shards);
+  // Recomputes one region's committed reference, refolding from the 8-page
+  // group of the first page whose digest changed since the last refresh.
   void refresh_region_digest(std::uint32_t region);
-  // Drops the whole cache and re-references every region from the bytes.
+  // Drops the cache of one region and re-references it from the bytes.
+  void baseline_region(std::uint32_t region);
+  // baseline_region for every region, sharded when at least 512 backed
+  // pages span 2 or more regions.
   void baseline_region_digests();
-  // Empties frames_, keeping each frame's payload buffer in spare_payloads_.
-  void drop_frames();
+  // Shards for work over `pages` pages in `regions` regions: the attached
+  // count when both reach the sharding floor, else 1.
+  [[nodiscard]] std::uint32_t shards_for(std::uint64_t pages,
+                                         std::uint64_t regions) const;
+  // Marks a page's cached digest stale and its region's fold from it.
+  void invalidate_page(common::Gfn gfn);
+  // Empties `frames`, keeping each frame's payload buffer in spare_payloads_.
+  void recycle_frames(FrameMap& frames);
 
   // Serializes the epoch frame/commit path (receive_frame, commit,
   // begin/abort_epoch) against itself. Ranked so any future nesting against
@@ -201,6 +240,8 @@ class ReplicaStaging {
                                          "rep.staging_commit"};
 
   hv::VmSpec spec_;
+  std::uint32_t workers_;
+  PoolShards pool_;
   hv::GuestMemory memory_;
   hv::VirtualDisk disk_;
   DurableStore* durable_ = nullptr;
@@ -224,7 +265,7 @@ class ReplicaStaging {
   bool expectation_armed_ = false;
   std::uint16_t advertised_version_ = wire::kWireVersionEncoded;
   wire::EpochHeader expected_;
-  std::map<std::uint64_t, wire::RegionFrame> frames_;
+  FrameMap frames_;
   // Payload buffers of dropped frames, reused by the next epoch's frames.
   // Freeing a whole epoch's payloads at once lets the allocator hand them
   // back to the OS and fault them in again on the next epoch; whether it
@@ -232,7 +273,10 @@ class ReplicaStaging {
   // with the seed.
   std::vector<std::vector<std::uint8_t>> spare_payloads_;
   std::set<std::uint32_t> corrupt_regions_;
+  // One reference per region, 0 until the first commit or adopt_recovered
+  // baselines them all.
   std::vector<std::uint64_t> committed_region_digests_;
+  bool references_baselined_ = false;
   // Per-page digest cache behind the region references: each entry is the
   // hv::page_digest of the page as a verified commit (or a baseline)
   // installed it. A commit fills the entries of the pages it lands; seed
@@ -241,6 +285,15 @@ class ReplicaStaging {
   // every region it touched.
   std::vector<std::uint64_t> page_digests_;
   std::vector<std::uint8_t> page_digest_valid_;
+  // page_prefix_[j] is the region fold up to and including page 8j + 7
+  // (groups of 8 pages never straddle a region), and fold_from_[r] the
+  // first page of region r whose prefix is stale (the region's end when
+  // none is). A refresh refolds from that page's group on, so one changed
+  // page near a region's end costs a few folds, not 512. Like the valid
+  // flags (bytes, not bits), every entry belongs to one region, so shards
+  // owning distinct regions write distinct objects.
+  std::vector<std::uint64_t> page_prefix_;
+  std::vector<common::Gfn> fold_from_;
 };
 
 // --- Shared by failover and live migration ----------------------------------

@@ -244,6 +244,24 @@ TEST(DetlintTest, LockAcrossSubmitFixtureFires) {
   EXPECT_EQ(result.findings.size(), 2u);
 }
 
+// A std::unique_ptr member types as its pointee: the call through `pool_`
+// reaches the pool's submit with the ranked mutex held (one L3, carrying
+// its chain), while the same-named method through the std::shared_ptr
+// `log_` edges only into the log's, which submits nothing. Untyped, both
+// calls would resolve to both methods by name and both would fire.
+TEST(DetlintTest, SmartPointerReceiverCarriesL3) {
+  const auto result =
+      scan_targets({"tests/analysis/fixtures/l3_unique_ptr_submit.cc"});
+  EXPECT_TRUE(result.errors.empty());
+  ASSERT_EQ(result.findings.size(), 1u);
+  const Finding& f = result.findings[0];
+  EXPECT_EQ(f.rule, Rule::kLockAcrossSubmit);
+  EXPECT_EQ(f.line, 23);
+  EXPECT_NE(f.message.find("FixL3uStaging::fix_l3u_commit"), std::string::npos)
+      << f.message;
+  EXPECT_EQ(f.message.find("fix_l3u_flush"), std::string::npos) << f.message;
+}
+
 TEST(DetlintTest, CvWaitHeldFixtureFires) {
   const auto result =
       scan_targets({"tests/analysis/fixtures/l4_cv_wait_held.cc"});

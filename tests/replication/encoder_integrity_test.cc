@@ -15,7 +15,8 @@
 //     commit, image untouched;
 //   * the in-place commit verifies the whole epoch first: a malformed delta
 //     or a stale base in any frame, the last one included, refuses the
-//     epoch with the bytes, backed flags and digest cache unchanged; among
+//     epoch with the bytes, backed flags and digest cache unchanged, and
+//     sharded on the migrator pool it is refused with the serial text; among
 //     deltas for one gfn the highest seq lands; an empty delta leaves an
 //     unbacked page unbacked; the digests cached as pages land keep rot
 //     visible to the scrub.
@@ -36,9 +37,11 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "replication/encoder.h"
+#include "replication/migrator_pool.h"
 #include "replication/staging.h"
 #include "replication/testbed.h"
 #include "replication/wire.h"
+#include "sim/event_queue.h"
 #include "workload/synthetic.h"
 
 namespace here::rep {
@@ -363,12 +366,14 @@ TEST(EncodedStreamIntegrity, StaleSkipBaseRefusedBeforeApply) {
 // --- The in-place commit: verify the whole epoch, then apply --------------
 
 // An 8 MiB replica (4 regions) whose committed image holds patterned pages
-// 5 and 600 (regions 0 and 1); every other page is unbacked.
+// 5 and 600 (regions 0 and 1); every other page is unbacked. `shards`
+// attaches a migrator pool.
 struct DeltaBed {
-  ReplicaStaging staging{hv::make_vm_spec("t", 1, 8ULL << 20), 1};
+  ReplicaStaging staging{hv::make_vm_spec("t", 1, 8ULL << 20), 4};
   std::uint64_t next_epoch = 1;
 
-  DeltaBed() {
+  explicit DeltaBed(const PoolShards& shards = {}) {
+    staging.attach_pool(shards);
     staging.install_seed_page(5, patterned_page(0xa1));
     staging.install_seed_page(600, patterned_page(0xc3));
     staging.begin_epoch(0);
@@ -480,49 +485,142 @@ void expect_refused_untouched(DeltaBed& bed, const Expected<std::uint64_t>& r,
   }
 }
 
-TEST(InPlaceCommit, TruncatedDeltaHeaderInLastFrameRefusesTheEpoch) {
-  DeltaBed bed;
-  const std::vector<common::Gfn> gfns = {5, 7, 600};
-  const ImageProbe before = probe(bed.staging, gfns);
+// The malformed epochs below, each refused whole.
+enum class Malformed : std::uint8_t {
   // Honest deltas for a backed and an unbacked page come first; the last
   // frame's delta ends three bytes into a record header.
-  std::vector<wire::RegionFrame> frames = {
-      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
-      delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
-      one_page_frame(2, 600, wire::PageEncoding::kDelta,
-                     hv::page_digest(bed.page(600)), {0x01, 0x00, 0x01})};
-  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+  kTruncatedHeaderInLastFrame,
+  // The last frame's delta is a zero-run of 4000 then 200 literal bytes:
+  // past the end of the page.
+  kOverrunInLastFrame,
+  // The middle frame's delta is well formed but against a base the replica
+  // never committed.
+  kStaleBaseInMiddleFrame,
+  // Two bad frames in two regions: a stale base at seq 1 (region 1) and a
+  // truncated delta at seq 2 (region 2). The epoch's refusal names seq 1.
+  kTwoBadFramesInTwoRegions,
+};
+
+std::vector<common::Gfn> malformed_gfns(Malformed which) {
+  if (which == Malformed::kStaleBaseInMiddleFrame) return {5, 7, 600, 1100};
+  if (which == Malformed::kTwoBadFramesInTwoRegions) return {5, 600, 1100};
+  return {5, 7, 600};
+}
+
+std::vector<wire::RegionFrame> malformed_frames(const DeltaBed& bed,
+                                                Malformed which) {
+  switch (which) {
+    case Malformed::kTruncatedHeaderInLastFrame:
+      return {delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+              delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
+              one_page_frame(2, 600, wire::PageEncoding::kDelta,
+                             hv::page_digest(bed.page(600)), {0x01, 0x00, 0x01})};
+    case Malformed::kOverrunInLastFrame: {
+      std::vector<std::uint8_t> overrun = {0xa0, 0x0f, 0xc8, 0x00};
+      overrun.resize(4 + 200, 0xee);
+      return {delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+              delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
+              one_page_frame(2, 600, wire::PageEncoding::kDelta,
+                             hv::page_digest(bed.page(600)), std::move(overrun))};
+    }
+    case Malformed::kStaleBaseInMiddleFrame: {
+      const std::vector<std::uint8_t> stale = patterned_page(0xb2);
+      return {delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+              one_page_frame(1, 600, wire::PageEncoding::kDelta,
+                             hv::page_digest(stale),
+                             xor_rle_encode(with_byte(stale, 40, 0x01), stale)),
+              delta_frame(bed, 2, 1100, with_byte(bed.page(1100), 9, 0x77))};
+    }
+    case Malformed::kTwoBadFramesInTwoRegions: {
+      const std::vector<std::uint8_t> stale = patterned_page(0xb2);
+      return {delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
+              one_page_frame(1, 600, wire::PageEncoding::kDelta,
+                             hv::page_digest(stale),
+                             xor_rle_encode(with_byte(stale, 40, 0x01), stale)),
+              one_page_frame(2, 1100, wire::PageEncoding::kDelta,
+                             hv::page_digest(bed.page(1100)), {0x01, 0x00, 0x01})};
+    }
+  }
+  return {};
+}
+
+void expect_malformed_refused(Malformed which) {
+  DeltaBed bed;
+  const std::vector<common::Gfn> gfns = malformed_gfns(which);
+  const ImageProbe before = probe(bed.staging, gfns);
+  expect_refused_untouched(bed, bed.commit(malformed_frames(bed, which)), before,
+                           gfns);
+}
+
+TEST(InPlaceCommit, TruncatedDeltaHeaderInLastFrameRefusesTheEpoch) {
+  expect_malformed_refused(Malformed::kTruncatedHeaderInLastFrame);
 }
 
 TEST(InPlaceCommit, DeltaOverrunningThePageInLastFrameRefusesTheEpoch) {
-  DeltaBed bed;
-  const std::vector<common::Gfn> gfns = {5, 7, 600};
-  const ImageProbe before = probe(bed.staging, gfns);
-  // zero-run 4000 + 200 literal bytes: past the end of the page.
-  std::vector<std::uint8_t> overrun = {0xa0, 0x0f, 0xc8, 0x00};
-  overrun.resize(4 + 200, 0xee);
-  std::vector<wire::RegionFrame> frames = {
-      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
-      delta_frame(bed, 1, 7, with_byte(bed.page(7), 9, 0x77)),
-      one_page_frame(2, 600, wire::PageEncoding::kDelta,
-                     hv::page_digest(bed.page(600)), std::move(overrun))};
-  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+  expect_malformed_refused(Malformed::kOverrunInLastFrame);
 }
 
 TEST(InPlaceCommit, StaleBaseInOneFrameOfSeveralRefusesTheEpoch) {
+  expect_malformed_refused(Malformed::kStaleBaseInMiddleFrame);
+}
+
+TEST(InPlaceCommit, TwoBadFramesRefuseTheEpochAtTheLowerSeq) {
   DeltaBed bed;
-  const std::vector<common::Gfn> gfns = {5, 7, 600, 1100};
-  const ImageProbe before = probe(bed.staging, gfns);
-  // The middle frame's delta is well formed but against a base the replica
-  // never committed.
-  const std::vector<std::uint8_t> stale = patterned_page(0xb2);
-  std::vector<wire::RegionFrame> frames = {
-      delta_frame(bed, 0, 5, with_byte(bed.page(5), 9, 0x77)),
-      one_page_frame(1, 600, wire::PageEncoding::kDelta,
-                     hv::page_digest(stale),
-                     xor_rle_encode(with_byte(stale, 40, 0x01), stale)),
-      delta_frame(bed, 2, 1100, with_byte(bed.page(1100), 9, 0x77))};
-  expect_refused_untouched(bed, bed.commit(std::move(frames)), before, gfns);
+  const Expected<std::uint64_t> refused = bed.commit(
+      malformed_frames(bed, Malformed::kTwoBadFramesInTwoRegions));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("frame seq 1 refused"),
+            std::string::npos)
+      << refused.status().message();
+  expect_malformed_refused(Malformed::kTwoBadFramesInTwoRegions);
+}
+
+// Each malformed epoch again, padded past the sharding gate with a skip
+// frame over every page of region 3 (after the case's frames) and committed
+// on a migrator pool at P = 1, 2 and 4: the refusal's text is the serial
+// one, the image is untouched, and the padded epochs did shard. With two
+// bad frames the shards refuse at different seqs, and the lower one wins.
+TEST(InPlaceCommit, ShardedRefusalTextMatchesTheSerialOne) {
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  const auto padded = [](const DeltaBed& bed, Malformed which) {
+    std::vector<wire::RegionFrame> frames = malformed_frames(bed, which);
+    wire::RegionFrame pad;
+    pad.seq = frames.size();
+    pad.region = 3;
+    pad.version = wire::kWireVersionEncoded;
+    for (common::Gfn g = 3 * common::kPagesPerRegion;
+         g < 4 * common::kPagesPerRegion; ++g) {
+      pad.gfns.push_back(g);
+      pad.pages.push_back({wire::PageEncoding::kSkip, 0, hv::kZeroPageDigest});
+    }
+    frames.push_back(std::move(pad));
+    return frames;
+  };
+  for (const Malformed which :
+       {Malformed::kTruncatedHeaderInLastFrame, Malformed::kOverrunInLastFrame,
+        Malformed::kStaleBaseInMiddleFrame,
+        Malformed::kTwoBadFramesInTwoRegions}) {
+    DeltaBed serial;
+    const Expected<std::uint64_t> want = serial.commit(padded(serial, which));
+    ASSERT_FALSE(want.ok());
+    for (const std::uint32_t p : {1u, 2u, 4u}) {
+      const MigratorPool::ClientId client = pool.register_client("replica", p);
+      DeltaBed bed({&pool, client, p});
+      const std::uint64_t baseline_shards =
+          pool.client_stats(client).commit_shards_run;
+      const std::vector<common::Gfn> gfns = malformed_gfns(which);
+      const ImageProbe before = probe(bed.staging, gfns);
+      const Expected<std::uint64_t> got = bed.commit(padded(bed, which));
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().to_string(), want.status().to_string())
+          << "P " << p;
+      if (p > 1) {
+        EXPECT_GT(pool.client_stats(client).commit_shards_run, baseline_shards);
+      }
+      expect_refused_untouched(bed, got, before, gfns);
+    }
+  }
 }
 
 // Two encoded frames carry deltas for one gfn against the same committed

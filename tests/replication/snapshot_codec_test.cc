@@ -11,7 +11,11 @@
 //   * round trip — decode_snapshot gives back the pages and the disk;
 //   * forged records — CRC-valid payloads with lying counts, out-of-order
 //     stamps or stamps past the disk end are refused with kDataLoss, never
-//     thrown on.
+//     thrown on;
+//   * the sharded writer — on the migrator pool, at shard counts from 2 to
+//     more than the disk has chunks, it writes the serial writer's bytes,
+//     and crc32c_combine, which joins its shards' CRCs, matches a one-shot
+//     CRC at every split.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +30,8 @@
 #include "hv/disk.h"
 #include "hv/guest_memory.h"
 #include "replication/durable_store.h"
+#include "replication/migrator_pool.h"
+#include "sim/event_queue.h"
 #include "sim/rng.h"
 
 namespace here::rep {
@@ -276,6 +282,113 @@ TEST(SnapshotCodec, StampsAtOrPastTheDiskEndAreRefused) {
       decode_snapshot(frame_snapshot(forged_disk(1000, 1, {{999, 4}})));
   ASSERT_TRUE(last.ok()) << last.status().message();
   EXPECT_EQ((*last).disk.read_stamp(999), 4u);
+}
+
+// --- The sharded writer -------------------------------------------------------
+
+// Every split of a buffer that spans three-way kernel blocks and a tail:
+// the CRCs of the two parts, combined, equal the one-shot CRC; and so does
+// a three-part split of every shorter prefix.
+TEST(Crc32c, CombineMatchesOneShot) {
+  constexpr std::size_t kLength = 3 * 1360 + 17;
+  std::vector<std::uint8_t> data(kLength);
+  sim::Rng rng(41);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform(256));
+  const std::span<const std::uint8_t> all(data);
+  const std::uint32_t whole = common::crc32c(all);
+  for (std::size_t split = 0; split <= kLength; ++split) {
+    ASSERT_EQ(common::crc32c_combine(common::crc32c(all.first(split)),
+                                     common::crc32c(all.subspan(split)),
+                                     kLength - split),
+              whole)
+        << "split at " << split;
+  }
+  for (std::size_t length = 0; length <= kLength; ++length) {
+    const std::size_t a = length / 3;
+    const std::size_t b = length - a - length / 5;
+    std::uint32_t crc = common::crc32c(all.first(a));
+    crc = common::crc32c_combine(crc, common::crc32c(all.subspan(a, b - a)),
+                                 b - a);
+    crc = common::crc32c_combine(
+        crc, common::crc32c(all.subspan(b, length - b)), length - b);
+    ASSERT_EQ(crc, common::crc32c(all.first(length))) << "length " << length;
+  }
+}
+
+// Images of 4,096 pages or more shard; each case is written serially and at
+// 2, 3, 4 and 8 shards on a 4-worker pool, and every record must be the
+// serial one byte for byte (and decode).
+TEST(SnapshotCodec, ShardedWriterMatchesSerialBytes) {
+  constexpr std::uint64_t kChunk = hv::VirtualDisk::kChunkSectors;
+  constexpr std::uint64_t kPages = 4096 + 37;
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  const MigratorPool::ClientId client = pool.register_client("snapshot", 8);
+
+  struct Case {
+    const char* name;
+    std::uint64_t page_stride;  // 0: no page written
+    bool back_zero_pages;       // back some pages that hold only zeros
+    std::vector<hv::DiskWrite> writes;
+  };
+  sim::Rng rng(5);
+  std::vector<hv::DiskWrite> sparse;
+  for (const std::uint64_t chunk : {0u, 3u, 4u, 9u, 30u}) {
+    for (int i = 0; i < 5; ++i) {
+      sparse.push_back({.sector = chunk * kChunk + rng.uniform(kChunk),
+                        .sectors = 1 + static_cast<std::uint32_t>(rng.uniform(3)),
+                        .stamp = rng.uniform(1u << 20)});
+    }
+  }
+  const std::vector<Case> cases = {
+      {"empty disk", 7, false, {}},
+      {"sparse chunks", 3, false, sparse},
+      {"full words", 11, false,
+       {{.sector = 0, .sectors = 3 * kChunk + 128, .stamp = 9},
+        {.sector = 5 * kChunk + 64, .sectors = 64, .stamp = 1},
+        {.sector = 5 * kChunk + 200, .sectors = 3, .stamp = 0}}},
+      {"all-zero image", 0, true, sparse},
+      {"one chunk", 1, false, {{.sector = 10, .sectors = 100, .stamp = 2}}},
+  };
+  for (const Case& c : cases) {
+    hv::GuestMemory memory(kPages, 1);
+    std::vector<std::uint8_t> page(common::kPageSize);
+    if (c.page_stride != 0) {
+      for (common::Gfn g = 0; g < kPages; g += c.page_stride) {
+        for (auto& b : page) b = static_cast<std::uint8_t>(rng.uniform(256));
+        memory.install_page(g, page);
+      }
+    }
+    if (c.back_zero_pages) {
+      for (common::Gfn g = 0; g < kPages; g += 13) {
+        std::fill(memory.page_mut(g).begin(), memory.page_mut(g).end(), 0);
+      }
+    }
+    hv::VirtualDisk disk(64 * kChunk);
+    for (const hv::DiskWrite& w : c.writes) disk.apply(w);
+    const SnapshotSegment serial = encode_snapshot(3, memory, disk);
+    ASSERT_TRUE(decode_snapshot(serial).ok()) << c.name;
+    for (const std::uint32_t p : {2u, 3u, 4u, 8u}) {
+      const std::uint64_t before = pool.client_stats(client).commit_shards_run;
+      SnapshotSegment sharded;
+      encode_snapshot_into(sharded, 3, memory, disk, {&pool, client, p});
+      EXPECT_EQ(bytes(sharded), bytes(serial)) << c.name << ", " << p << " shards";
+      EXPECT_EQ(pool.client_stats(client).commit_shards_run, before + 2 * p)
+          << c.name << ": a scan and a write pass per shard";
+    }
+  }
+}
+
+// Below 4,096 pages the writer stays on the caller's thread.
+TEST(SnapshotCodec, SmallImageWritesOnTheCallersThread) {
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  const MigratorPool::ClientId client = pool.register_client("snapshot", 4);
+  const Image image(4095, 5, 500);
+  SnapshotSegment sharded;
+  encode_snapshot_into(sharded, 1, image.memory, image.disk, {&pool, client, 4});
+  EXPECT_EQ(bytes(sharded), bytes(encode_snapshot(1, image.memory, image.disk)));
+  EXPECT_EQ(pool.client_stats(client).commit_shards_run, 0u);
 }
 
 }  // namespace

@@ -5,21 +5,30 @@
 // header, and per-region digest references for the scrubber, which
 // post-commit rot must never enter; the scrub's audit digest of a region
 // with no backed page, answered from the flags, equals the digest of its
-// bytes; a seeded replica backs only the pages its guest wrote.
+// bytes; a seeded replica backs only the pages its guest wrote. Region
+// references refold from the first changed page and equal the full fold of
+// the per-page digests each commit installed; a commit sharded on the
+// migrator pool leaves the same image, backed flags and references as the
+// serial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/fnv.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "hv/hypervisor.h"
+#include "replication/encoder.h"
+#include "replication/migrator_pool.h"
 #include "replication/seeder.h"
 #include "replication/staging.h"
 #include "replication/testbed.h"
 #include "replication/wire.h"
+#include "sim/event_queue.h"
+#include "sim/rng.h"
 #include "tests/resident_memory.h"
 
 namespace here::rep {
@@ -411,6 +420,291 @@ TEST(ReplicaStaging, SeedKeepsZeroPagesUnbacked) {
   ASSERT_TRUE(bed.run_until([&] { return done; }));
   EXPECT_EQ(staging.memory().full_digest(), vm.memory().full_digest());
   EXPECT_LT(test::rss_anon_bytes().value() - before, 3 * written);
+}
+
+// --- Region references fold from the first changed page ---------------------
+
+// The test's own model of the reference: per page, the digest the page had
+// when a commit last landed it or refreshed its region after a seed
+// install; a region's reference is the full 512-page fold of those.
+struct ReferenceModel {
+  explicit ReferenceModel(const ReplicaStaging& staging)
+      : digests(staging.spec().pages), pending(staging.spec().pages, true) {}
+
+  std::uint64_t fold(std::uint32_t region) const {
+    std::uint64_t acc = common::kFnvStreamOffset;
+    const std::uint64_t first = std::uint64_t{region} * common::kPagesPerRegion;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(first + common::kPagesPerRegion, digests.size());
+    for (std::uint64_t g = first; g < last; ++g) {
+      acc = common::fnv1a_u64(acc, digests[g]);
+    }
+    return acc;
+  }
+
+  // A commit landed `landed` and refreshed `regions`.
+  void committed(const ReplicaStaging& staging,
+                 const std::vector<common::Gfn>& landed,
+                 const std::set<std::uint32_t>& regions) {
+    for (const common::Gfn g : landed) {
+      digests[g] = staging.memory().page_digest(g);
+      pending[g] = false;
+    }
+    for (const std::uint32_t r : regions) {
+      const std::uint64_t first = std::uint64_t{r} * common::kPagesPerRegion;
+      for (std::uint64_t g = first;
+           g < std::min<std::uint64_t>(first + common::kPagesPerRegion,
+                                       digests.size());
+           ++g) {
+        if (pending[g]) digests[g] = staging.memory().page_digest(g);
+        pending[g] = false;
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> digests;
+  std::vector<bool> pending;  // seed-installed, not yet in a reference
+};
+
+// Seeded random rounds of raw commits, seed installs and post-commit rot on
+// a 2.5-region image (a short last region included): after every commit,
+// every region's reference equals the model's full fold — the prefix
+// refold is bit-identical to folding all 512 page digests, rot stays out,
+// and seed installs enter only when their region is next refreshed.
+TEST(RegionReference, PrefixRefoldMatchesTheFullFold) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    sim::Rng rng(seed);
+    ReplicaStaging staging(hv::make_vm_spec("t", 1, 5ULL << 20), 1);
+    const std::uint64_t pages = staging.spec().pages;  // 1280
+    ReferenceModel model(staging);
+    for (int i = 0; i < 40; ++i) {
+      staging.install_seed_page(rng.uniform(pages), filled_page(0x11));
+    }
+    staging.begin_epoch(0);
+    ASSERT_TRUE(staging.commit().ok());
+    std::set<std::uint32_t> all;
+    for (std::uint32_t r = 0; r < staging.region_count(); ++r) all.insert(r);
+    model.committed(staging, {}, all);
+    for (std::uint64_t epoch = 1; epoch <= 30; ++epoch) {
+      // Seed installs (a rejoin resync) and rot on a committed page.
+      for (std::uint64_t n = rng.uniform(3); n > 0; --n) {
+        const common::Gfn g = rng.uniform(pages);
+        staging.install_seed_page(
+            g, filled_page(static_cast<std::uint8_t>(rng.uniform(256))));
+        model.pending[g] = true;
+      }
+      if (rng.bernoulli(0.5)) {
+        const common::Gfn g = rng.uniform(pages);
+        if (!model.pending[g]) staging.memory().page_mut(g)[rng.uniform(4096)] ^= 0x20;
+      }
+      // One frame per chosen region; gfns drawn near the region's edges
+      // as often as its middle.
+      std::vector<wire::RegionFrame> frames;
+      std::vector<common::Gfn> landed;
+      std::set<std::uint32_t> regions;
+      for (std::uint64_t n = 1 + rng.uniform(3); n > 0; --n) {
+        const auto r = static_cast<std::uint32_t>(rng.uniform(staging.region_count()));
+        if (!regions.insert(r).second) continue;
+        const std::uint64_t first = std::uint64_t{r} * common::kPagesPerRegion;
+        const std::uint64_t span =
+            std::min<std::uint64_t>(common::kPagesPerRegion, pages - first);
+        std::vector<common::Gfn> gfns;
+        for (std::uint64_t k = 1 + rng.uniform(4); k > 0; --k) {
+          const std::uint64_t at = rng.uniform(3) == 0   ? rng.uniform(span)
+                                   : rng.bernoulli(0.5) ? rng.uniform(4)
+                                                         : span - 1 - rng.uniform(4);
+          gfns.push_back(first + at);
+        }
+        landed.insert(landed.end(), gfns.begin(), gfns.end());
+        frames.push_back(make_frame(epoch, frames.size(), gfns,
+                                    static_cast<std::uint8_t>(rng.uniform(256))));
+      }
+      ASSERT_TRUE(commit_frames(staging, epoch, frames).ok());
+      model.committed(staging, landed, regions);
+      for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+        ASSERT_EQ(staging.committed_region_digest(r), model.fold(r))
+            << "seed " << seed << " epoch " << epoch << " region " << r;
+      }
+    }
+  }
+}
+
+// --- The commit sharded on the migrator pool ----------------------------------
+
+// One seeded random encoded epoch against `base`'s committed image: frames
+// for several regions mixing raw, zero, delta and skip pages, some regions
+// sent twice under a higher seq, a repeated gfn inside a frame. Large
+// enough and light enough on payload to pass the sharding gate.
+std::vector<wire::RegionFrame> random_encoded_epoch(const ReplicaStaging& base,
+                                                    std::uint64_t epoch,
+                                                    sim::Rng& rng) {
+  std::vector<wire::RegionFrame> frames;
+  const std::uint32_t regions = base.region_count();
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    if (rng.bernoulli(0.3)) continue;
+    for (int copy = 0; copy < (rng.bernoulli(0.25) ? 2 : 1); ++copy) {
+      wire::RegionFrame f;
+      f.epoch = epoch;
+      f.region = r;
+      f.version = wire::kWireVersionEncoded;
+      for (int k = 0; k < 160; ++k) {
+        const common::Gfn g =
+            std::uint64_t{r} * common::kPagesPerRegion + rng.uniform(common::kPagesPerRegion);
+        const auto committed = base.memory().page(g);
+        const std::vector<std::uint8_t> before(committed.begin(), committed.end());
+        const std::uint64_t pick = rng.uniform(10);
+        f.gfns.push_back(g);
+        if (pick == 0) {  // raw
+          std::vector<std::uint8_t> page(common::kPageSize);
+          for (auto& b : page) b = static_cast<std::uint8_t>(rng.uniform(256));
+          f.pages.push_back({wire::PageEncoding::kRaw,
+                             static_cast<std::uint32_t>(common::kPageSize), 0});
+          f.bytes.insert(f.bytes.end(), page.begin(), page.end());
+        } else if (pick <= 2) {  // zero
+          f.pages.push_back({wire::PageEncoding::kZero, 0, 0});
+        } else if (pick <= 6) {  // delta of a few bytes
+          std::vector<std::uint8_t> target = before;
+          for (std::uint64_t n = 1 + rng.uniform(6); n > 0; --n) {
+            target[rng.uniform(common::kPageSize)] ^=
+                static_cast<std::uint8_t>(1 + rng.uniform(255));
+          }
+          const std::vector<std::uint8_t> delta = xor_rle_encode(target, before);
+          f.pages.push_back({wire::PageEncoding::kDelta,
+                             static_cast<std::uint32_t>(delta.size()),
+                             hv::page_digest(before)});
+          f.bytes.insert(f.bytes.end(), delta.begin(), delta.end());
+        } else {  // skip
+          f.pages.push_back(
+              {wire::PageEncoding::kSkip, 0, hv::page_digest(before)});
+        }
+      }
+      if (rng.bernoulli(0.5)) {  // the later entry of a repeated gfn wins
+        f.gfns.push_back(f.gfns.front());
+        f.pages.push_back({wire::PageEncoding::kZero, 0, 0});
+      }
+      frames.push_back(std::move(f));
+    }
+  }
+  // Seqs ascend with the order built: a region's second frame follows it.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i].seq = i;
+    wire::seal_frame(frames[i]);
+  }
+  return frames;
+}
+
+Expected<std::uint64_t> commit_encoded(ReplicaStaging& staging,
+                                       std::uint64_t epoch,
+                                       const std::vector<wire::RegionFrame>& frames) {
+  std::uint64_t digest = wire::digest_init();
+  for (const wire::RegionFrame& f : frames) digest = wire::digest_fold(digest, f);
+  staging.begin_epoch(epoch);
+  staging.expect_epoch({epoch, frames.size(), digest, wire::kWireVersionEncoded});
+  for (const wire::RegionFrame& f : frames) {
+    EXPECT_EQ(staging.receive_frame(f), FrameVerdict::kOk);
+  }
+  return staging.commit();
+}
+
+// A serial staging (no pool) and one sharded at P = 1, 2 and 4 take the
+// same seeded seed image and encoded epochs: after every commit the image
+// bytes, the backed flags and every region reference agree. The references
+// fold the digest cache, so a cache entry that differed would show there;
+// a final honest epoch over every page of every region re-checks the cache
+// of pages the random epochs left alone.
+TEST(ShardedCommit, MatchesSerialAtOneTwoAndFourShards) {
+  const hv::VmSpec spec = hv::make_vm_spec("t", 1, 16ULL << 20);  // 8 regions
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  for (const std::uint32_t p : {1u, 2u, 4u}) {
+    const MigratorPool::ClientId client = pool.register_client("replica", p);
+    ReplicaStaging serial(spec, 4);
+    ReplicaStaging sharded(spec, 4);
+    sharded.attach_pool({&pool, client, p});
+    sim::Rng seed_rng(7);
+    for (common::Gfn g = 0; g < spec.pages; ++g) {
+      if (!seed_rng.bernoulli(0.3)) continue;
+      std::vector<std::uint8_t> page(common::kPageSize);
+      for (auto& b : page) b = static_cast<std::uint8_t>(seed_rng.uniform(256));
+      serial.install_seed_page(g, page);
+      sharded.install_seed_page(g, page);
+    }
+    for (ReplicaStaging* s : {&serial, &sharded}) {
+      s->begin_epoch(0);
+      ASSERT_TRUE(s->commit().ok());
+    }
+    sim::Rng rng(11);
+    for (std::uint64_t epoch = 1; epoch <= 6; ++epoch) {
+      const std::vector<wire::RegionFrame> frames =
+          random_encoded_epoch(serial, epoch, rng);
+      const Expected<std::uint64_t> a = commit_encoded(serial, epoch, frames);
+      const Expected<std::uint64_t> b = commit_encoded(sharded, epoch, frames);
+      ASSERT_TRUE(a.ok()) << a.status().to_string();
+      ASSERT_TRUE(b.ok()) << b.status().to_string();
+      EXPECT_EQ(*a, *b);
+      for (common::Gfn g = 0; g < spec.pages; ++g) {
+        ASSERT_TRUE(std::ranges::equal(serial.memory().page(g),
+                                       sharded.memory().page(g)))
+            << "P " << p << " epoch " << epoch << " gfn " << g;
+        ASSERT_EQ(serial.memory().backed(g), sharded.memory().backed(g))
+            << "P " << p << " epoch " << epoch << " gfn " << g;
+      }
+      for (std::uint32_t r = 0; r < serial.region_count(); ++r) {
+        ASSERT_EQ(serial.committed_region_digest(r),
+                  sharded.committed_region_digest(r))
+            << "P " << p << " epoch " << epoch << " region " << r;
+        EXPECT_EQ(sharded.committed_region_digest(r),
+                  sharded.live_region_digest(r));
+      }
+    }
+    const std::uint64_t shards_run = pool.client_stats(client).commit_shards_run;
+    if (p > 1) {
+      EXPECT_GT(shards_run, 0u) << "the epochs passed the sharding gate";
+    } else {
+      EXPECT_EQ(shards_run, 0u) << "one shard runs on the caller's thread";
+    }
+  }
+}
+
+// The gate. A baseline shards by the pages it rehashes, the backed ones: a
+// nearly empty image's stays on the caller's thread, a written one's
+// shards. A raw epoch (payload equal to the landed bytes) stays on the
+// caller's thread even when it lands 800 pages in 4 regions.
+TEST(ShardedCommit, GateKeepsSmallBaselinesAndRawEpochsOnTheCallersThread) {
+  const hv::VmSpec spec = hv::make_vm_spec("t", 1, 16ULL << 20);
+  sim::Simulation sim;
+  MigratorPool pool(sim, 4);
+  const MigratorPool::ClientId client = pool.register_client("replica", 4);
+  {
+    ReplicaStaging sparse(spec, 4);
+    sparse.attach_pool({&pool, client, 4});
+    for (common::Gfn g = 0; g < 511; ++g) {
+      sparse.install_seed_page(g * 8, filled_page(0x5a));
+    }
+    sparse.begin_epoch(0);
+    ASSERT_TRUE(sparse.commit().ok());
+    EXPECT_EQ(pool.client_stats(client).commit_shards_run, 0u);
+  }
+  ReplicaStaging staging(spec, 4);
+  staging.attach_pool({&pool, client, 4});
+  for (common::Gfn g = 0; g < 512; ++g) {
+    staging.install_seed_page(g * 8, filled_page(0x5a));
+  }
+  staging.begin_epoch(0);
+  ASSERT_TRUE(staging.commit().ok());
+  const std::uint64_t after_baseline = pool.client_stats(client).commit_shards_run;
+  EXPECT_GT(after_baseline, 0u);
+  std::vector<wire::RegionFrame> raw;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    std::vector<common::Gfn> gfns;
+    for (common::Gfn g = 0; g < 200; ++g) gfns.push_back(r * common::kPagesPerRegion + g);
+    raw.push_back(make_frame(1, r, gfns, static_cast<std::uint8_t>(r + 1)));
+  }
+  ASSERT_TRUE(commit_frames(staging, 1, raw).ok());  // 800 raw pages
+  EXPECT_EQ(pool.client_stats(client).commit_shards_run, after_baseline);
+  for (std::uint32_t r = 0; r < staging.region_count(); ++r) {
+    EXPECT_EQ(staging.committed_region_digest(r), staging.live_region_digest(r));
+  }
 }
 
 }  // namespace

@@ -691,8 +691,12 @@ FileFacts extract_facts(const std::string& display_path,
   // Lexical declarations only: `Type var;`, `ns::Type& var_;`,
   // `Type<...> var{...};`. The last :: component of the type is the token;
   // an unparseable or `auto` declaration simply leaves the var untyped
-  // (untyped receivers fall back to name-only call resolution).
+  // (untyped receivers fall back to name-only call resolution). An owning
+  // smart pointer types as what it points to: `std::unique_ptr<ns::T> p_;`
+  // and `std::shared_ptr<T> p_;` record T, so `p_->f()` edges into T::f.
   {
+    static const std::regex kSmartPointee(
+        R"(^<\s*(?:const\s+)?((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*>$)");
     static const std::regex kDecl(
         R"(\b((?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*)\s*(<[^;{}<>()]*>)?)"
         R"re(((?:\s*[&*])+\s*|\s+)([A-Za-z_]\w*)\s*(?:;|=[^=]|\{))re");
@@ -714,6 +718,14 @@ FileFacts extract_facts(const std::string& display_path,
         type = internal::trim(type.substr(sep + 2));
       }
       if (kNotTypes.count(type) != 0 || kNotTypes.count(head) != 0) continue;
+      std::smatch pointee;
+      const std::string args = (*it)[2].str();
+      if ((type == "unique_ptr" || type == "shared_ptr") &&
+          std::regex_match(args, pointee, kSmartPointee)) {
+        type = pointee[1].str();
+        const std::size_t last = type.rfind("::");
+        if (last != std::string::npos) type = internal::trim(type.substr(last + 2));
+      }
       facts.var_types[(*it)[4].str()].insert(type);
     }
   }
