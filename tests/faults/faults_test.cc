@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "faults/fault_plan.h"
@@ -421,6 +422,10 @@ struct DispatchRow {
   std::function<void(FaultPlan&, sim::TimePoint)> plan;
   std::function<bool(rep::Testbed&)> effect;
 };
+
+// Prints the row as its kind. Without it gtest dumps the row's bytes, pointers
+// included, and the listed test names change from one process to the next.
+void PrintTo(const DispatchRow& row, std::ostream* os) { *os << row.name; }
 
 class FaultDispatch : public ::testing::TestWithParam<DispatchRow> {};
 
